@@ -1,7 +1,7 @@
 """Discrete-time simulator for switched acoustic-delay-line circulators.
 
 Two delay lines, two commutated 2x2 crossbars, optional L-section port
-matching; sample-by-sample traveling-wave propagation with S-parameter,
+matching; block-stepped traveling-wave propagation with S-parameter,
 spectral, and schedule analysis on top, plus Touchstone import/export and
 a CSV/SVG command-line front end.
 """

@@ -11,22 +11,23 @@ intermodulation line lands on the analysis grid. A convergence monitor
 compares output power between consecutive periods inside the window and
 flags runs that are still settling.
 
-Sweep lanes are independent; SDLSIM_THREADS > 1 splits the frequency list
-across worker threads. Results are merged by frequency index and are
-byte-identical at any thread count.
+Every analysis is a thin parameterisation of one drive-and-measure kernel
+(_drive): the stimulus of each block is built in closed form, the network
+advances the whole block (see engine: settled spans run as blocks, switch
+transitions and matched networks sample by sample), and the analysis
+accumulates its phasors from the block with one einsum. Lanes (one per
+frequency and drive port) are independent runs sharing each block.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import warnings as _warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .elements import DelayLineSpec
+from .elements import MAX_BLOCK, DelayLineSpec
 from .engine import _line_element, build_circulator
 from .errors import ConfigError, QuantizationError, SimulationFault
 from .schedule import ControlSchedule, build_schedule
@@ -42,7 +43,6 @@ DEFAULT_MEASURE_PERIODS = 4
 DEFAULT_ISO_THRESHOLD_DB = 27.0
 DEFAULT_DRIVE_DBM = -10.0
 
-_RENORM_MASK = 4095  # rotator magnitude correction cadence
 _DRIFT_LIMIT_DB = 0.1
 
 
@@ -134,12 +134,45 @@ class ModFreqPoint:
     note: str | None = None
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("SDLSIM_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+def _tone(omega: np.ndarray, amplitude: float):
+    """Closed-form drive: lane k carries amplitude*cos(omega[k]*n)."""
+    omega = np.asarray(omega, dtype=float)
+
+    def drive(n0: int, b: int) -> np.ndarray:
+        n = np.arange(n0, n0 + b, dtype=np.float64)
+        return amplitude * np.cos(np.outer(omega, n))
+
+    return drive
+
+
+def _detector(omega: np.ndarray, n0: int, b: int) -> np.ndarray:
+    """exp(-j*omega[k]*n) over samples n0..n0+b-1, shape (lanes, b)."""
+    return np.exp(-1j * np.outer(omega, np.arange(n0, n0 + b, dtype=np.float64)))
+
+
+def _drive(step, n_ports: int, ports: np.ndarray, drive, n_total: int, marks=()):
+    """The drive-and-measure kernel: lane k is driven on port ports[k] with
+    drive(n0, b)[k] over samples n0..n0+b-1, one block at a time, and every
+    block yields (n0, drive block (lanes, b), output block (n_ports, lanes, b)).
+
+    step is CirculatorNetwork.advance or an element's step. Blocks are at
+    most MAX_BLOCK samples long and never straddle a sample index in marks.
+    Raises SimulationFault at the first non-finite output sample.
+    """
+    lanes = len(ports)
+    lane_ix = np.arange(lanes)
+    edges = sorted({0, n_total, *(int(m) for m in marks if 0 < m < n_total)})
+    for lo, hi in zip(edges, edges[1:]):
+        for n0 in range(lo, hi, MAX_BLOCK):
+            b = min(MAX_BLOCK, hi - n0)
+            d = drive(n0, b)
+            ext = np.zeros((n_ports, lanes, b))
+            ext[ports, lane_ix] = d
+            out = step(ext)
+            bad = np.flatnonzero(~np.isfinite(out).all(axis=(0, 1)))
+            if len(bad):
+                raise SimulationFault(n0 + int(bad[0]))
+            yield n0, d, out
 
 
 def _schedule_summary(schedule: ControlSchedule) -> str:
@@ -175,68 +208,6 @@ def _check_windows(settle: int, measure: int) -> None:
         raise ConfigError("measure must be a positive integer number of periods")
 
 
-def _sweep_chunk(config, freqs: list[float], a0: float, settle: int, measure: int):
-    """Measure a 4x4 S-matrix per frequency; one lane per (frequency, port)."""
-    net = build_circulator(config)
-    fs = net.sample_rate
-    period = net.schedule.period_samples
-    n_settle = settle * period
-    n_total = n_settle + measure * period
-    nf = len(freqs)
-    lanes = 4 * nf
-    net.reset(lanes=lanes)
-
-    f_lane = np.repeat(np.asarray(freqs, dtype=float), 4)
-    p_lane = np.tile(np.arange(4), nf)
-    lane_ix = np.arange(lanes)
-    omega = 2.0 * math.pi * f_lane / fs
-    gen_rot = np.exp(1j * omega)
-    gen_cur = np.ones(lanes, dtype=complex)
-    det_rot = np.exp(-1j * omega)
-    det_cur = np.exp(-1j * omega * n_settle)
-
-    acc_out = np.zeros((4, lanes), dtype=complex)
-    acc_in = np.zeros(lanes, dtype=complex)
-    block_power = np.zeros((measure, lanes))
-    ext = np.zeros((4, lanes))
-
-    for n in range(n_total):
-        drive = a0 * gen_cur.real
-        ext[p_lane, lane_ix] = drive
-        out = net.step(ext)
-        if n >= n_settle:
-            acc_out += out * det_cur
-            acc_in += drive * det_cur
-            block_power[(n - n_settle) // period] += np.einsum("pl,pl->l", out, out)
-            det_cur *= det_rot
-        gen_cur *= gen_rot
-        if (n & _RENORM_MASK) == _RENORM_MASK:
-            gen_cur /= np.abs(gen_cur)
-            if n >= n_settle:
-                det_cur /= np.abs(det_cur)
-            if not np.all(np.isfinite(out)):
-                raise SimulationFault(n)
-    if not np.all(np.isfinite(acc_out)):
-        raise SimulationFault(n_total - 1)
-
-    s_cols = acc_out / acc_in
-    s = np.empty((nf, 4, 4), dtype=complex)
-    for k in range(nf):
-        s[k] = s_cols[:, 4 * k : 4 * k + 4]
-
-    notes: list[str] = []
-    if measure >= 2:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            drift = 10.0 * np.log10(block_power[1:] / block_power[:-1])
-        worst = np.nanmax(np.abs(drift), axis=0, initial=0.0)
-        for lane in np.flatnonzero(worst > _DRIFT_LIMIT_DB):
-            notes.append(
-                f"not settled: output power drifts {worst[lane]:.3f} dB between "
-                f"periods at {f_lane[lane] / 1e6:.4f} MHz, drive port {p_lane[lane] + 1}"
-            )
-    return s, notes
-
-
 def sparams_sweep(
     config,
     frequencies,
@@ -254,26 +225,50 @@ def sparams_sweep(
     drive_dbm = float(getattr(config, "drive_dbm", DEFAULT_DRIVE_DBM))
     a0 = dbm_to_amplitude(drive_dbm)
 
-    n_workers = min(_thread_count(), len(freqs))
-    if n_workers <= 1:
-        blocks = [_sweep_chunk(config, freqs, a0, settle, measure)]
-    else:
-        splits = [list(part) for part in np.array_split(freqs, n_workers) if len(part)]
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            futures = [
-                pool.submit(_sweep_chunk, config, part, a0, settle, measure)
-                for part in splits
-            ]
-            blocks = [f.result() for f in futures]
+    net = build_circulator(config)
+    fs = net.sample_rate
+    period = net.schedule.period_samples
+    n_settle = settle * period
+    n_total = n_settle + measure * period
+    nf = len(freqs)
+    lanes = 4 * nf
+    net.reset(lanes=lanes)
 
-    s = np.concatenate([b[0] for b in blocks], axis=0)
-    notes = tuple(msg for b in blocks for msg in b[1])
+    f_lane = np.repeat(np.asarray(freqs, dtype=float), 4)
+    p_lane = np.tile(np.arange(4), nf)
+    omega = 2.0 * math.pi * f_lane / fs
+
+    acc_out = np.zeros((4, lanes), dtype=complex)
+    acc_in = np.zeros(lanes, dtype=complex)
+    block_power = np.zeros((measure, lanes))
+    periods = n_settle + period * np.arange(measure)
+    for n0, drive, out in _drive(net.advance, 4, p_lane, _tone(omega, a0), n_total, periods):
+        if n0 < n_settle:
+            continue
+        det = _detector(omega, n0, drive.shape[1])
+        acc_out += np.einsum("plb,lb->pl", out, det)
+        acc_in += np.einsum("lb,lb->l", drive, det)
+        block_power[(n0 - n_settle) // period] += np.einsum("plb,plb->l", out, out)
+
+    # Lane 4k + i drives port i + 1 at frequency k.
+    s = (acc_out / acc_in).reshape(4, nf, 4).transpose(1, 0, 2)
+
+    notes: list[str] = []
+    if measure >= 2:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            drift = 10.0 * np.log10(block_power[1:] / block_power[:-1])
+        worst = np.nanmax(np.abs(drift), axis=0, initial=0.0)
+        for lane in np.flatnonzero(worst > _DRIFT_LIMIT_DB):
+            notes.append(
+                f"not settled: output power drifts {worst[lane]:.3f} dB between "
+                f"periods at {f_lane[lane] / 1e6:.4f} MHz, drive port {p_lane[lane] + 1}"
+            )
     return SParamGrid(
         frequencies=tuple(freqs),
         s=s,
         drive_level=drive_dbm,
         schedule_summary=_schedule_summary(config.schedule),
-        warnings=notes,
+        warnings=tuple(notes),
     )
 
 
@@ -399,27 +394,24 @@ def spectrum_probe(
     n_settle = settle * period
     n_total = n_settle + n_window
     a0 = dbm_to_amplitude(drive_dbm)
-    tone = make_tone(f0, a0, 0.0, n_total, fs).samples
+
+    def tone(n0: int, b: int) -> np.ndarray:
+        return make_tone(f0, a0, 0.0, b, fs, start_index=n0).samples[None]
 
     net.reset(lanes=1)
     block = np.empty((4, n_window))
-    ext = np.zeros((4, 1))
-    for n in range(n_total):
-        ext[0, 0] = tone[n]
-        out = net.step(ext)
-        if n >= n_settle:
-            block[:, n - n_settle] = out[:, 0]
-        if (n & _RENORM_MASK) == _RENORM_MASK and not np.all(np.isfinite(out)):
-            raise SimulationFault(n)
-    if not np.all(np.isfinite(block)):
-        raise SimulationFault(n_total - 1)
+    tone_window = np.empty(n_window)
+    for n0, drive, out in _drive(net.advance, 4, np.zeros(1, int), tone, n_total, [n_settle]):
+        if n0 >= n_settle:
+            block[:, n0 - n_settle : n0 - n_settle + drive.shape[1]] = out[:, 0]
+            tone_window[n0 - n_settle : n0 - n_settle + drive.shape[1]] = drive[0]
 
     orders = [k for k in range(-k_max, k_max + 1) if 0.0 < f0 + k * f_mod < fs / 2.0]
     line_f = np.array([f0 + k * f_mod for k in orders])
     sample_ix = n_settle + np.arange(n_window)
     basis = np.exp(-2j * math.pi * np.outer(line_f, sample_ix) / fs)
     c_ports = (2.0 / n_window) * (block @ basis.T)
-    c_in = (2.0 / n_window) * (basis @ tone[n_settle:n_total])
+    c_in = (2.0 / n_window) * (basis @ tone_window)
 
     k0 = orders.index(0)
     ports = []
@@ -484,36 +476,18 @@ def modfreq_sweep(
         meas_stop = (settle + measure) * periods
         n_total = int(meas_stop.max())
         p_lane = np.tile(np.arange(4), len(valid))
-        lane_ix = np.arange(lanes)
 
         a0 = dbm_to_amplitude(float(getattr(config, "drive_dbm", DEFAULT_DRIVE_DBM)))
-        omega = 2.0 * math.pi * f0 / net.sample_rate
-        gen_rot = np.exp(1j * omega)
-        gen_cur = np.complex128(1.0)
-        det_rot = np.exp(-1j * omega)
-        det_cur = np.complex128(1.0)
-
+        omega = np.full(lanes, 2.0 * math.pi * f0 / net.sample_rate)
         acc_out = np.zeros((4, lanes), dtype=complex)
         acc_in = np.zeros(lanes, dtype=complex)
-        ext = np.zeros((4, lanes))
-        for n in range(n_total):
-            drive = a0 * gen_cur.real
-            ext[p_lane, lane_ix] = drive
-            out = net.step(ext)
-            active = (n >= meas_start) & (n < meas_stop)
+        for n0, drive, out in _drive(net.advance, 4, p_lane, _tone(omega, a0), n_total):
+            n = np.arange(n0, n0 + drive.shape[1])
+            active = (n >= meas_start[:, None]) & (n < meas_stop[:, None])
             if active.any():
-                weight = det_cur * active
-                acc_out += out * weight
-                acc_in += drive * weight
-            gen_cur *= gen_rot
-            det_cur *= det_rot
-            if (n & _RENORM_MASK) == _RENORM_MASK:
-                gen_cur /= abs(gen_cur)
-                det_cur /= abs(det_cur)
-                if not np.all(np.isfinite(out)):
-                    raise SimulationFault(n)
-        if not np.all(np.isfinite(acc_out)):
-            raise SimulationFault(n_total - 1)
+                weight = _detector(omega, n0, drive.shape[1]) * active
+                acc_out += np.einsum("plb,lb->pl", out, weight)
+                acc_in += np.einsum("lb,lb->l", drive, weight)
 
         s_cols = acc_out / acc_in
         with np.errstate(divide="ignore"):
@@ -546,41 +520,23 @@ def line_sweep(
 
     f_lane = np.repeat(np.asarray(freqs, dtype=float), 2)
     d_lane = np.tile(np.arange(2), nf)
-    lane_ix = np.arange(lanes)
     omega = 2.0 * math.pi * f_lane / sample_rate
-    gen_rot = np.exp(1j * omega)
-    gen_cur = np.ones(lanes, dtype=complex)
-    det_rot = np.exp(-1j * omega)
-    det_cur = np.exp(-1j * omega * settle)
 
     # Integer stimulus cycles per lane keep the negative-frequency image of
     # the real tone out of the accumulated phasor.
     wlen = np.array([integer_cycle_length(f, sample_rate, measure) for f in f_lane])
     acc_out = np.zeros((2, lanes), dtype=complex)
     acc_in = np.zeros(lanes, dtype=complex)
-    incident = np.zeros((2, lanes))
     n_total = settle + measure
-    for n in range(n_total):
-        drive = gen_cur.real
-        incident[d_lane, lane_ix] = drive
-        out = element.step(incident)
-        if n >= settle:
-            weight = det_cur * ((n - settle) < wlen)
-            acc_out += out * weight
-            acc_in += drive * weight
-            det_cur *= det_rot
-        gen_cur *= gen_rot
-        if (n & _RENORM_MASK) == _RENORM_MASK:
-            gen_cur /= np.abs(gen_cur)
-            if n >= settle:
-                det_cur /= np.abs(det_cur)
-            if not np.all(np.isfinite(out)):
-                raise SimulationFault(n)
+    for n0, drive, out in _drive(element.step, 2, d_lane, _tone(omega, 1.0), n_total, [settle]):
+        if n0 < settle:
+            continue
+        n = np.arange(n0, n0 + drive.shape[1])
+        weight = _detector(omega, n0, drive.shape[1]) * ((n - settle) < wlen[:, None])
+        acc_out += np.einsum("plb,lb->pl", out, weight)
+        acc_in += np.einsum("lb,lb->l", drive, weight)
 
-    s_cols = acc_out / acc_in
-    s = np.empty((nf, 2, 2), dtype=complex)
-    for k in range(nf):
-        s[k] = s_cols[:, 2 * k : 2 * k + 2]
+    s = (acc_out / acc_in).reshape(2, nf, 2).transpose(1, 0, 2)
     summary = "static two-port, delay line only"
     if isinstance(line, DelayLineSpec):
         summary += f", tau={line.tau:g} s"

@@ -20,8 +20,7 @@ byte-identical files. SVG output is hand-assembled plain text (no plotting
 dependency) and is presentation-only; all numbers live in the CSVs.
 
 Exit codes: 0 success, 1 configuration error (including bad command-line
-usage), 2 runtime failure. The SDLSIM_THREADS environment variable sets
-the worker count for frequency sweeps; results do not depend on it.
+usage), 2 runtime failure.
 """
 
 from __future__ import annotations
@@ -108,14 +107,19 @@ class CirculatorConfig:
 
 
 def _get_float(section: dict, key: str, default, problems: list[str], where: str):
+    """A number, or None where the key is null; NaN is never a valid
+    setting (inf is, where it means "none")."""
     value = section.get(key, default)
     if value is None:
         return None
     try:
-        return float(value)
+        out = float(value)
     except (TypeError, ValueError):
+        out = math.nan
+    if math.isnan(out):
         problems.append(f"{where}.{key}: expected a number, got {value!r}")
         return default if isinstance(default, float) else None
+    return out
 
 
 def _get_int(section: dict, key: str, default: int, problems: list[str], where: str) -> int:
@@ -174,6 +178,8 @@ def _parse_line(raw, name: str, base_dir: Path, sample_rate, problems: list[str]
         try:
             k, level = item
             parsed_echoes.append((int(k), float(level)))
+            if math.isnan(parsed_echoes[-1][1]):
+                raise ValueError
         except (TypeError, ValueError):
             problems.append(f"{name}.echoes: expected [k, level_db] pairs, got {item!r}")
     fields["echoes"] = tuple(parsed_echoes)
@@ -309,6 +315,8 @@ def load_config(path) -> CirculatorConfig:
         if name not in raw:
             problems.append(f"{name}: missing required key (delay line description)")
             lines[name] = None
+        elif name == "line_b" and raw[name] is raw.get("line_a"):
+            lines[name] = lines["line_a"]  # a YAML alias of line_a: parse it once
         else:
             lines[name] = _parse_line(raw[name], name, p.parent, fs, problems)
 
@@ -342,11 +350,15 @@ def load_config(path) -> CirculatorConfig:
     measure = _get_int(analysis_raw, "measure_periods", 4, problems, "analysis")
     window = _get_int(analysis_raw, "spectrum_window_periods", 16, problems, "analysis")
     band = _parse_band(analysis_raw.get("band"), fs, problems)
-    fmod_values = tuple(
-        float(v) for v in analysis_raw.get("fmod_values", ()) if isinstance(v, (int, float))
-    )
-    if len(fmod_values) != len(analysis_raw.get("fmod_values", ())):
-        problems.append("analysis.fmod_values: expected a list of frequencies in Hz")
+    raw_fmod = analysis_raw.get("fmod_values")
+    fmod_values: tuple[float, ...] = ()
+    if raw_fmod is not None:
+        if isinstance(raw_fmod, list) and all(
+            isinstance(v, (int, float)) and not math.isnan(v) for v in raw_fmod
+        ):
+            fmod_values = tuple(float(v) for v in raw_fmod)
+        else:
+            problems.append("analysis.fmod_values: expected a list of frequencies in Hz")
     if settle < 0:
         problems.append("analysis.settle_periods must be >= 0")
     if measure < 1:
@@ -807,7 +819,6 @@ def _build_parser() -> _Parser:
     parser = _Parser(
         prog="sdlsim",
         description="switched-delay-line circulator simulator",
-        epilog="SDLSIM_THREADS sets the sweep worker count (results are identical).",
     )
     parser.add_argument("--version", action="version", version=f"sdlsim {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)

@@ -1,9 +1,12 @@
-"""Behavioral scattering elements with a per-sample step contract.
+"""Behavioral scattering elements with a block step contract.
 
-Every element consumes one incident wave sample per port and emits one wave
-sample per port, with shape (n_ports, lanes) so that independent
-measurement runs (lanes) share a single pass. All elements are causal and
-linear in the signal for a fixed control trajectory.
+Every element consumes a block of incident wave samples per port and emits
+the same number of wave samples per port, with shape (n_ports, lanes, B):
+independent measurement runs (lanes) share a single pass, and B consecutive
+samples are processed at once. (n_ports, lanes) and (n_ports,) are accepted
+as one sample. Splitting a stream into blocks of any lengths gives
+bit-identical outputs. All elements are causal and linear in the signal for
+a fixed control trajectory.
 
 Includes the L-section matching synthesis (synth_lmatch) and its
 discrete-time realization alongside the delay-line, crossbar-switch, and
@@ -22,6 +25,30 @@ from scipy import signal as sig
 from .touchstone import TouchstoneData
 
 
+# Longest block processed in one pass (samples): element history buffers
+# hold this many samples beyond the longest delay, and longer blocks are
+# split. 64 samples keep a 204-lane block's working set near 1 MB.
+MAX_BLOCK = 64
+
+
+def _as_block(incident) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Incident waves as an (n_ports, lanes, B) block, plus the caller's shape."""
+    x = np.asarray(incident, dtype=np.float64)
+    if x.ndim == 3:
+        return x, x.shape
+    return x.reshape(x.shape[0], -1, 1), x.shape
+
+
+def _in_blocks(process, x: np.ndarray) -> np.ndarray:
+    """Apply a block processor in pieces of at most MAX_BLOCK samples."""
+    if x.shape[-1] <= MAX_BLOCK:
+        return process(x)
+    return np.concatenate(
+        [process(x[..., s : s + MAX_BLOCK]) for s in range(0, x.shape[-1], MAX_BLOCK)],
+        axis=-1,
+    )
+
+
 def conduction_weight(g: np.ndarray | float) -> np.ndarray | float:
     """Raised-cosine conduction law w(g) = sin^2(pi*g/2).
 
@@ -32,7 +59,8 @@ def conduction_weight(g: np.ndarray | float) -> np.ndarray | float:
 
 
 class ScatteringElement:
-    """Base step contract: stateful, single-owner during a run."""
+    """Base step contract: stateful, single-owner during a run. step takes
+    and returns (n_ports, lanes, B) blocks (see the module docstring)."""
 
     n_ports: int = 2
 
@@ -112,17 +140,6 @@ def _filter_group_delay_samples(sos: np.ndarray, f_center: float, fs: float) -> 
     return total
 
 
-def _sos_step(sos: np.ndarray, z: np.ndarray, x: np.ndarray) -> np.ndarray:
-    # Transposed direct form II, one sample across all channels.
-    for k in range(sos.shape[0]):
-        b0, b1, b2, _, a1, a2 = sos[k]
-        y = b0 * x + z[k, 0]
-        z[k, 0] = b1 * x - a1 * y + z[k, 1]
-        z[k, 1] = b2 * x - a2 * y
-        x = y
-    return x
-
-
 class DelayLineElement(ScatteringElement):
     """Symmetric band-limited two-port delay line.
 
@@ -159,6 +176,7 @@ class DelayLineElement(ScatteringElement):
             _, h = sig.sosfreqz(sos, worN=[spec.f_center], fs=sample_rate)
             sos[0, :3] /= np.abs(h[0])  # exact unit gain at center
             self.sos = sos
+            self._sos_rows = sos.tolist()
             self.filter_delay_samples = round(_filter_group_delay_samples(sos, spec.f_center, sample_rate))
         else:
             self.sos = None
@@ -189,29 +207,56 @@ class DelayLineElement(ScatteringElement):
 
     def reset(self, lanes: int = 1) -> None:
         super().reset(lanes)
-        self._buf = np.zeros((self.buf_len, 2, lanes))
-        self._ptr = 0
+        # Time-major ring of filtered samples: row t % len holds sample t.
+        self._ring = np.zeros((self.buf_len - 1 + MAX_BLOCK, 2, lanes))
+        self._t = 0
         if self.sos is not None:
-            self._z = np.zeros((self.sos.shape[0], 2, 2 * lanes))
+            self._zi = np.zeros((self.sos.shape[0], 2 * lanes, 2))
+
+    def _ring_rows(self, start: int, b: int) -> np.ndarray:
+        """Rows of samples start..start+b-1, read in at most two slices."""
+        ring = self._ring
+        i = start % len(ring)
+        if i + b <= len(ring):
+            return ring[i : i + b]
+        return np.concatenate([ring[i:], ring[: i + b - len(ring)]])
+
+    def _process(self, x: np.ndarray) -> np.ndarray:
+        lanes, b = x.shape[1:]
+        if self.sos is None:
+            f = x
+        elif b > 1:
+            f, self._zi = sig.sosfilt(self.sos, x.reshape(2 * lanes, b), zi=self._zi)
+            f = f.reshape(2, lanes, b)
+        else:
+            # One sample: the transposed direct form II update sosfilt
+            # performs, without its per-call overhead.
+            f = x.reshape(2 * lanes)
+            z = self._zi
+            for k, (b0, b1, b2, _, a1, a2) in enumerate(self._sos_rows):
+                y = b0 * f + z[k, :, 0]
+                z[k, :, 0] = b1 * f - a1 * y + z[k, :, 1]
+                z[k, :, 1] = b2 * f - a2 * y
+                f = y
+            f = f.reshape(2, lanes, 1)
+        ring = self._ring
+        i = self._t % len(ring)
+        k = min(b, len(ring) - i)
+        rows = f.transpose(2, 0, 1)
+        ring[i : i + k] = rows[:k]
+        ring[: b - k] = rows[k:]
+        # Time-major sums; a tap reading port 2's stream for port 1's output
+        # reads both channels swapped.
+        out = np.zeros((b, 2, lanes))
+        for delay, ch, gain in self.taps:
+            src = self._ring_rows(self._t - delay, b)
+            out += gain * (src[:, ::-1] if ch else src)
+        self._t += b
+        return out.transpose(1, 2, 0)
 
     def step(self, incident: np.ndarray) -> np.ndarray:
-        incident = np.asarray(incident, dtype=np.float64)
-        one_d = incident.ndim == 1
-        if one_d:
-            incident = incident[:, None]
-        if self.sos is not None:
-            f = _sos_step(self.sos, self._z, incident.reshape(2 * self.lanes))
-            f = f.reshape(2, self.lanes)
-        else:
-            f = incident
-        self._buf[self._ptr] = f
-        out = np.zeros_like(self._buf[0])
-        for delay, ch, gain in self.taps:
-            row = self._buf[(self._ptr - delay) % self.buf_len]
-            out[0] += gain * row[ch]
-            out[1] += gain * row[1 - ch]
-        self._ptr = (self._ptr + 1) % self.buf_len
-        return out[:, 0] if one_d else out
+        x, shape = _as_block(incident)
+        return _in_blocks(self._process, x).reshape(shape)
 
 
 PORT_TOP, PORT_BOT, LINE_A, LINE_B = 0, 1, 2, 3
@@ -258,16 +303,20 @@ class CrossbarElement(ScatteringElement):
         return t_bar, t_cross, refl
 
     @staticmethod
-    def step_with(incident: np.ndarray, t_bar, t_cross, refl) -> np.ndarray:
+    def step_with(incident: np.ndarray, t_bar, t_cross, refl, side: str | None = None) -> np.ndarray:
+        """Outputs for incident waves (4, ...) under the given coefficients,
+        which broadcast over the trailing axes. side "port" or "line"
+        returns only that side's two outputs."""
         a_top, a_bot, a_la, a_lb = incident
-        return np.stack(
-            [
-                t_bar * a_la + t_cross * a_lb,
-                t_cross * a_la + t_bar * a_lb,
+        rows = []
+        if side != "line":
+            rows += [t_bar * a_la + t_cross * a_lb, t_cross * a_la + t_bar * a_lb]
+        if side != "port":
+            rows += [
                 t_bar * a_top + t_cross * a_bot + refl * a_la,
                 t_cross * a_top + t_bar * a_bot + refl * a_lb,
             ]
-        )
+        return np.array(rows)
 
     def step(self, incident: np.ndarray, g: np.ndarray | float = 1.0) -> np.ndarray:
         t_bar, t_cross, refl = self.coefficients(g)
@@ -354,38 +403,49 @@ class TouchstoneElement(ScatteringElement):
                 f"impulse response truncation loses {100 * worst:.2f}% of energy; "
                 "increase ir_len"
             )
-        # Reversed taps so a contiguous oldest-to-newest history slice
-        # convolves with a plain matmul.
-        self._hr = self.h[:, :, ::-1].copy()
+        # _taps[j] holds the reversed taps of S_j1 and S_j2 interleaved, so
+        # one matmul with an oldest-to-newest (ir_len, 2) history window
+        # gives both outputs.
+        self._taps = self.h[:, :, ::-1].transpose(0, 2, 1).reshape(2, 2 * ir_len).copy()
         self.reset()
 
     def reset(self, lanes: int = 1) -> None:
         super().reset(lanes)
-        self._hist = np.zeros((2 * self.ir_len, 2, lanes))
-        self._pos = self.ir_len - 1
+        # Doubled time-major ring: sample t sits in rows t % size and
+        # t % size + size, so every window a block needs is one slice.
+        self._size = self.ir_len - 1 + MAX_BLOCK
+        self._hist = np.zeros((2 * self._size, 2, lanes))
+        self._t = 0
+
+    def _process(self, x: np.ndarray) -> np.ndarray:
+        lanes, b = x.shape[1:]
+        size, hist = self._size, self._hist
+        rows = x.transpose(2, 0, 1)
+        i = self._t % size
+        if i + b <= size:
+            hist[i : i + b] = rows
+            hist[i + size : i + size + b] = rows
+        else:
+            slots = (i + np.arange(b)) % size
+            hist[slots] = rows
+            hist[slots + size] = rows
+        # window[j] holds samples t+j-ir_len+1 .. t+j, oldest first: the
+        # history output j of the block convolves with.
+        row = hist.strides[0]
+        window = np.ndarray(
+            (b, self.ir_len, 2, lanes),
+            dtype=hist.dtype,
+            buffer=hist,
+            offset=((self._t - self.ir_len + 1) % size) * row,
+            strides=(row,) + hist.strides,
+        )
+        out = self._taps @ window.reshape(b, 2 * self.ir_len, lanes)
+        self._t += b
+        return out.transpose(1, 2, 0)
 
     def step(self, incident: np.ndarray) -> np.ndarray:
-        incident = np.asarray(incident, dtype=np.float64)
-        one_d = incident.ndim == 1
-        if one_d:
-            incident = incident[:, None]
-        pos = self._pos
-        self._hist[pos] = incident
-        self._hist[pos + self.ir_len] = incident
-        window = self._hist[pos + 1 : pos + 1 + self.ir_len]
-        out0 = self._hr[0, 0] @ window[:, 0] + self._hr[0, 1] @ window[:, 1]
-        out1 = self._hr[1, 0] @ window[:, 0] + self._hr[1, 1] @ window[:, 1]
-        self._pos = (pos + 1) % self.ir_len
-        out = np.stack([out0, out1])
-        return out[:, 0] if one_d else out
-
-
-def delay_line_element(spec: DelayLineSpec, sample_rate: float) -> DelayLineElement:
-    return DelayLineElement(spec, sample_rate)
-
-
-def crossbar_element(spec: SwitchSpec) -> CrossbarElement:
-    return CrossbarElement(spec)
+        x, shape = _as_block(incident)
+        return _in_blocks(self._process, x).reshape(shape)
 
 
 def element_from_touchstone(
@@ -555,34 +615,39 @@ class MatchingElement(ScatteringElement):
             num_11, num_22 = num_cap, num_ind
         else:
             num_11, num_22 = num_ind, num_cap
-        self._coef = [
+        coef = [
             _bilinear_biquad(num, den, k)
             for num in (num_11, num_thru, num_thru, num_22)
         ]
+        # Column vectors over the four biquads S11, S21, S12, S22, which
+        # read incident ports 1, 1, 2, 2; b12 and a12 stack the coefficients
+        # of the two state updates.
+        self._feeds = np.array([0, 0, 1, 1])
+        b, a = (np.array([bq[i] for bq in coef])[:, :, None] for i in range(2))
+        self._b0 = b[:, 0]
+        self._b12 = b[:, 1:].transpose(1, 0, 2).copy()
+        self._a12 = a[:, 1:].transpose(1, 0, 2).copy()
         self.reset()
 
     def reset(self, lanes: int = 1) -> None:
         super().reset(lanes)
-        self._z = [np.zeros((2, lanes)) for _ in range(4)]
-
-    def _biquad(self, idx: int, x: np.ndarray) -> np.ndarray:
-        b, a = self._coef[idx]
-        z = self._z[idx]
-        y = b[0] * x + z[0]
-        z[0] = b[1] * x - a[1] * y + z[1]
-        z[1] = b[2] * x - a[2] * y
-        return y
+        self._z = np.zeros((2, 4, lanes))
 
     def step(self, incident: np.ndarray) -> np.ndarray:
-        incident = np.asarray(incident, dtype=np.float64)
-        one_d = incident.ndim == 1
-        if one_d:
-            incident = incident[:, None]
-        out0 = self._biquad(0, incident[0]) + self._biquad(2, incident[1])
-        out1 = self._biquad(1, incident[0]) + self._biquad(3, incident[1])
-        out = np.stack([out0, out1])
-        return out[:, 0] if one_d else out
-
-
-def matching_element(spec: MatchSpec, sample_rate: float) -> MatchingElement:
-    return MatchingElement(spec, sample_rate)
+        # The four biquads run side by side, one transposed direct form II
+        # update per sample (z1 <- b1 x - a1 y + z2, z2 <- b2 x - a2 y);
+        # out1 = S11 + S12, out2 = S21 + S22.
+        x, shape = _as_block(incident)
+        xin = x[self._feeds]
+        y = np.empty_like(xin)
+        z = self._z
+        for j in range(x.shape[-1]):
+            xj = xin[:, :, j]
+            yj = self._b0 * xj + z[0]
+            zn = self._b12 * xj
+            zn -= self._a12 * yj
+            zn[0] += z[1]
+            z = zn
+            y[:, :, j] = yj
+        self._z = z
+        return (y[:2] + y[2:]).reshape(shape)

@@ -1,4 +1,4 @@
-"""Sample-stepped traveling-wave simulation of the switched-delay-line
+"""Block-stepped traveling-wave simulation of the switched-delay-line
 circulator.
 
 Topology (fixed in v1): four external ports bind directly to the two
@@ -15,23 +15,38 @@ Every link carries exactly one sample of latency; external bindings carry
 none. A through traversal therefore takes the line delay plus k_link
 samples, where k_link = 2 bare and 4 with matching inserted. This constant
 is exposed as CirculatorNetwork.k_link and every timing oracle adds it.
+
+Time advances in blocks. External ports never reflect, and a crossbar's
+line ports reflect (gamma_off*min(w, 1-w)) only inside its switch
+transitions, so outside those windows the bare network is feed-forward:
+crossbar -> line -> crossbar within any span where no line port reflects.
+Such settled spans run as whole blocks of up to MAX_BLOCK samples, each element
+processing the block at once. A sample where either crossbar reflects
+closes the 2-sample crossbar-line loop and runs at B = 1; so does every
+sample of a matched network, whose match-line loop is 2 samples long in
+every switch state. Both are the same block code, and outputs do not
+depend on how a run is split into advance calls.
 """
 
 from __future__ import annotations
 
+import copy
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .elements import (
+    LINE_A,
+    LINE_B,
+    MAX_BLOCK,
     CrossbarElement,
+    DelayLineElement,
     DelayLineSpec,
+    MatchingElement,
     ScatteringElement,
-    crossbar_element,
-    delay_line_element,
     element_from_touchstone,
-    matching_element,
 )
 from .errors import ConfigError, OracleDeclined, SimulationFault
 from .schedule import ControlSchedule, trace_for
@@ -40,55 +55,60 @@ from .signals import SampleBuffer
 K_LINK_BARE = 2
 K_LINK_MATCHED = 4
 
+
 # External port number (1-based) -> (side, crossbar port row).
 _PORT_MAP = {1: ("left", 0), 2: ("right", 0), 3: ("left", 1), 4: ("right", 1)}
 
 
-class _SharedControl:
-    """One period of precomputed crossbar coefficients, shared by all lanes."""
-
-    def __init__(self, crossbar: CrossbarElement, g_period: np.ndarray):
-        self.period = len(g_period)
-        self.t_bar, self.t_cross, self.refl = crossbar.coefficients(g_period)
-
-    def at(self, n: int):
-        i = n % self.period
-        return self.t_bar[i], self.t_cross[i], self.refl[i]
-
-
 class _LaneControl:
-    """Per-lane coefficient tables for runs where every lane has its own
-    schedule (modulation-frequency sweeps)."""
+    """Crossbar coefficient tables, one row per schedule: a single row that
+    every lane shares, or one row per lane (modulation-frequency sweeps).
 
-    def __init__(self, crossbar: CrossbarElement, g_rows: list[np.ndarray]):
-        self.lanes = len(g_rows)
-        self.periods = np.array([len(g) for g in g_rows], dtype=np.int64)
-        p_max = int(self.periods.max())
-        self.t_bar = np.zeros((self.lanes, p_max))
-        self.t_cross = np.zeros((self.lanes, p_max))
-        self.refl = np.zeros((self.lanes, p_max))
-        for k, g in enumerate(g_rows):
-            tb, tc, rf = crossbar.coefficients(g)
-            self.t_bar[k, : len(g)] = tb
-            self.t_cross[k, : len(g)] = tc
-            self.refl[k, : len(g)] = rf
-        self._rows = np.arange(self.lanes)
+    coef[side, k, row, i] is (t_bar, t_cross, refl)[k] of the left (side 0)
+    or right (side 1) crossbar at sample i of the row's period.
+    """
 
-    def at(self, n: int):
-        idx = n % self.periods
-        return (
-            self.t_bar[self._rows, idx],
-            self.t_cross[self._rows, idx],
-            self.refl[self._rows, idx],
-        )
+    def __init__(self, crossbar: CrossbarElement, schedules: list[ControlSchedule]):
+        self.rows = len(schedules)
+        self.periods = np.array([s.period_samples for s in schedules], dtype=np.int64)
+        self.coef = np.zeros((2, 3, self.rows, int(self.periods.max())))
+        for r, sched in enumerate(schedules):
+            p = sched.period_samples
+            left = np.array(crossbar.coefficients(trace_for(sched, "left", p).g))
+            # The right crossbar runs the left one's control offset_samples later.
+            self.coef[:, :, r, :p] = (left, np.roll(left, sched.offset_samples, axis=1))
+        self._row_ix = np.arange(self.rows)[:, None]
+
+    @functools.cached_property
+    def quiet(self) -> np.ndarray:
+        """quiet[row, i]: samples from phase i up to the next one where
+        either crossbar's line ports reflect (0 if they reflect at i)."""
+        quiet = np.full(self.coef.shape[2:], np.iinfo(np.int64).max // 2)
+        for r, p in enumerate(self.periods.tolist()):
+            hot = np.flatnonzero((self.coef[:, 2, r, :p] != 0.0).any(axis=0))
+            if len(hot):
+                phase = np.arange(p)
+                ahead = np.concatenate([hot, hot[:1] + p])
+                quiet[r, :p] = ahead[np.searchsorted(hot, phase)] - phase
+        return quiet
+
+    def block(self, n: int, b: int) -> np.ndarray:
+        """Coefficients for samples n..n+b-1, shape (2, 3, rows, b)."""
+        idx = (n + np.arange(b)) % self.periods[:, None]
+        return self.coef[:, :, self._row_ix, idx]
+
+    def quiet_from(self, n: int) -> int:
+        """Samples from n on, over all rows, before a line port reflects."""
+        return int(self.quiet[self._row_ix[:, 0], n % self.periods].min())
 
 
 class CirculatorNetwork:
     """Canonical 4-port switched-delay-line network.
 
-    Owns the element instances and the per-sample wave propagation. The
-    step loop is strictly sequential in sample order; lanes (independent
-    stimulus columns sharing one pass) provide the batching axis instead.
+    Owns the element instances and the block-wise wave propagation. Time is
+    strictly sequential in sample order; lanes (independent stimulus
+    columns sharing one pass) and blocks of settled samples are the
+    batching axes.
     """
 
     def __init__(
@@ -116,8 +136,8 @@ class CirculatorNetwork:
         self.sample_rate = sample_rate
         self.schedule = schedule
         self.config_digest = config_digest
-        self.left = crossbar_element(switch_spec)
-        self.right = crossbar_element(switch_spec)
+        self.left = CrossbarElement(switch_spec)
+        self.right = CrossbarElement(switch_spec)
         self.line_a = line_a
         self.line_b = line_b
         self.matches = list(matches) if matches else None
@@ -133,36 +153,71 @@ class CirculatorNetwork:
             for i, m in enumerate(self.matches, start=1):
                 self.elements[f"match_{i}"] = m
 
-        p = schedule.period_samples
-        self._ctl_left = _SharedControl(self.left, trace_for(schedule, "left", p).g)
-        self._ctl_right = _SharedControl(self.right, trace_for(schedule, "right", p).g)
+        # Every element port is one row ("slot") of the per-block wave arrays.
+        self._slots: dict[str, slice] = {}
+        first = 0
+        for name, el in self.elements.items():
+            self._slots[name] = slice(first, first + el.n_ports)
+            first += el.n_ports
+        self._n_slots = first
+        self.links = self._link_table()
+        self._link_src = np.array([self._slots[s].start + sp for s, sp, _, _ in self.links])
+        self._link_dst = np.array([self._slots[d].start + dp for _, _, d, dp in self.links])
+        # External port p (0-based) binds to this crossbar slot.
+        self._ext_slots = np.array(
+            [self._slots[f"{side}_crossbar"].start + row for side, row in _PORT_MAP.values()]
+        )
+        # Links feeding the crossbars' line ports (the crossbars hold the
+        # first slots), and all others, as (source slot, destination slot).
+        feeds = list(zip(self._link_src.tolist(), self._link_dst.tolist()))
+        xbar_rows = range(self._slots["right_crossbar"].stop)
+        self._feed_xbar = [(s, d) for s, d in feeds if d in xbar_rows]
+        self._feed_rest = [(s, d) for s, d in feeds if d not in xbar_rows]
+        self._others = [n for n in self.elements if not n.endswith("_crossbar")]
+
+        self._ctl = _LaneControl(self.left, [schedule])
         self.lanes = 1
         self.track_link_energy = False
         self.reset()
+
+    def _link_table(self) -> list[tuple[str, int, str, int]]:
+        """(source element, port, destination element, port) of every
+        one-sample internal link, in link_energy order."""
+        links = []
+        for side, xbar in (("left", "left_crossbar"), ("right", "right_crossbar")):
+            line_port = 0 if side == "left" else 1
+            for row, line in ((LINE_A, "line_a"), (LINE_B, "line_b")):
+                if self.matches is None:
+                    links += [(xbar, row, line, line_port), (line, line_port, xbar, row)]
+                else:
+                    m = f"match_{1 + (row - LINE_A) + (0 if side == 'left' else 2)}"
+                    links += [
+                        (xbar, row, m, 0),
+                        (m, 0, xbar, row),
+                        (m, 1, line, line_port),
+                        (line, line_port, m, 1),
+                    ]
+        return links
 
     def set_lane_schedules(self, schedules: list[ControlSchedule]) -> None:
         """Give each lane its own control schedule (all sharing sample_rate)."""
         for s in schedules:
             if s.sample_rate != self.sample_rate:
                 raise ConfigError("lane schedule sample rate mismatch")
-        left_rows = [trace_for(s, "left", s.period_samples).g for s in schedules]
-        right_rows = [trace_for(s, "right", s.period_samples).g for s in schedules]
-        self._ctl_left = _LaneControl(self.left, left_rows)
-        self._ctl_right = _LaneControl(self.right, right_rows)
+        self._ctl = _LaneControl(self.left, list(schedules))
 
     def reset(self, lanes: int = 1) -> None:
-        if isinstance(self._ctl_left, _LaneControl) and lanes != self._ctl_left.lanes:
+        if self._ctl.rows > 1 and lanes != self._ctl.rows:
             raise ConfigError("lane count must match the per-lane schedule table")
         self.lanes = lanes
         for el in self.elements.values():
             el.reset(lanes)
-        shape = (lanes,)
-        self._li = np.zeros((4,) + shape)  # left crossbar incident
-        self._ri = np.zeros((4,) + shape)
-        self._ai = np.zeros((2,) + shape)  # line_a incident
-        self._bi = np.zeros((2,) + shape)
-        self._mi = [np.zeros((2,) + shape) for _ in range(4)] if self.matches else None
-        self._out = np.zeros((4,) + shape)
+        # Wave on each link emitted at the previous sample, arriving now.
+        self._carry = np.zeros((len(self.links), lanes))
+        # Incident and emitted waves of every slot over one block, reused
+        # from block to block.
+        size = self._n_slots * lanes * MAX_BLOCK
+        self._buffers = (np.empty(size), np.empty(size))
         self._n = 0
         self.link_energy: dict[str, float] = {}
 
@@ -170,99 +225,81 @@ class CirculatorNetwork:
     def sample_index(self) -> int:
         return self._n
 
-    def step(self, ext_in: np.ndarray) -> np.ndarray:
-        """Advance one sample: consume external stimuli (4, lanes), return
-        the waves emitted at the external ports this sample.
-
-        The returned array is an internal buffer reused by the next step;
-        callers that keep samples must copy them out.
-        """
-        n = self._n
-        li, ri = self._li, self._ri
-        li[0] = ext_in[0]
-        li[1] = ext_in[2]
-        ri[0] = ext_in[1]
-        ri[1] = ext_in[3]
-
-        lo = CrossbarElement.step_with(li, *self._ctl_left.at(n))
-        ro = CrossbarElement.step_with(ri, *self._ctl_right.at(n))
-        ao = self.line_a.step(self._ai)
-        bo = self.line_b.step(self._bi)
-
-        out = self._out
-        out[0] = lo[0]
-        out[2] = lo[1]
-        out[1] = ro[0]
-        out[3] = ro[1]
-
-        mo = None
-        if self.matches is None:
-            li[2] = ao[0]
-            li[3] = bo[0]
-            ri[2] = ao[1]
-            ri[3] = bo[1]
-            self._ai[0] = lo[2]
-            self._ai[1] = ro[2]
-            self._bi[0] = lo[3]
-            self._bi[1] = ro[3]
-        else:
-            mo = [m.step(mi) for m, mi in zip(self.matches, self._mi)]
-            li[2] = mo[0][0]
-            li[3] = mo[1][0]
-            ri[2] = mo[2][0]
-            ri[3] = mo[3][0]
-            self._ai[0] = mo[0][1]
-            self._ai[1] = mo[2][1]
-            self._bi[0] = mo[1][1]
-            self._bi[1] = mo[3][1]
-            self._mi[0][0] = lo[2]
-            self._mi[1][0] = lo[3]
-            self._mi[2][0] = ro[2]
-            self._mi[3][0] = ro[3]
-            self._mi[0][1] = ao[0]
-            self._mi[1][1] = bo[0]
-            self._mi[2][1] = ao[1]
-            self._mi[3][1] = bo[1]
-
-        if self.track_link_energy:
-            self._accumulate_link_energy(lo, ro, ao, bo, mo)
-        self._n = n + 1
+    def advance(self, ext_in: np.ndarray) -> np.ndarray:
+        """Advance B samples: consume external stimuli of shape (4, lanes, B)
+        (Port1 first) and return the (4, lanes, B) waves emitted at the
+        external ports over those samples."""
+        ext = np.asarray(ext_in, dtype=np.float64)
+        if ext.ndim != 3 or ext.shape[:2] != (4, self.lanes):
+            raise ValueError(f"expected stimuli of shape (4, {self.lanes}, B), got {ext.shape}")
+        total = ext.shape[2]
+        if total == 1:
+            return self._block(ext)
+        out = np.empty_like(ext)
+        i = 0
+        while i < total:
+            b = self._span(total - i)
+            out[:, :, i : i + b] = self._block(ext[:, :, i : i + b])
+            i += b
         return out
 
-    def _accumulate_link_energy(self, lo, ro, ao, bo, mo) -> None:
-        if mo is None:
-            pairs = [
-                ("left_crossbar->line_a", lo[2]),
-                ("line_a->left_crossbar", ao[0]),
-                ("left_crossbar->line_b", lo[3]),
-                ("line_b->left_crossbar", bo[0]),
-                ("right_crossbar->line_a", ro[2]),
-                ("line_a->right_crossbar", ao[1]),
-                ("right_crossbar->line_b", ro[3]),
-                ("line_b->right_crossbar", bo[1]),
-            ]
-        else:
-            pairs = [
-                ("left_crossbar->match_1", lo[2]),
-                ("match_1->left_crossbar", mo[0][0]),
-                ("match_1->line_a", mo[0][1]),
-                ("line_a->match_1", ao[0]),
-                ("left_crossbar->match_2", lo[3]),
-                ("match_2->left_crossbar", mo[1][0]),
-                ("match_2->line_b", mo[1][1]),
-                ("line_b->match_2", bo[0]),
-                ("right_crossbar->match_3", ro[2]),
-                ("match_3->right_crossbar", mo[2][0]),
-                ("match_3->line_a", mo[2][1]),
-                ("line_a->match_3", ao[1]),
-                ("right_crossbar->match_4", ro[3]),
-                ("match_4->right_crossbar", mo[3][0]),
-                ("match_4->line_b", mo[3][1]),
-                ("line_b->match_4", bo[1]),
-            ]
-        for name, wave in pairs:
-            self.link_energy[name] = self.link_energy.get(name, 0.0) + float(
-                np.sum(wave * wave)
+    def step(self, ext_in: np.ndarray) -> np.ndarray:
+        """Advance one sample: external stimuli (4, lanes) in, the (4, lanes)
+        waves emitted at the external ports this sample out."""
+        return self.advance(np.asarray(ext_in, dtype=np.float64)[:, :, None])[:, :, 0]
+
+    def _span(self, limit: int) -> int:
+        """Length of the next block: one sample, or up to MAX_BLOCK samples
+        whose line ports do not reflect after the first."""
+        if self.matches is not None or limit == 1:
+            return 1
+        return min(limit, MAX_BLOCK, 1 + self._ctl.quiet_from(self._n + 1))
+
+    def _block(self, ext: np.ndarray) -> np.ndarray:
+        b = ext.shape[2]
+        coef = self._ctl.block(self._n, b)
+        shape = (self._n_slots, self.lanes, b)
+        inc, wave = (buf[: math.prod(shape)].reshape(shape) for buf in self._buffers)
+        inc[self._ext_slots] = ext
+        inc[self._link_dst, :, 0] = self._carry
+        # Past the first sample no line port reflects (see _span), so the
+        # crossbars' line-side outputs need only the port-side stimulus and
+        # the line waves they would reflect stay zero. The elements behind
+        # the crossbars then run on those outputs, and the crossbars'
+        # port-side outputs on theirs. A single sample needs only the
+        # waves carried in from the previous one: one crossbar pass.
+        if b > 1:
+            for _, d in self._feed_xbar:
+                inc[d, :, 1:] = 0.0
+        self._crossbars(inc, wave, coef, "line" if b > 1 else None)
+        if b > 1:
+            for s, d in self._feed_rest:
+                inc[d, :, 1:] = wave[s, :, :-1]
+        for name in self._others:
+            slots = self._slots[name]
+            wave[slots] = self.elements[name].step(inc[slots])
+        if b > 1:
+            for s, d in self._feed_xbar:
+                inc[d, :, 1:] = wave[s, :, :-1]
+            self._crossbars(inc, wave, coef, "port")
+
+        self._carry = wave[self._link_src, :, -1]
+        if self.track_link_energy:
+            for (s, _, d, _), row in zip(self.links, self._link_src):
+                name = f"{s}->{d}"
+                e = float(np.sum(wave[row] * wave[row]))
+                self.link_energy[name] = self.link_energy.get(name, 0.0) + e
+        self._n += b
+        return wave[self._ext_slots]
+
+    def _crossbars(self, inc: np.ndarray, wave: np.ndarray, coef: np.ndarray, side) -> None:
+        """Both crossbars' outputs on one side ("port", "line") or, for
+        side None, on both, into wave."""
+        rows = {"port": slice(0, LINE_A), "line": slice(LINE_A, LINE_B + 1), None: slice(0, 4)}[side]
+        for name, (t_bar, t_cross, refl) in zip(("left_crossbar", "right_crossbar"), coef):
+            first = self._slots[name].start
+            wave[first + rows.start : first + rows.stop] = CrossbarElement.step_with(
+                inc[first : first + 4], t_bar, t_cross, refl, side=side
             )
 
 
@@ -312,15 +349,10 @@ def run(network: CirculatorNetwork, stimuli: list[SampleBuffer | None], n_sample
     network.reset(lanes=1)
     network.track_link_energy = True
     try:
-        outs = np.empty((4, n_samples))
-        col = np.empty((4, 1))
-        for n in range(n_samples):
-            col[:, 0] = ext[:, n]
-            o = network.step(col)
-            outs[:, n] = o[:, 0]
-            s = o[0, 0] + o[1, 0] + o[2, 0] + o[3, 0]
-            if not math.isfinite(s):
-                raise SimulationFault(n)
+        outs = network.advance(ext[:, None, :])[:, 0, :]
+        bad = np.flatnonzero(~np.isfinite(outs).all(axis=0))
+        if len(bad):
+            raise SimulationFault(int(bad[0]))
         return RunRecord(
             sample_rate=network.sample_rate,
             port_in=[SampleBuffer(network.sample_rate, ext[p]) for p in range(4)],
@@ -335,7 +367,7 @@ def run(network: CirculatorNetwork, stimuli: list[SampleBuffer | None], n_sample
 
 def _line_element(line_spec, sample_rate: float) -> ScatteringElement:
     if isinstance(line_spec, DelayLineSpec):
-        return delay_line_element(line_spec, sample_rate)
+        return DelayLineElement(line_spec, sample_rate)
     if hasattr(line_spec, "data") and hasattr(line_spec, "ir_len"):
         return element_from_touchstone(line_spec.data, sample_rate, line_spec.ir_len)
     raise ConfigError(f"unsupported line description {type(line_spec).__name__}")
@@ -351,14 +383,21 @@ def build_circulator(config) -> CirculatorNetwork:
     """
     fs = config.sample_rate
     line_a = _line_element(config.line_a, fs)
-    line_b = _line_element(config.line_b, fs)
+    if config.line_b is config.line_a:
+        # One description for both lines (a YAML alias): design it once.
+        # The design is read-only; the network's reset gives each line its
+        # own state.
+        line_b = copy.copy(line_a)
+        line_b.warnings = list(line_a.warnings)
+    else:
+        line_b = _line_element(config.line_b, fs)
     matching = getattr(config, "matching", None)
     matches = None
     if matching is not None:
         specs = list(matching) if isinstance(matching, (list, tuple)) else [matching] * 4
         if len(specs) != 4:
             raise ConfigError("matching must give one spec or exactly four")
-        matches = [matching_element(s, fs) for s in specs]
+        matches = [MatchingElement(s, fs) for s in specs]
     return CirculatorNetwork(
         config.switch,
         line_a,

@@ -197,14 +197,6 @@ class TestSweep:
         with pytest.raises(ConfigError, match="settle"):
             sparams_sweep(cfg, [155e6], settle=-1)
 
-    def test_thread_split_matches_serial(self, monkeypatch):
-        cfg = lossy_config()
-        freqs = [151e6, 154e6, 157e6, 160e6]
-        serial = sparams_sweep(cfg, freqs, settle=4, measure=2)
-        monkeypatch.setenv("SDLSIM_THREADS", "3")
-        threaded = sparams_sweep(cfg, freqs, settle=4, measure=2)
-        assert np.array_equal(serial.s, threaded.s)
-
 
 class TestSpectrum:
     def test_single_tone_stays_on_commutation_lattice(self):

@@ -1,0 +1,163 @@
+"""Block stepping: any split of a run into advance calls, and any split of
+an element's input into blocks, gives bit-identical waves."""
+
+from __future__ import annotations
+
+import dataclasses
+import math
+from pathlib import Path
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from sdlsim.cli import load_config
+from sdlsim.elements import (
+    MAX_BLOCK,
+    CrossbarElement,
+    DelayLineElement,
+    DelayLineSpec,
+    MatchingElement,
+    MatchSpec,
+    SwitchSpec,
+    TouchstoneElement,
+)
+from sdlsim.engine import build_circulator
+from sdlsim.schedule import build_schedule
+from sdlsim.touchstone import TouchstoneData
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+FS = 4e9
+# Long enough to cross two switch transitions of each crossbar on paper.yaml
+# (period 4560 samples, one transition every 1140).
+N_SAMPLES = 2600
+
+
+def measured_line() -> TouchstoneData:
+    """Delayed, lossy line with a reflection, so the FIR has a direct S11 tap."""
+    freqs = np.linspace(100e6, 210e6, 111)
+    s = np.zeros((len(freqs), 2, 2), dtype=complex)
+    s[:, 1, 0] = s[:, 0, 1] = 0.6 * np.exp(-2j * math.pi * freqs * 150e-9)
+    s[:, 0, 0] = s[:, 1, 1] = -0.15 * np.exp(-2j * math.pi * freqs * 10e-9)
+    return TouchstoneData(freqs, s)
+
+
+def network(name: str):
+    paper = load_config(CONFIG_DIR / "paper.yaml")
+    if name == "ideal":
+        return build_circulator(load_config(CONFIG_DIR / "ideal.yaml"))
+    if name == "paper":
+        return build_circulator(paper)
+    if name == "matched":
+        return build_circulator(dataclasses.replace(paper, matching=MatchSpec(33e-9, 18e-12)))
+    if name == "touchstone":
+        ref = SimpleNamespace(data=measured_line(), ir_len=256)
+        return build_circulator(dataclasses.replace(paper, line_a=ref, line_b=ref))
+    if name == "per-lane":
+        net = build_circulator(paper)
+        net.set_lane_schedules(
+            [build_schedule(1.14e-6, 2e-9, 0.5, FS), build_schedule(1.12e-6, 2e-9, 0.5, FS)]
+        )
+        return net
+    raise ValueError(name)
+
+
+NETWORKS = ("ideal", "paper", "matched", "touchstone", "per-lane")
+_WHOLE: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+
+
+def stimulus(lanes: int) -> np.ndarray:
+    return np.random.default_rng(7).standard_normal((4, lanes, N_SAMPLES)) * 0.1
+
+
+def whole_run(name: str) -> tuple[np.ndarray, np.ndarray]:
+    """(stimulus, output) of one advance call over the whole run."""
+    if name not in _WHOLE:
+        net = network(name)
+        lanes = 2 if name == "per-lane" else 3
+        net.reset(lanes)
+        ext = stimulus(lanes)
+        _WHOLE[name] = ext, net.advance(ext)
+    return _WHOLE[name]
+
+
+@pytest.mark.parametrize("name", NETWORKS)
+@settings(max_examples=6, deadline=None)
+@given(chunks=st.lists(st.integers(1, 3 * MAX_BLOCK), min_size=1, max_size=12))
+@example(chunks=[1])
+def test_advance_split_anywhere_is_bit_identical(name, chunks):
+    ext, expected = whole_run(name)
+    net = network(name)
+    net.reset(ext.shape[1])
+    parts, start, k = [], 0, 0
+    while start < N_SAMPLES:
+        stop = min(N_SAMPLES, start + chunks[k % len(chunks)])
+        parts.append(net.advance(ext[:, :, start:stop]))
+        start, k = stop, k + 1
+    assert net.sample_index == N_SAMPLES
+    assert np.array_equal(np.concatenate(parts, axis=2), expected)
+
+
+def test_step_is_one_sample_advance():
+    ext, expected = whole_run("paper")
+    net = network("paper")
+    net.reset(ext.shape[1])
+    out = np.stack([net.step(ext[:, :, n]) for n in range(300)], axis=2)
+    assert np.array_equal(out, expected[:, :, :300])
+
+
+def test_link_energy_independent_of_split():
+    ext, _ = whole_run("paper")
+    energies = []
+    for size in (N_SAMPLES, 37):
+        net = network("paper")
+        net.reset(ext.shape[1])
+        net.track_link_energy = True
+        for start in range(0, N_SAMPLES, size):
+            net.advance(ext[:, :, start : start + size])
+        energies.append(net.link_energy)
+    assert list(energies[0]) == list(energies[1])
+    for name, e in energies[0].items():
+        assert energies[1][name] == pytest.approx(e, rel=1e-12)
+
+
+def elements():
+    yield "banded line", DelayLineElement(
+        DelayLineSpec(echoes=((2, -22.3), (3, -40.0)), port_return_db=15.0), FS
+    )
+    yield "flat line", DelayLineElement(
+        DelayLineSpec(tau=20e-9, il_db=1.0, bandwidth=None, echoes=((2, -10.0),)), FS
+    )
+    yield "matching", MatchingElement(MatchSpec(33e-9, 18e-12), FS)
+    yield "touchstone", TouchstoneElement(measured_line(), FS, ir_len=128)
+
+
+@pytest.mark.parametrize("label,element", list(elements()), ids=lambda v: v if isinstance(v, str) else "")
+def test_element_block_equals_sample_steps(label, element):
+    lanes, n = 3, 400
+    x = np.random.default_rng(3).standard_normal((2, lanes, n))
+    element.reset(lanes)
+    per_sample = np.stack([element.step(x[:, :, i]) for i in range(n)], axis=2)
+    element.reset(lanes)
+    blocks, start = [], 0
+    for size in (1, 5, MAX_BLOCK, 2 * MAX_BLOCK + 3, n):
+        blocks.append(element.step(x[:, :, start : start + size]))
+        start += size
+    assert np.array_equal(np.concatenate(blocks, axis=2), per_sample)
+
+
+def test_crossbar_block_equals_sample_steps():
+    xbar = CrossbarElement(SwitchSpec())
+    lanes, n = 3, 50
+    x = np.random.default_rng(4).standard_normal((4, lanes, n))
+    coef = np.stack(xbar.coefficients(np.linspace(0.0, 1.0, n)))[:, None, :]
+    block = CrossbarElement.step_with(x, *coef)
+    per_sample = np.stack(
+        [CrossbarElement.step_with(x[:, :, i], *coef[:, :, i]) for i in range(n)], axis=2
+    )
+    assert np.array_equal(block, per_sample)
+    ports = CrossbarElement.step_with(x, *coef, side="port")
+    lines = CrossbarElement.step_with(x, *coef, side="line")
+    assert np.array_equal(np.concatenate([ports, lines]), block)

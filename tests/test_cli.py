@@ -11,6 +11,7 @@ import yaml
 
 from sdlsim.cli import TouchstoneLineRef, execute, load_config, main
 from sdlsim.elements import DelayLineSpec, MatchSpec
+from sdlsim.engine import build_circulator
 from sdlsim.errors import ConfigError
 from sdlsim.touchstone import TouchstoneData, write_touchstone
 
@@ -115,6 +116,61 @@ class TestLoadConfig:
         path = write_config(tmp_path, schedule={"period": 1.0001e-6, "duty": 0.5})
         with pytest.raises(ConfigError, match="samples"):
             load_config(path)
+
+    def test_scalar_fmod_values_is_config_error(self, tmp_path, capsys):
+        path = write_config(tmp_path, analysis={**FAST_ANALYSIS, "fmod_values": 5})
+        with pytest.raises(ConfigError, match="fmod_values"):
+            load_config(path)
+        assert main(["modsweep", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+        assert "fmod_values" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "section,key",
+        [
+            ("analysis", "drive_dbm"),
+            ("analysis", "iso_threshold_db"),
+            ("switch", "il_on_db"),
+            ("switch", "gamma_off"),
+            ("line_a", "il_db"),
+            ("line_a", "bandwidth"),
+            ("schedule", "duty"),
+        ],
+    )
+    def test_nan_number_is_config_error(self, tmp_path, capsys, section, key):
+        raw = yaml.safe_load(write_config(tmp_path).read_text())
+        raw[section][key] = math.nan
+        path = tmp_path / "nan.yaml"
+        path.write_text(yaml.safe_dump(raw))
+        assert ".nan" in path.read_text()
+        with pytest.raises(ConfigError, match=f"{section}.{key}: expected a number"):
+            load_config(path)
+        assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+        assert "config error" in capsys.readouterr().err
+
+    def test_nan_echo_level_and_fmod_rejected(self, tmp_path):
+        path = write_config(tmp_path, line_a={"tau": 280.0e-9, "echoes": [[3, math.nan]]})
+        with pytest.raises(ConfigError, match="echoes"):
+            load_config(path)
+        path = write_config(tmp_path, analysis={**FAST_ANALYSIS, "fmod_values": [8.8e5, math.nan]})
+        with pytest.raises(ConfigError, match="fmod_values"):
+            load_config(path)
+
+    def test_inf_still_means_none(self, tmp_path):
+        path = write_config(
+            tmp_path, switch={"il_on_db": 0.8, "iso_off_db": math.inf, "t_transition": 2.0e-9}
+        )
+        assert ".inf" in path.read_text()
+        assert math.isinf(load_config(path).switch.iso_off_db)
+
+    def test_aliased_line_parsed_and_designed_once(self):
+        cfg = load_config(CONFIG_DIR / "paper.yaml")
+        assert cfg.line_b is cfg.line_a
+        net = build_circulator(cfg)
+        assert net.line_b is not net.line_a
+        x = np.ones((2, 1, 5))
+        # line_b's state is its own: stepping line_a first leaves it at rest.
+        first = net.line_a.step(x)
+        assert np.array_equal(net.line_b.step(x), first)
 
     def test_matching_single_spec_applied(self, tmp_path):
         path = write_config(

@@ -10,11 +10,11 @@ from sdlsim.elements import (
     LINE_B,
     PORT_BOT,
     PORT_TOP,
+    CrossbarElement,
+    DelayLineElement,
     DelayLineSpec,
     SwitchSpec,
     conduction_weight,
-    crossbar_element,
-    delay_line_element,
     element_from_touchstone,
 )
 from sdlsim.signals import SampleBuffer, extract_phasor
@@ -59,7 +59,7 @@ class TestConductionWeight:
 class TestDelayLine:
     def test_ideal_through_phase(self):
         # 1120 samples of pure delay: phase -2*pi*43.4 wraps to -144 degrees.
-        el = delay_line_element(DelayLineSpec(il_db=0.0, **FLAT), FS)
+        el = DelayLineElement(DelayLineSpec(il_db=0.0, **FLAT), FS)
         n = 8000
         tone = np.cos(2 * math.pi * FC / FS * np.arange(n))
         out = run_element(el, {0: tone}, n)
@@ -68,7 +68,7 @@ class TestDelayLine:
         assert math.degrees(ph.phase) == pytest.approx(-144.0, abs=0.01)
 
     def test_midband_loss(self):
-        el = delay_line_element(DelayLineSpec(il_db=4.0), FS)
+        el = DelayLineElement(DelayLineSpec(il_db=4.0), FS)
         # 5600 samples is an exact 217-cycle window at 155 MHz / 4 GHz.
         n = 11600
         tone = np.cos(2 * math.pi * FC / FS * np.arange(n))
@@ -79,7 +79,7 @@ class TestDelayLine:
     def test_echo_impulse_taps(self):
         spec = DelayLineSpec(il_db=0.0, echoes=((3, -10.0),), bandwidth=None,
                              port_return_db=math.inf)
-        el = delay_line_element(spec, FS)
+        el = DelayLineElement(spec, FS)
         d = el.delay_samples
         n = 3 * d + 10
         impulse = np.zeros(n)
@@ -93,7 +93,7 @@ class TestDelayLine:
     def test_even_echo_returns_to_entry_port(self):
         spec = DelayLineSpec(il_db=0.0, echoes=((2, -20.0),), bandwidth=None,
                              port_return_db=math.inf)
-        el = delay_line_element(spec, FS)
+        el = DelayLineElement(spec, FS)
         d = el.delay_samples
         n = 2 * d + 10
         impulse = np.zeros(n)
@@ -104,14 +104,14 @@ class TestDelayLine:
 
     def test_port_reflection_sign_and_level(self):
         spec = DelayLineSpec(il_db=0.0, port_return_db=15.0, bandwidth=None)
-        el = delay_line_element(spec, FS)
+        el = DelayLineElement(spec, FS)
         impulse = np.zeros(10)
         impulse[0] = 1.0
         out = run_element(el, {0: impulse}, 10)
         assert out[0, 0] == pytest.approx(-(10 ** (-0.75)))
 
     def test_band_filter_delay_compensation(self):
-        el = delay_line_element(DelayLineSpec(), FS)
+        el = DelayLineElement(DelayLineSpec(), FS)
         assert el.delay_samples == 1120
         assert el.filter_delay_samples > 0
         assert el.compensated_delay_samples == 1120 - el.filter_delay_samples
@@ -130,7 +130,7 @@ class TestDelayLine:
         assert gd == pytest.approx(280e-9, abs=1e-9)
 
     def test_rounding_report(self):
-        el = delay_line_element(DelayLineSpec(tau=280.1e-9, **FLAT), FS)
+        el = DelayLineElement(DelayLineSpec(tau=280.1e-9, **FLAT), FS)
         assert el.delay_samples == 1120
         assert el.rounding_error_s == pytest.approx(0.1e-9, abs=1e-12)
         assert el.warnings == []
@@ -139,16 +139,16 @@ class TestDelayLine:
         spec = DelayLineSpec(il_db=2.0, port_return_db=math.inf, echoes=())
         rng = np.random.default_rng(3)
         x = rng.standard_normal(4000) * 0.2
-        el = delay_line_element(spec, FS)
+        el = DelayLineElement(spec, FS)
         fwd = run_element(el, {0: x}, 4000)
-        el = delay_line_element(spec, FS)
+        el = DelayLineElement(spec, FS)
         rev = run_element(el, {1: x}, 4000)
         np.testing.assert_array_equal(fwd[1], rev[0])
         np.testing.assert_array_equal(fwd[0], rev[1])
 
     def test_sub_sample_tau_rejected(self):
         with pytest.raises(ValueError):
-            delay_line_element(DelayLineSpec(tau=0.1e-9, **FLAT), FS)
+            DelayLineElement(DelayLineSpec(tau=0.1e-9, **FLAT), FS)
 
     def test_invalid_specs_rejected(self):
         with pytest.raises(ValueError):
@@ -169,7 +169,7 @@ class TestDelayLine:
             echoes=((int(rng.integers(2, 5)), float(rng.uniform(-30, -12))),),
             port_return_db=float(rng.uniform(10.0, 25.0)),
         )
-        el = delay_line_element(spec, FS)
+        el = DelayLineElement(spec, FS)
         x0 = rng.standard_normal(5000) * 0.5
         x1 = rng.standard_normal(5000) * 0.5
         out = run_element(el, {0: x0, 1: x1}, 5000)
@@ -179,16 +179,16 @@ class TestDelayLine:
         spec = DelayLineSpec()
         rng = np.random.default_rng(11)
         x = rng.standard_normal(3000)
-        el = delay_line_element(spec, FS)
+        el = DelayLineElement(spec, FS)
         base = run_element(el, {0: x}, 3000)
-        el = delay_line_element(spec, FS)
+        el = DelayLineElement(spec, FS)
         scaled = run_element(el, {0: 2.0 * x}, 3000)
         np.testing.assert_array_equal(scaled, 2.0 * base)
 
 
 class TestCrossbar:
     def ideal(self, **kw):
-        return crossbar_element(SwitchSpec(il_on_db=0.0, iso_off_db=math.inf, **kw))
+        return CrossbarElement(SwitchSpec(il_on_db=0.0, iso_off_db=math.inf, **kw))
 
     def test_bar_state_routing(self):
         el = self.ideal()
@@ -211,25 +211,25 @@ class TestCrossbar:
         assert np.sum(out**2) <= 1.0
 
     def test_off_state_leakage(self):
-        el = crossbar_element(SwitchSpec())
+        el = CrossbarElement(SwitchSpec())
         out = el.step(np.array([1.0, 0, 0, 0]), g=1.0)
         assert out[LINE_A] == pytest.approx(10 ** (-0.8 / 20))
         assert out[LINE_B] == pytest.approx(10 ** (-30 / 20))
 
     def test_no_reflection_in_settled_states(self):
-        el = crossbar_element(SwitchSpec())
+        el = CrossbarElement(SwitchSpec())
         for g in (0.0, 1.0):
             out = el.step(np.array([0, 0, 1.0, 0]), g=g)
             # Only the port side receives energy, none returns to LineA.
             assert out[LINE_A] == 0.0
 
     def test_control_range_enforced(self):
-        el = crossbar_element(SwitchSpec())
+        el = CrossbarElement(SwitchSpec())
         with pytest.raises(ValueError, match="bar_fraction"):
             el.step(np.zeros(4), g=1.2)
 
     def test_continuity_in_g(self):
-        el = crossbar_element(SwitchSpec())
+        el = CrossbarElement(SwitchSpec())
         inc = np.array([0.3, -0.4, 0.8, 0.1])
         grid = np.linspace(0, 1, 2001)
         outs = np.stack([el.step(inc, g) for g in grid])
@@ -237,7 +237,7 @@ class TestCrossbar:
         assert np.max(np.abs(np.diff(outs, axis=0))) < 5e-3
 
     def test_per_column_energy_consistency(self):
-        el = crossbar_element(SwitchSpec())
+        el = CrossbarElement(SwitchSpec())
         for g in np.linspace(0, 1, 101):
             for port in range(4):
                 inc = np.zeros(4)
@@ -246,7 +246,7 @@ class TestCrossbar:
                 assert np.sum(out**2) <= 1.0 + 1e-9
 
     def test_lossless_leaky_switch_warns(self):
-        el = crossbar_element(SwitchSpec(il_on_db=0.0, iso_off_db=30.0))
+        el = CrossbarElement(SwitchSpec(il_on_db=0.0, iso_off_db=30.0))
         assert el.warnings
 
     def test_transition_energy_identity(self):
@@ -326,8 +326,8 @@ class TestCausality:
         x = rng.standard_normal(2000)
         y = x.copy()
         y[1500:] += 1.0
-        el = delay_line_element(spec, FS)
+        el = DelayLineElement(spec, FS)
         a = run_element(el, {0: x}, 2000)
-        el = delay_line_element(spec, FS)
+        el = DelayLineElement(spec, FS)
         b = run_element(el, {0: y}, 2000)
         np.testing.assert_array_equal(a[:, :1500], b[:, :1500])

@@ -7,10 +7,10 @@ import pytest
 from sdlsim.elements import (
     L_TOWARD_LINE,
     L_TOWARD_PORT,
+    MatchingElement,
     MatchSpec,
     input_impedance,
     lsection_sparams,
-    matching_element,
     synth_lmatch,
 )
 from sdlsim.signals import SampleBuffer, extract_phasor
@@ -125,7 +125,7 @@ class TestAnalyticSection:
 
 class TestMatchingElement:
     def test_identity_element(self):
-        el = matching_element(MatchSpec(0.0, 0.0), FS)
+        el = MatchingElement(MatchSpec(0.0, 0.0), FS)
         x = np.zeros(50)
         x[3] = 1.0
         outs = np.array([el.step(np.array([xi, 0.0])) for xi in x])
@@ -135,7 +135,7 @@ class TestMatchingElement:
     def test_matches_analytic_response_within_band(self):
         spec = synth_lmatch(10.0, 50.0, F0)
         freqs = np.linspace(125e6, 185e6, 20)
-        el = matching_element(spec, FS)
+        el = MatchingElement(spec, FS)
         measured = element_sparams(el, freqs)
         analytic = lsection_sparams(spec, freqs)
         for k in range(len(freqs)):
@@ -152,14 +152,14 @@ class TestMatchingElement:
 
     def test_exact_at_prewarp_frequency(self):
         spec = synth_lmatch(10.0, 50.0, F0)
-        el = matching_element(spec, FS)
+        el = MatchingElement(spec, FS)
         measured = element_sparams(el, [F0])
         analytic = lsection_sparams(spec, F0)
         assert abs(measured[0, 1, 0] - analytic[1, 0]) < 1e-4
 
     def test_time_invariance(self):
         spec = synth_lmatch(10.0, 50.0, F0)
-        el = matching_element(spec, FS)
+        el = MatchingElement(spec, FS)
         rng = np.random.default_rng(7)
         x = rng.standard_normal(400)
         n = 1200
@@ -177,7 +177,7 @@ class TestMatchingElement:
 
     def test_stability(self):
         spec = synth_lmatch(10.0, 50.0, F0)
-        el = matching_element(spec, FS)
+        el = MatchingElement(spec, FS)
         el.step(np.array([1.0, 0.0]))
         tail = [el.step(np.zeros(2)) for _ in range(20000)]
         assert np.max(np.abs(tail[-100:])) < 1e-6

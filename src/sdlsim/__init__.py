@@ -27,7 +27,7 @@ from .elements import (
     DelayLineSpec,
     MatchSpec,
     SwitchSpec,
-    element_from_touchstone,
+    TouchstoneElement,
     synth_lmatch,
 )
 from .engine import (
@@ -70,7 +70,6 @@ __all__ = [
     "ControlSchedule",
     "dbm_to_amplitude",
     "DelayLineSpec",
-    "element_from_touchstone",
     "event_walk_oracle",
     "expanded_controls",
     "extract_phasor",
@@ -100,6 +99,7 @@ __all__ = [
     "SwitchSpec",
     "synth_lmatch",
     "TouchstoneData",
+    "TouchstoneElement",
     "validate_schedule",
     "write_touchstone",
 ]

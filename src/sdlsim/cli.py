@@ -26,12 +26,12 @@ usage), 2 runtime failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
 import sys
 import warnings as _warnings
-from dataclasses import dataclass, field
 from pathlib import Path
 from xml.sax.saxutils import escape
 
@@ -50,9 +50,9 @@ from .analysis import (
     sparams_sweep,
     spectrum_probe,
 )
-from .elements import DelayLineSpec, MatchSpec, SwitchSpec, element_from_touchstone
-from .engine import build_circulator, run as run_network
-from .errors import ConfigError, QuantizationError
+from .elements import DelayLineSpec, MatchSpec, SwitchSpec
+from .engine import K_LINK_BARE, K_LINK_MATCHED, build_circulator, run as run_network
+from .errors import ConfigError
 from .schedule import ControlSchedule, build_schedule, expanded_controls, validate_schedule
 from .signals import dbm_to_amplitude, make_burst
 from .touchstone import parse_touchstone
@@ -72,7 +72,7 @@ _PALETTE = (
 )
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class TouchstoneLineRef:
     """Delay line described by a measured two-port file instead of a spec.
 
@@ -84,7 +84,7 @@ class TouchstoneLineRef:
     path: str
 
 
-@dataclass
+@dataclasses.dataclass
 class CirculatorConfig:
     """Fully validated run configuration, the unit every command consumes."""
 
@@ -103,190 +103,152 @@ class CirculatorConfig:
     fmod_values: tuple[float, ...] = ()
     digest: str = ""
     source: str = ""
-    warnings: tuple[str, ...] = field(default=())
+    warnings: tuple[str, ...] = ()
 
 
-def _get_float(section: dict, key: str, default, problems: list[str], where: str):
-    """A number, or None where the key is null; NaN is never a valid
-    setting (inf is, where it means "none")."""
-    value = section.get(key, default)
-    if value is None:
+_REQUIRED = dataclasses.MISSING
+
+# Value kind of a spec field, by its annotation. A trailing "?" lets null
+# through as None; "a|b" accepts either structure.
+_FIELD_KINDS = {
+    "float": "number",
+    "float | None": "number?",
+    "int": "integer",
+    "str": "string",
+    "tuple[tuple[int, float], ...]": "pairs",
+    "tuple[float, ...]": "numbers?",
+    "tuple[float, float, int]": "mapping?",
+}
+_STRUCTURES = {"mapping": dict, "list": list, "string": str}
+# The only numbers where inf is a setting: no leakage, no port reflection.
+_INF_MEANS_NONE = ("iso_off_db", "port_return_db")
+
+_TOP = {
+    "sample_rate": ("number", _REQUIRED), "line_a": ("mapping", _REQUIRED),
+    "line_b": ("mapping", _REQUIRED), "switch": ("mapping?", None),
+    "schedule": ("mapping", _REQUIRED), "matching": ("mapping|list?", None),
+    "analysis": ("mapping?", None),
+}
+_SCHEDULE = {
+    "period": ("number", _REQUIRED), "duty": ("number", 0.5), "side_offset": ("number?", None)
+}
+_BAND = dict(zip(("start", "stop", "points"), zip(("number", "number", "integer"), DEFAULT_BAND)))
+_TOUCHSTONE_LINE = {"touchstone": ("string", _REQUIRED), "ir_len": ("integer", DEFAULT_IR_LEN)}
+
+
+def _fields(cls, names=None, **override) -> dict:
+    """Schema {key: (kind, default)} of cls's fields (those in names); no default: required."""
+    schema = {
+        f.name: (_FIELD_KINDS[f.type], f.default)
+        for f in dataclasses.fields(cls)
+        if names is None or f.name in names
+    }
+    return schema | override
+
+
+_LINE = _fields(DelayLineSpec, tau=("number", _REQUIRED))
+_SWITCH = _fields(SwitchSpec)
+_MATCH = _fields(MatchSpec)
+_ANALYSIS = _fields(
+    CirculatorConfig,
+    ("drive_dbm", "iso_threshold_db", "settle_periods", "measure_periods",
+     "spectrum_window_periods", "band", "fmod_values"),
+)
+
+
+def _value(value, kind: str, name: str, problems: list[str]):
+    """value read as one kind, or None once a problem is recorded."""
+    if value is None and kind.endswith("?"):
         return None
-    try:
-        out = float(value)
-    except (TypeError, ValueError):
-        out = math.nan
-    if math.isnan(out):
-        problems.append(f"{where}.{key}: expected a number, got {value!r}")
-        return default if isinstance(default, float) else None
+    kind = kind.rstrip("?")
+    if kind == "number":
+        try:
+            out = math.nan if isinstance(value, bool) else float(value)
+        except (TypeError, ValueError, OverflowError):
+            out = math.nan
+        if math.isfinite(out) or (math.isinf(out) and name.endswith(_INF_MEANS_NONE)):
+            return out
+        finite = "finite " if math.isinf(out) else ""
+        problems.append(f"{name}: expected a {finite}number, got {value!r}")
+    elif kind == "integer":
+        # Strict: YAML 1.1 reads 1e30 as a string, which must not pass.
+        if type(value) is int or (type(value) is float and value.is_integer()):
+            return int(value)
+        problems.append(f"{name}: expected an integer, got {value!r}")
+    elif kind == "numbers":
+        if isinstance(value, list):
+            n = len(problems)
+            out = tuple(_value(v, "number", name, problems) for v in value)
+            return out if len(problems) == n else None
+        problems.append(f"{name}: expected a list of numbers, got {value!r}")
+    elif kind == "pairs":
+        if isinstance(value, list) and all(isinstance(p, list) and len(p) == 2 for p in value):
+            n = len(problems)
+            out = tuple(
+                (_value(k, "integer", name, problems), _value(v, "number", name, problems))
+                for k, v in value
+            )
+            return out if len(problems) == n else None
+        problems.append(f"{name}: expected [k, level_db] pairs, got {value!r}")
+    elif isinstance(value, tuple(_STRUCTURES[k] for k in kind.split("|"))):
+        return value
+    else:
+        problems.append(f"{name}: expected a {kind.replace('|', ' or ')}, got {type(value).__name__}")
+    return None
+
+
+def _section(raw: dict, schema: dict, where: str, problems: list[str]) -> dict:
+    """Every schema key read from the mapping raw, or its default where
+    absent (None if required); unknown and absent required keys are problems."""
+    unknown = sorted(str(key) for key in raw if key not in schema)
+    if unknown:
+        problems.append(f"{where or 'top level'}: unknown keys {unknown}")
+    out = {}
+    for key, (kind, default) in schema.items():
+        name = f"{where}.{key}" if where else key
+        if key in raw:
+            out[key] = _value(raw[key], kind, name, problems)
+        elif default is _REQUIRED:
+            problems.append(f"{name}: missing required key")
+            out[key] = None
+        else:
+            out[key] = default
     return out
 
 
-def _get_int(section: dict, key: str, default: int, problems: list[str], where: str) -> int:
-    value = section.get(key, default)
-    try:
-        out = int(value)
-        if out != float(value):
-            raise ValueError
-        return out
-    except (TypeError, ValueError):
-        problems.append(f"{where}.{key}: expected an integer, got {value!r}")
-        return default
-
-
-def _parse_line(raw, name: str, base_dir: Path, sample_rate, problems: list[str]):
-    """One delay line: inline physical spec or a measured-file reference."""
-    if not isinstance(raw, dict):
-        problems.append(f"{name}: expected a mapping, got {type(raw).__name__}")
-        return None
-    if "touchstone" in raw:
-        rel = raw["touchstone"]
-        ir_len = _get_int(raw, "ir_len", DEFAULT_IR_LEN, problems, name)
-        path = (base_dir / rel).resolve()
-        try:
-            data = parse_touchstone(path.read_text())
-        except OSError as err:
-            problems.append(f"{name}: cannot read {rel}: {err}")
-            return None
-        except ValueError as err:
-            problems.append(f"{name}: {rel}: {err}")
-            return None
-        return TouchstoneLineRef(data=data, ir_len=ir_len, path=str(path))
-
-    fields = {}
-    for key, default in (
-        ("tau", None),
-        ("il_db", 4.0),
-        ("f_center", 155e6),
-        ("bandwidth", 30e6),
-        ("band_order", 2),
-        ("port_return_db", 15.0),
-    ):
-        if key == "band_order":
-            fields[key] = _get_int(raw, key, 2, problems, name)
-        else:
-            value = _get_float(raw, key, default, problems, name)
-            if key == "tau" and value is None:
-                problems.append(f"{name}.tau: missing required key (line delay in seconds)")
-                return None
-            fields[key] = value
-    if fields["port_return_db"] is None:
-        fields["port_return_db"] = math.inf
-    echoes = raw.get("echoes", ())
-    parsed_echoes = []
-    for item in echoes:
-        try:
-            k, level = item
-            parsed_echoes.append((int(k), float(level)))
-            if math.isnan(parsed_echoes[-1][1]):
-                raise ValueError
-        except (TypeError, ValueError):
-            problems.append(f"{name}.echoes: expected [k, level_db] pairs, got {item!r}")
-    fields["echoes"] = tuple(parsed_echoes)
-    unknown = set(raw) - set(fields) - {"echoes"}
-    if unknown:
-        problems.append(f"{name}: unknown keys {sorted(unknown)}")
-    try:
-        spec = DelayLineSpec(**fields)
-    except (ValueError, TypeError) as err:
-        problems.append(f"{name}: {err}")
-        return None
-    if sample_rate is not None and sample_rate <= 2.0 * spec.f_center:
-        problems.append(
-            f"sample_rate {sample_rate:.6g} Hz is below the Nyquist limit for the"
-            f" {name} center frequency {spec.f_center:.6g} Hz"
-        )
-    return spec
-
-
-def _parse_switch(raw, problems: list[str]) -> SwitchSpec:
-    if raw is None:
-        raw = {}
-    if not isinstance(raw, dict):
-        problems.append(f"switch: expected a mapping, got {type(raw).__name__}")
-        raw = {}
-    fields = {
-        "il_on_db": _get_float(raw, "il_on_db", 0.8, problems, "switch"),
-        "iso_off_db": _get_float(raw, "iso_off_db", 30.0, problems, "switch"),
-        "t_transition": _get_float(raw, "t_transition", 2e-9, problems, "switch"),
-        "gamma_off": _get_float(raw, "gamma_off", 0.9, problems, "switch"),
-    }
-    unknown = set(raw) - set(fields)
-    if unknown:
-        problems.append(f"switch: unknown keys {sorted(unknown)}")
-    try:
-        return SwitchSpec(**fields)
-    except (ValueError, TypeError) as err:
-        problems.append(f"switch: {err}")
-        return SwitchSpec()
-
-
-def _parse_matching(raw, problems: list[str]):
+def _spec(make, schema: dict, raw, where: str, problems: list[str]):
+    """make(**values) of a mapping read against schema; None if raw is
+    None (already reported), has problems, or make rejects it."""
     if raw is None:
         return None
-
-    def one(entry, where):
-        if not isinstance(entry, dict):
-            problems.append(f"{where}: expected a mapping with series_l and shunt_c")
-            return None
-        kwargs = {
-            "series_l": _get_float(entry, "series_l", None, problems, where),
-            "shunt_c": _get_float(entry, "shunt_c", None, problems, where),
-        }
-        if kwargs["series_l"] is None or kwargs["shunt_c"] is None:
-            problems.append(f"{where}: series_l and shunt_c are both required")
-            return None
-        for key in ("orientation",):
-            if key in entry:
-                kwargs[key] = entry[key]
-        for key in ("z0", "f0"):
-            if key in entry:
-                kwargs[key] = _get_float(entry, key, None, problems, where)
+    n = len(problems)
+    values = _section(raw, schema, where, problems)
+    if len(problems) == n:
         try:
-            return MatchSpec(**kwargs)
-        except (ValueError, TypeError) as err:
+            return make(**values)
+        except (ValueError, OSError) as err:
             problems.append(f"{where}: {err}")
-            return None
-
-    if isinstance(raw, list):
-        if len(raw) != 4:
-            problems.append(f"matching: expected one network or exactly four, got {len(raw)}")
-            return None
-        specs = [one(entry, f"matching[{i}]") for i, entry in enumerate(raw)]
-        return None if any(s is None for s in specs) else tuple(specs)
-    return one(raw, "matching")
+    return None
 
 
-def _parse_band(raw, sample_rate, problems: list[str]) -> tuple[float, float, int]:
-    if raw is None:
-        return DEFAULT_BAND
-    if not isinstance(raw, dict):
-        problems.append("analysis.band: expected a mapping with start, stop, points")
-        return DEFAULT_BAND
-    start = _get_float(raw, "start", DEFAULT_BAND[0], problems, "analysis.band")
-    stop = _get_float(raw, "stop", DEFAULT_BAND[1], problems, "analysis.band")
-    points = _get_int(raw, "points", DEFAULT_BAND[2], problems, "analysis.band")
-    if start is None or stop is None or not start < stop:
-        problems.append("analysis.band: start must be below stop")
-        return DEFAULT_BAND
-    if points < 2:
-        problems.append("analysis.band: points must be at least 2")
-        points = DEFAULT_BAND[2]
-    if sample_rate is not None and sample_rate <= 2.0 * stop:
-        problems.append(
-            f"sample_rate {sample_rate:.6g} Hz is below the Nyquist limit for the"
-            f" analysis band stop {stop:.6g} Hz"
-        )
-    return (start, stop, points)
+def _line(raw, name: str, base_dir: Path, problems: list[str]):
+    """One delay line: an inline DelayLineSpec or a measured-file reference."""
+
+    def measured(touchstone: str, ir_len: int) -> TouchstoneLineRef:
+        path = (base_dir / touchstone).resolve()
+        return TouchstoneLineRef(parse_touchstone(path.read_text()), ir_len, str(path))
+
+    if raw is not None and "touchstone" in raw:
+        return _spec(measured, _TOUCHSTONE_LINE, raw, name, problems)
+    return _spec(DelayLineSpec, _LINE, raw, name, problems)
 
 
 def load_config(path) -> CirculatorConfig:
     """Parse and validate a YAML circulator configuration.
 
-    All violations are collected and reported in a single ConfigError so a
-    broken file can be fixed in one pass. Schedule/line-delay mismatches
-    within physics but outside the transition window are not errors; they
-    are returned as warnings on the config.
+    Every section is read against its schema by the same rules (see the
+    README), and all problems are reported in one ConfigError. Schedule/
+    line-delay mismatches are not errors but warnings on the config.
     """
     p = Path(path)
     try:
@@ -301,103 +263,87 @@ def load_config(path) -> CirculatorConfig:
         raise ConfigError(f"config {path}: top level must be a mapping")
 
     problems: list[str] = []
-    warn_list: list[str] = []
-
-    if "sample_rate" not in raw:
-        problems.append("sample_rate: missing required key (samples per second)")
-    fs = _get_float(raw, "sample_rate", None, problems, "config")
+    top = _section(raw, _TOP, "", problems)
+    fs = top["sample_rate"]
     if fs is not None and fs <= 0:
         problems.append(f"sample_rate must be positive, got {fs:.6g}")
         fs = None
-
-    lines = {}
-    for name in ("line_a", "line_b"):
-        if name not in raw:
-            problems.append(f"{name}: missing required key (delay line description)")
-            lines[name] = None
-        elif name == "line_b" and raw[name] is raw.get("line_a"):
-            lines[name] = lines["line_a"]  # a YAML alias of line_a: parse it once
-        else:
-            lines[name] = _parse_line(raw[name], name, p.parent, fs, problems)
-
-    switch = _parse_switch(raw.get("switch"), problems)
-
-    sched_raw = raw.get("schedule")
-    schedule = None
-    if not isinstance(sched_raw, dict):
-        problems.append("schedule: missing required section (period, duty)")
+    line_a = _line(top["line_a"], "line_a", p.parent, problems)
+    if top["line_b"] is top["line_a"] is not None:
+        line_b = line_a  # a YAML alias of line_a: read it once
     else:
-        if "period" not in sched_raw:
-            problems.append("schedule.period: missing required key (commutation period in seconds)")
-        period = _get_float(sched_raw, "period", None, problems, "schedule")
-        duty = _get_float(sched_raw, "duty", 0.5, problems, "schedule")
-        side_offset = _get_float(sched_raw, "side_offset", None, problems, "schedule")
-        if fs is not None and period is not None:
-            try:
-                schedule = build_schedule(period, switch.t_transition, duty, fs, side_offset)
-            except (QuantizationError, ConfigError) as err:
-                problems.append(f"schedule: {err}")
+        line_b = _line(top["line_b"], "line_b", p.parent, problems)
+    switch = _spec(SwitchSpec, _SWITCH, top["switch"] or {}, "switch", problems)
 
-    matching = _parse_matching(raw.get("matching"), problems)
+    matching = top["matching"]
+    if isinstance(matching, list):
+        if len(matching) != 4:
+            problems.append(f"matching: expected one network or exactly four, got {len(matching)}")
+        where = [f"matching[{i}]" for i in range(len(matching))]
+        matching = tuple(
+            _spec(MatchSpec, _MATCH, _value(e, "mapping", w, problems), w, problems)
+            for e, w in zip(matching, where)
+        )
+        matching = matching if len(matching) == 4 and None not in matching else None
+    else:
+        matching = _spec(MatchSpec, _MATCH, matching, "matching", problems)
 
-    analysis_raw = raw.get("analysis") or {}
-    if not isinstance(analysis_raw, dict):
-        problems.append("analysis: expected a mapping")
-        analysis_raw = {}
-    drive_dbm = _get_float(analysis_raw, "drive_dbm", -10.0, problems, "analysis")
-    iso_threshold = _get_float(analysis_raw, "iso_threshold_db", 27.0, problems, "analysis")
-    settle = _get_int(analysis_raw, "settle_periods", 10, problems, "analysis")
-    measure = _get_int(analysis_raw, "measure_periods", 4, problems, "analysis")
-    window = _get_int(analysis_raw, "spectrum_window_periods", 16, problems, "analysis")
-    band = _parse_band(analysis_raw.get("band"), fs, problems)
-    raw_fmod = analysis_raw.get("fmod_values")
-    fmod_values: tuple[float, ...] = ()
-    if raw_fmod is not None:
-        if isinstance(raw_fmod, list) and all(
-            isinstance(v, (int, float)) and not math.isnan(v) for v in raw_fmod
-        ):
-            fmod_values = tuple(float(v) for v in raw_fmod)
-        else:
-            problems.append("analysis.fmod_values: expected a list of frequencies in Hz")
-    if settle < 0:
-        problems.append("analysis.settle_periods must be >= 0")
-    if measure < 1:
-        problems.append("analysis.measure_periods must be >= 1")
+    schedule = None
+    sched = _section(top["schedule"] or {}, _SCHEDULE, "schedule", problems)
+    if fs is not None and None not in (sched["period"], sched["duty"]):
+        t_transition = (switch or SwitchSpec()).t_transition
+        try:
+            schedule = build_schedule(
+                sched["period"], t_transition, sched["duty"], fs, sched["side_offset"]
+            )
+        except ConfigError as err:
+            problems.append(f"schedule: {err}")
+
+    analysis = _section(top["analysis"] or {}, _ANALYSIS, "analysis", problems)
+    band = analysis["band"] or DEFAULT_BAND
+    if isinstance(band, dict):
+        band = tuple(_section(band, _BAND, "analysis.band", problems).values())
+        if None not in band and not (band[0] < band[1] and band[2] >= 2):
+            problems.append("analysis.band: start must be below stop, and points at least 2")
+    for key, low in (("settle_periods", 0), ("measure_periods", 1), ("spectrum_window_periods", 16)):
+        if analysis[key] is not None and analysis[key] < low:
+            problems.append(f"analysis.{key} must be >= {low}")
+
+    lines = [(name, line) for name, line in (("line_a", line_a), ("line_b", line_b))
+             if isinstance(line, DelayLineSpec)]
+    limits = [(f"the {name} center frequency", line.f_center) for name, line in lines]
+    matches = matching if isinstance(matching, tuple) else (matching,) if matching else ()
+    limits += [("the matching f0", f0) for f0 in dict.fromkeys(m.f0 for m in matches)]
+    for what, f in limits + [("the analysis band stop", band[1])]:
+        if fs is not None and f is not None and fs <= 2.0 * f:
+            problems.append(
+                f"sample_rate {fs:.6g} Hz is below the Nyquist limit for {what} {f:.6g} Hz"
+            )
 
     if problems:
         raise ConfigError(
             f"invalid configuration {path}:\n  - " + "\n  - ".join(problems)
         )
 
-    # Physics warnings, not errors: commutation offset vs actual line delay.
-    for name in ("line_a", "line_b"):
-        spec = lines[name]
-        if isinstance(spec, DelayLineSpec) and schedule is not None:
-            report = validate_schedule(schedule, spec.tau)
-            for msg in report.messages:
-                warn_list.append(f"{name}: {msg}")
-
     digest = hashlib.sha256(
         json.dumps(raw, sort_keys=True, separators=(",", ":"), default=str).encode()
     ).hexdigest()[:16]
-
+    analysis.update(band=band, fmod_values=analysis["fmod_values"] or ())
     return CirculatorConfig(
         sample_rate=fs,
-        line_a=lines["line_a"],
-        line_b=lines["line_b"],
+        line_a=line_a,
+        line_b=line_b,
         switch=switch,
         schedule=schedule,
         matching=matching,
-        drive_dbm=drive_dbm,
-        iso_threshold_db=iso_threshold,
-        settle_periods=settle,
-        measure_periods=measure,
-        spectrum_window_periods=window,
-        band=band,
-        fmod_values=fmod_values,
         digest=digest,
         source=str(p),
-        warnings=tuple(warn_list),
+        # Physics warnings, not errors: commutation offset vs actual line delay.
+        warnings=tuple(
+            f"{name}: {msg}" for name, line in lines
+            for msg in validate_schedule(schedule, line.tau).messages
+        ),
+        **analysis,
     )
 
 
@@ -641,6 +587,17 @@ def _default_fmod_grid(config: CirculatorConfig) -> list[float]:
     return sorted(config.sample_rate / n for n in ns)
 
 
+def _quarter_wave_rule(config: CirculatorConfig) -> float | None:
+    """Switching frequency at which leakage through the commutation cancels:
+    the side offset (a quarter period) equals the one-way link delay, line
+    delay tau plus the crossbar latency of k_link samples. None unless line
+    A has an analytic delay."""
+    if not isinstance(config.line_a, DelayLineSpec):
+        return None
+    k_link = K_LINK_BARE if config.matching is None else K_LINK_MATCHED
+    return 1.0 / (4.0 * (config.line_a.tau + k_link / config.sample_rate))
+
+
 def _cmd_modsweep(config: CirculatorConfig, out: Path, overrides: dict) -> list[Path]:
     values = overrides.get("fmod")
     if values is None:
@@ -671,10 +628,17 @@ def _cmd_modsweep(config: CirculatorConfig, out: Path, overrides: dict) -> list[
         [("worst isolation", xs, [pt.iso_db for pt in ok]),
          ("worst insertion loss", xs, [pt.il_db for pt in ok])],
     )
+    rule = _quarter_wave_rule(config)
+    if rule is not None:
+        print(
+            f"quarter-wave rule: f_mod = {rule / 1e3:.3f} kHz"
+            f" (period {config.sample_rate / rule:.1f} samples)"
+        )
     if ok:
         best = max(ok, key=lambda pt: pt.iso_db)
+        gap = "" if rule is None else f", {abs(best.f_mod_achieved - rule) / 1e3:.3f} kHz from the rule"
         print(
-            f"best isolation {best.iso_db:.2f} dB at f_mod {best.f_mod_achieved / 1e3:.3f} kHz"
+            f"best isolation {best.iso_db:.2f} dB at f_mod {best.f_mod_achieved / 1e3:.3f} kHz{gap}"
         )
     return [csv, svg]
 
@@ -784,9 +748,10 @@ def _cmd_run(config: CirculatorConfig, out: Path, overrides: dict) -> list[Path]
     csv = out / "run.csv"
     _write_text(csv, lines)
 
-    energy_in = sum(float(np.sum(b.samples**2)) for b in record.port_in)
-    energy_out = sum(float(np.sum(b.samples**2)) for b in record.port_out)
-    print(f"burst energy in {energy_in:.6g}, out {energy_out:.6g} over {n} samples")
+    print(
+        f"burst energy in {record.input_energy():.6g}, out {record.output_energy():.6g}"
+        f" over {n} samples"
+    )
     return [csv]
 
 

@@ -30,6 +30,12 @@ from .touchstone import TouchstoneData
 # split. 64 samples keep a 204-lane block's working set near 1 MB.
 MAX_BLOCK = 64
 
+# Longest line delay, impulse response or commutation period (samples) and
+# highest band-filter order a design accepts: 2^20 samples is 262 us at
+# 4 GS/s, so no line, FIR or schedule table exceeds a few tens of MB a lane.
+MAX_SPAN = 1 << 20
+MAX_BAND_ORDER = 64
+
 
 def _as_block(incident) -> tuple[np.ndarray, tuple[int, ...]]:
     """Incident waves as an (n_ports, lanes, B) block, plus the caller's shape."""
@@ -82,8 +88,8 @@ class DelayLineSpec:
     echoes lists (transit_multiple k, level_db) spurious paths at k times
     the main transit: odd multiples (triple transit and kin) exit the far
     port, even multiples return to the entry port. port_return_db is the
-    in-band reflection magnitude below incident at each port (math.inf
-    disables it). bandwidth None gives a flat (unfiltered) band.
+    in-band reflection magnitude below incident at each port (math.inf or
+    None disables it). bandwidth None gives a flat (unfiltered) band.
     """
 
     tau: float = 280e-9
@@ -92,18 +98,22 @@ class DelayLineSpec:
     bandwidth: float | None = 30e6
     band_order: int = 2
     echoes: tuple[tuple[int, float], ...] = ()
-    port_return_db: float = 15.0
+    port_return_db: float | None = 15.0
 
     def __post_init__(self) -> None:
         object.__setattr__(
             self, "echoes", tuple((int(k), float(level)) for k, level in self.echoes)
         )
+        if self.port_return_db is None:
+            object.__setattr__(self, "port_return_db", math.inf)
         if self.tau <= 0:
             raise ValueError("tau must be positive")
-        if self.il_db < 0:
-            raise ValueError("il_db must be >= 0")
+        if self.il_db < 0 or self.port_return_db < 0:
+            raise ValueError("il_db and port_return_db must be >= 0")
         if self.bandwidth is not None and not 0 < self.bandwidth < self.f_center:
             raise ValueError("bandwidth must lie in (0, f_center)")
+        if self.band_order > MAX_BAND_ORDER:
+            raise ValueError(f"band_order must be at most {MAX_BAND_ORDER}")
         for k, level in self.echoes:
             if k < 2:
                 raise ValueError(f"echo transit multiple must be an integer >= 2, got {k}")
@@ -156,8 +166,8 @@ class DelayLineElement(ScatteringElement):
 
     def __init__(self, spec: DelayLineSpec, sample_rate: float):
         super().__init__()
-        if spec.tau * sample_rate < 1.0:
-            raise ValueError("tau must span at least one sample")
+        if not 1.0 <= spec.tau * sample_rate <= MAX_SPAN:
+            raise ValueError(f"tau must span from 1 to {MAX_SPAN} samples")
         self.spec = spec
         self.sample_rate = sample_rate
         self.delay_samples = round(spec.tau * sample_rate)
@@ -203,6 +213,8 @@ class DelayLineElement(ScatteringElement):
             taps.append((d, ch, g_main * 10.0 ** (level / 20.0)))
         self.taps = taps
         self.buf_len = max(d for d, _, _ in taps) + 1
+        if self.buf_len > MAX_SPAN:
+            raise ValueError(f"echo taps reach {self.buf_len} samples back, beyond {MAX_SPAN}")
         self.reset()
 
     def reset(self, lanes: int = 1) -> None:
@@ -368,8 +380,8 @@ class TouchstoneElement(ScatteringElement):
         require_band: tuple[float, float] | None = None,
     ):
         super().__init__()
-        if ir_len < 1:
-            raise ValueError("ir_len must be >= 1")
+        if not 1 <= ir_len <= MAX_SPAN:
+            raise ValueError(f"ir_len must lie in [1, {MAX_SPAN}]")
         self.sample_rate = sample_rate
         self.ir_len = ir_len
         f = data.frequencies
@@ -448,14 +460,6 @@ class TouchstoneElement(ScatteringElement):
         return _in_blocks(self._process, x).reshape(shape)
 
 
-def element_from_touchstone(
-    data: TouchstoneData,
-    sample_rate: float,
-    ir_len: int,
-    require_band: tuple[float, float] | None = None,
-) -> TouchstoneElement:
-    return TouchstoneElement(data, sample_rate, ir_len, require_band)
-
 L_TOWARD_LINE = "L-toward-line"
 L_TOWARD_PORT = "L-toward-port"
 
@@ -479,6 +483,8 @@ class MatchSpec:
     def __post_init__(self) -> None:
         if self.series_l < 0 or self.shunt_c < 0:
             raise ValueError("component values must be >= 0")
+        if self.z0 <= 0:
+            raise ValueError("z0 must be positive")
         if self.orientation not in (L_TOWARD_LINE, L_TOWARD_PORT):
             raise ValueError(f"unknown orientation {self.orientation!r}")
 

@@ -46,7 +46,7 @@ from .elements import (
     DelayLineSpec,
     MatchingElement,
     ScatteringElement,
-    element_from_touchstone,
+    TouchstoneElement,
 )
 from .errors import ConfigError, OracleDeclined, SimulationFault
 from .schedule import ControlSchedule, trace_for
@@ -365,12 +365,22 @@ def run(network: CirculatorNetwork, stimuli: list[SampleBuffer | None], n_sample
         network.track_link_energy = False
 
 
-def _line_element(line_spec, sample_rate: float) -> ScatteringElement:
+def _design(name: str, element, *args) -> ScatteringElement:
+    """Construct one element; a design that cannot be built (a sub-sample
+    delay, a band filter longer than the line) is a ConfigError naming its
+    position."""
+    try:
+        return element(*args)
+    except ValueError as err:
+        raise ConfigError(f"{name}: {err}") from err
+
+
+def _line_element(line_spec, sample_rate: float, name: str = "line") -> ScatteringElement:
     if isinstance(line_spec, DelayLineSpec):
-        return DelayLineElement(line_spec, sample_rate)
+        return _design(name, DelayLineElement, line_spec, sample_rate)
     if hasattr(line_spec, "data") and hasattr(line_spec, "ir_len"):
-        return element_from_touchstone(line_spec.data, sample_rate, line_spec.ir_len)
-    raise ConfigError(f"unsupported line description {type(line_spec).__name__}")
+        return _design(name, TouchstoneElement, line_spec.data, sample_rate, line_spec.ir_len)
+    raise ConfigError(f"{name}: unsupported line description {type(line_spec).__name__}")
 
 
 def build_circulator(config) -> CirculatorNetwork:
@@ -382,7 +392,7 @@ def build_circulator(config) -> CirculatorNetwork:
     4-list), digest (optional).
     """
     fs = config.sample_rate
-    line_a = _line_element(config.line_a, fs)
+    line_a = _line_element(config.line_a, fs, "line_a")
     if config.line_b is config.line_a:
         # One description for both lines (a YAML alias): design it once.
         # The design is read-only; the network's reset gives each line its
@@ -390,14 +400,14 @@ def build_circulator(config) -> CirculatorNetwork:
         line_b = copy.copy(line_a)
         line_b.warnings = list(line_a.warnings)
     else:
-        line_b = _line_element(config.line_b, fs)
+        line_b = _line_element(config.line_b, fs, "line_b")
     matching = getattr(config, "matching", None)
     matches = None
     if matching is not None:
         specs = list(matching) if isinstance(matching, (list, tuple)) else [matching] * 4
         if len(specs) != 4:
             raise ConfigError("matching must give one spec or exactly four")
-        matches = [MatchingElement(s, fs) for s in specs]
+        matches = [_design(f"matching[{i}]", MatchingElement, s, fs) for i, s in enumerate(specs)]
     return CirculatorNetwork(
         config.switch,
         line_a,

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .elements import MAX_SPAN
 from .errors import QuantizationError
 
 
@@ -93,6 +94,10 @@ def build_schedule(
     if t_transition < 0:
         raise QuantizationError("t_transition must be >= 0")
     p = period * sample_rate
+    if p > MAX_SPAN:
+        raise QuantizationError(f"period {period:g} s is {p:.6g} samples, beyond {MAX_SPAN}")
+    if side_offset is not None and not abs(side_offset) <= period:
+        raise QuantizationError("side_offset must lie within one period")
     nearest = 4 * round(p / 4.0)
     if nearest < 4:
         raise QuantizationError(
@@ -104,9 +109,9 @@ def build_schedule(
             f"multiple of 4; nearest achievable period is {nearest / sample_rate:.12g} s",
             nearest=nearest / sample_rate,
         )
-    tt = round(t_transition * sample_rate)
+    tt = t_transition * sample_rate
     bar_n = round(duty * nearest)
-    if tt > bar_n or tt > nearest - bar_n:
+    if tt > nearest or round(tt) > bar_n or round(tt) > nearest - bar_n:
         raise QuantizationError(
             f"t_transition {t_transition:g} s does not fit inside the "
             f"{duty:g}-duty state intervals of period {period:g} s"

@@ -1,5 +1,5 @@
-"""Sampled-signal primitives: stimulus tones and bursts, steady-state phasor
-extraction, and calibrated power spectra.
+"""Sampled-signal primitives: stimulus tones and bursts and steady-state
+phasor extraction.
 
 Wave amplitudes are real-valued traveling-wave samples in root-watt units
 referenced to Z0 = 50 ohm. dBm conversions happen only at reporting
@@ -12,11 +12,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import get_window
 
 Z0 = 50.0
 
-# Reported power for an exactly-zero spectral bin. Finite so CSV stays numeric.
+# Reported power for an exactly-zero amplitude. Finite so CSV stays numeric.
 DBM_FLOOR = -400.0
 
 _TWO_PI = 2.0 * math.pi
@@ -190,51 +189,3 @@ def extract_phasor(
     rot = np.exp(-1j * (_TWO_PI * frequency / buffer.sample_rate) * n_abs)
     c = 2.0 / n_used * np.dot(x, rot)
     return Phasor.from_complex(frequency, c)
-
-
-_WINDOW_NAMES = {"rectangular": "boxcar", "hann": "hann", "flattop": "flattop"}
-
-
-def power_spectrum(
-    buffer: SampleBuffer,
-    window_kind: str = "rectangular",
-    fft_len: int | None = None,
-    allow_pad: bool = False,
-) -> tuple[np.ndarray, np.ndarray]:
-    """One-sided power spectrum in dBm per bin.
-
-    Calibrated so a bin-centered tone of amplitude a root-watt reports
-    10*log10(a^2/2 / 1 mW) at its bin with the rectangular window; hann and
-    flattop are coherent-gain corrected to the same calibration. fft_len
-    must be a power of two; longer buffers are truncated, shorter ones are
-    zero-padded only when allow_pad is set. Empty bins report DBM_FLOOR.
-    """
-    if len(buffer) == 0:
-        raise ValueError("empty buffer")
-    if window_kind not in _WINDOW_NAMES:
-        raise ValueError(f"unknown window kind {window_kind!r}")
-    if fft_len is None:
-        fft_len = 1 << (len(buffer).bit_length() - 1)
-    if fft_len < 2 or fft_len & (fft_len - 1):
-        raise ValueError("fft_len must be a power of two >= 2")
-    if fft_len > len(buffer) and not allow_pad:
-        raise ValueError("fft_len exceeds buffer length (pass allow_pad=True to zero-pad)")
-    n_used = min(fft_len, len(buffer))
-    x = buffer.samples[:n_used]
-    if not np.all(np.isfinite(x)):
-        raise ValueError("non-finite samples")
-    w = get_window(_WINDOW_NAMES[window_kind], n_used, fftbins=True)
-    spec = np.fft.rfft(x * w, n=fft_len)
-    # Tone-power scaling with coherent gain sum(w): interior bins carry both
-    # halves of the real spectrum (a^2/2 per tone), DC and Nyquist only one,
-    # which keeps the rectangular-window Parseval identity exact.
-    scale = np.full(len(spec), 2.0 / w.sum() ** 2)
-    scale[0] = 1.0 / w.sum() ** 2
-    if fft_len % 2 == 0:
-        scale[-1] = 1.0 / w.sum() ** 2
-    p_watt = np.abs(spec) ** 2 * scale
-    p_dbm = np.full(len(spec), DBM_FLOOR)
-    nz = p_watt > 0
-    p_dbm[nz] = np.maximum(10.0 * np.log10(p_watt[nz] / 1e-3), DBM_FLOOR)
-    freqs = np.fft.rfftfreq(fft_len, d=1.0 / buffer.sample_rate)
-    return freqs, p_dbm

@@ -2,15 +2,20 @@
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 import math
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from sdlsim.cli import TouchstoneLineRef, execute, load_config, main
-from sdlsim.elements import DelayLineSpec, MatchSpec
+from sdlsim.elements import DelayLineSpec, MatchSpec, SwitchSpec
 from sdlsim.engine import build_circulator
 from sdlsim.errors import ConfigError
 from sdlsim.touchstone import TouchstoneData, write_touchstone
@@ -43,6 +48,23 @@ def write_config(tmp_path: Path, name: str = "cfg.yaml", **overrides) -> Path:
             raw[key] = value
     path = tmp_path / name
     path.write_text(yaml.safe_dump(raw))
+    return path
+
+
+def edited_paper(tmp_path: Path, *edits) -> Path:
+    """configs/paper.yaml with (key path, value) edits; a value of None
+    deletes the key."""
+    raw = yaml.safe_load((CONFIG_DIR / "paper.yaml").read_text())
+    for keys, value in edits:
+        node = raw
+        for key in keys[:-1]:
+            node = node[key]
+        if value is None:
+            del node[keys[-1]]
+        else:
+            node[keys[-1]] = value
+    path = tmp_path / "edited.yaml"
+    path.write_text(yaml.safe_dump(raw, sort_keys=False))
     return path
 
 
@@ -162,6 +184,85 @@ class TestLoadConfig:
         assert ".inf" in path.read_text()
         assert math.isinf(load_config(path).switch.iso_off_db)
 
+    @pytest.mark.parametrize(
+        "edits,message",
+        [
+            ([(("line_a", "echoes"), 5)], "line_a.echoes"),
+            ([(("sample_rate",), math.inf)], "sample_rate: expected a finite number"),
+            ([(("schedule", "period"), math.inf)], "schedule.period: expected a finite number"),
+            ([(("line_a", "tau"), math.inf)], "line_a.tau: expected a finite number"),
+            ([(("analysis", "drive_dbm"), math.inf)], "analysis.drive_dbm"),
+            ([(("line_a", "band_order"), 400)], "line_a: band_order"),
+            ([(("swtich",), {"il_on_db": 0.8})], "unknown keys ['swtich']"),
+            ([(("schedule", "dutty"), 0.5)], "schedule: unknown keys"),
+            ([(("analysis", "drive_dBm"), -10.0)], "analysis: unknown keys"),
+            ([(("analysis", "band", "point"), 3)], "analysis.band: unknown keys"),
+            ([(("matching",), {"series_l": 33e-9, "shunt_c": 18e-12, "zo": 50.0})],
+             "matching: unknown keys"),
+            ([(("matching",), {"series_l": 33e-9, "shunt_c": 18e-12, "f0": 3e9})],
+             "Nyquist limit for the matching f0"),
+            ([(("schedule", "period"), 1.0)], "schedule: period"),
+            ([(("schedule", "side_offset"), 1.0)], "side_offset"),
+            ([(("switch", "t_transition"), 1e300)], "t_transition"),
+        ],
+    )
+    def test_malformed_input_exits_1(self, tmp_path, capsys, edits, message):
+        path = edited_paper(tmp_path, *edits)
+        with pytest.raises(ConfigError) as err:
+            load_config(path)
+        assert message in str(err.value)
+        assert main(["spectrum", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["51", True, 51.5, math.inf, "1e30"])
+    def test_integers_are_strict(self, tmp_path, value):
+        path = edited_paper(tmp_path, (("analysis", "band", "points"), value))
+        with pytest.raises(ConfigError, match="analysis.band.points: expected an integer"):
+            load_config(path)
+
+    def test_integral_float_is_an_integer(self, tmp_path):
+        path = edited_paper(tmp_path, (("analysis", "band", "points"), 3.0))
+        assert load_config(path).band[2] == 3
+
+    def test_numbers_reject_booleans_and_text(self, tmp_path):
+        path = edited_paper(
+            tmp_path, (("line_a", "il_db"), True), (("switch", "gamma_off"), "high")
+        )
+        with pytest.raises(ConfigError) as err:
+            load_config(path)
+        assert "line_a.il_db: expected a number" in str(err.value)
+        assert "switch.gamma_off: expected a number" in str(err.value)
+
+    def test_null_meanings(self, tmp_path):
+        raw = yaml.safe_load((CONFIG_DIR / "paper.yaml").read_text())
+        raw["line_a"]["bandwidth"] = raw["line_a"]["port_return_db"] = None
+        raw["schedule"]["side_offset"] = None
+        raw.update(switch=None, analysis=None, matching=None)
+        path = tmp_path / "nulls.yaml"
+        path.write_text(yaml.safe_dump(raw))
+        cfg = load_config(path)
+        assert cfg.line_a.bandwidth is None and math.isinf(cfg.line_a.port_return_db)
+        assert cfg.switch == SwitchSpec() and cfg.matching is None
+        assert cfg.schedule.side_offset is None
+        assert (cfg.band, cfg.fmod_values, cfg.settle_periods) == ((150e6, 160e6, 51), (), 10)
+        raw["line_a"]["il_db"] = None
+        path.write_text(yaml.safe_dump(raw))
+        with pytest.raises(ConfigError, match="line_a.il_db: expected a number, got None"):
+            load_config(path)
+
+    def test_problems_gathered_across_sections(self, tmp_path):
+        path = edited_paper(
+            tmp_path,
+            (("line_a", "tau"), "soon"),
+            (("switch", "extra"), 1),
+            (("analysis", "settle_periods"), -1),
+            (("sample_rate",), None),
+        )
+        with pytest.raises(ConfigError) as err:
+            load_config(path)
+        for part in ("line_a.tau", "switch: unknown keys", "settle_periods", "sample_rate: missing"):
+            assert part in str(err.value)
+
     def test_aliased_line_parsed_and_designed_once(self):
         cfg = load_config(CONFIG_DIR / "paper.yaml")
         assert cfg.line_b is cfg.line_a
@@ -207,6 +308,119 @@ class TestLoadConfig:
         c = load_config(write_config(tmp_path, name="c.yaml", sample_rate=2.0e9))
         assert a.digest == b.digest
         assert a.digest != c.digest
+
+
+class TestDesignErrors:
+    """Designs the loader accepts but the elements cannot build end as a
+    ConfigError naming the line (exit 1), not as a runtime error."""
+
+    @pytest.mark.parametrize(
+        "line,message",
+        [
+            ({"tau": 1e-10}, "line_a: tau must span"),
+            ({"tau": 10e-9},
+             "line_a: band filter group delay exceeds the line delay"),
+            ({"tau": 280e-9, "echoes": [[10**6, -30.0]]}, "line_a: echo taps"),
+        ],
+    )
+    def test_delay_line_design(self, tmp_path, capsys, line, message):
+        path = write_config(tmp_path, line_a=line)
+        cfg = load_config(path)
+        with pytest.raises(ConfigError, match=message):
+            build_circulator(cfg)
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+        assert message in capsys.readouterr().err
+
+    def test_touchstone_ir_len_zero(self, tmp_path, capsys):
+        freqs = np.linspace(140e6, 170e6, 31)
+        s = np.zeros((31, 2, 2), dtype=complex)
+        s[:, 0, 1] = s[:, 1, 0] = 0.6
+        (tmp_path / "line.s2p").write_text(
+            write_touchstone(TouchstoneData(freqs, s, unit="HZ", format="RI"))
+        )
+        path = write_config(tmp_path, line_b={"touchstone": "line.s2p", "ir_len": 0})
+        with pytest.raises(ConfigError, match="line_b: ir_len"):
+            build_circulator(load_config(path))
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+        assert "line_b: ir_len" in capsys.readouterr().err
+
+
+PAPER = yaml.safe_load((CONFIG_DIR / "paper.yaml").read_text())
+# Key names worth inserting: every schema key, so a mutation can also put a
+# known key where it does not belong, plus misspellings.
+KEY_NAMES = sorted(
+    {"sample_rate", "line_a", "line_b", "switch", "schedule", "matching", "analysis",
+     "touchstone", "ir_len", "period", "duty", "side_offset", "band", "start", "stop",
+     "points", "fmod_values", "drive_dbm", "settle_periods", "measure_periods",
+     "spectrum_window_periods", "iso_threshold_db", "swtich", "tua"}
+    | {f.name for cls in (DelayLineSpec, SwitchSpec, MatchSpec) for f in dataclasses.fields(cls)}
+)
+NUMBERS = st.floats() | st.integers()  # floats include NaN and +-inf
+VALUES = st.recursive(
+    st.one_of(NUMBERS, st.text(max_size=6), st.booleans(), st.none()),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(KEY_NAMES) | st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+INF_MEANS_NONE = ("iso_off_db", "port_return_db")
+
+
+def containers(node, path=()):
+    """Every mapping and list in a parsed YAML tree, with its key path."""
+    if isinstance(node, (dict, list)):
+        yield path, node
+        for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+            yield from containers(child, path + (key,))
+
+
+@st.composite
+def mutated_paper(draw):
+    """configs/paper.yaml with one or two values inserted or replaced at
+    random key paths (line_b stays an alias of line_a). Numbers and
+    existing keys are drawn more often, so that many mutants still load
+    and reach build_circulator."""
+    raw = copy.deepcopy(PAPER)
+    for _ in range(draw(st.integers(1, 2))):
+        _, node = draw(st.sampled_from(list(containers(raw))))
+        value = draw(st.one_of(NUMBERS, NUMBERS, VALUES))
+        if isinstance(node, dict):
+            old = st.sampled_from(sorted(node)) if node else st.nothing()
+            node[draw(st.one_of(old, old, old, st.sampled_from(KEY_NAMES), st.text(max_size=4)))] = value
+        elif node:
+            node[draw(st.integers(0, len(node) - 1))] = value
+        else:
+            node.append(value)
+    return raw
+
+
+def config_floats(obj, name=""):
+    """(field name, value) of every float held in a loaded config."""
+    if dataclasses.is_dataclass(obj):
+        for f in dataclasses.fields(obj):
+            yield from config_floats(getattr(obj, f.name), f.name)
+    elif isinstance(obj, (tuple, list)):
+        for item in obj:
+            yield from config_floats(item, name)
+    elif isinstance(obj, float):
+        yield name, obj
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(raw=mutated_paper())
+def test_mutated_config_loads_or_raises_config_error(raw):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "mutated.yaml"
+        path.write_text(yaml.safe_dump(raw, sort_keys=False))
+        try:
+            cfg = load_config(path)
+        except ConfigError:
+            return
+        for name, value in config_floats(cfg):
+            assert math.isfinite(value) or name in INF_MEANS_NONE, (name, value)
+        try:
+            build_circulator(cfg)
+        except ConfigError:
+            pass
 
 
 class TestCommands:
@@ -269,6 +483,17 @@ class TestCommands:
         assert len(rows) - 1 == 4 * 11
         for port in "1234":
             assert sum(r[0] == port for r in rows[1:]) == 11
+
+    def test_modsweep_reports_quarter_wave_rule(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        out = tmp_path / "out"
+        # Periods 4488 (the rule's, 280 ns + 2 samples) and 4496 samples.
+        code = main(["modsweep", "--config", str(cfg), "--out", str(out),
+                     "--fmod", f"{4e9 / 4488!r},{4e9 / 4496!r}"])
+        assert code == 0
+        stdout = capsys.readouterr().out
+        assert "quarter-wave rule: f_mod = 891.266 kHz (period 4488.0 samples)" in stdout
+        assert "kHz from the rule" in stdout
 
     def test_modsweep_flag_and_bad_point(self, tmp_path, capsys):
         cfg = write_config(tmp_path)

@@ -14,8 +14,8 @@ from sdlsim.elements import (
     DelayLineElement,
     DelayLineSpec,
     SwitchSpec,
+    TouchstoneElement,
     conduction_weight,
-    element_from_touchstone,
 )
 from sdlsim.signals import SampleBuffer, extract_phasor
 from sdlsim.touchstone import TouchstoneData
@@ -271,7 +271,7 @@ def synthetic_touchstone(tau=280e-9, loss_db=0.0, f_lo=100e6, f_hi=210e6, n=221,
 
 class TestTouchstoneElement:
     def test_pure_delay_group_delay(self):
-        el = element_from_touchstone(synthetic_touchstone(), FS, ir_len=4096)
+        el = TouchstoneElement(synthetic_touchstone(), FS, ir_len=4096)
         h21 = el.h[1, 0]
         n_fft = 1 << 16
         grid = np.fft.rfftfreq(n_fft, 1 / FS)
@@ -284,7 +284,7 @@ class TestTouchstoneElement:
     def test_flat_loss_through_amplitude(self):
         # Causal delay long enough that the band-edge pre-ringing stays in
         # positive time instead of wrapping into the truncated tail.
-        el = element_from_touchstone(
+        el = TouchstoneElement(
             synthetic_touchstone(tau=150e-9, loss_db=4.0), FS, ir_len=4096
         )
         n = 9000
@@ -294,21 +294,21 @@ class TestTouchstoneElement:
         assert ph.amplitude == pytest.approx(0.631, rel=0.01)
 
     def test_short_ir_reports_energy_loss(self):
-        el = element_from_touchstone(synthetic_touchstone(), FS, ir_len=512)
+        el = TouchstoneElement(synthetic_touchstone(), FS, ir_len=512)
         assert el.energy_loss[1, 0] > 0.5
         assert any("truncation" in w for w in el.warnings)
 
     def test_band_coverage_enforced(self):
         data = synthetic_touchstone(f_lo=130e6, f_hi=180e6)
         with pytest.raises(ValueError, match="cover"):
-            element_from_touchstone(data, FS, 1024, require_band=(125e6, 185e6))
+            TouchstoneElement(data, FS, 1024, require_band=(125e6, 185e6))
 
     def test_non_passive_data_warns(self):
-        el = element_from_touchstone(synthetic_touchstone(s21_flat=1.2), FS, 1024)
+        el = TouchstoneElement(synthetic_touchstone(s21_flat=1.2), FS, 1024)
         assert any("non-passive" in w for w in el.warnings)
 
     def test_time_invariance(self):
-        el = element_from_touchstone(synthetic_touchstone(), FS, ir_len=2048)
+        el = TouchstoneElement(synthetic_touchstone(), FS, ir_len=2048)
         rng = np.random.default_rng(5)
         x = rng.standard_normal(500)
         n = 4000

@@ -15,7 +15,6 @@ from sdlsim.signals import (
     integer_cycle_length,
     make_burst,
     make_tone,
-    power_spectrum,
     wrap_phase,
 )
 
@@ -196,59 +195,6 @@ class TestMakeBurst:
         b1 = make_burst(FC, 1.0, 25e-9, 4e-9, 60e-9, FS)
         shift = 100  # 25 ns at 4 GHz
         np.testing.assert_allclose(b1.samples[shift : shift + len(b0)], b0.samples, atol=1e-12)
-
-
-class TestPowerSpectrum:
-    def test_bin_centered_tone_calibration(self):
-        n = 8192
-        k = 318
-        f = k * FS / n
-        a = dbm_to_amplitude(-10.0)
-        buf = make_tone(f, a, 0.0, n, FS)
-        freqs, p = power_spectrum(buf, "rectangular", n)
-        assert p[k] == pytest.approx(-10.0, abs=0.01)
-        assert freqs[k] == pytest.approx(f)
-
-    def test_zero_buffer_at_floor(self):
-        buf = SampleBuffer(FS, np.zeros(4096))
-        _, p = power_spectrum(buf, "rectangular", 4096)
-        assert np.all(p == DBM_FLOOR)
-
-    def test_two_tone_flattop_delta(self):
-        n = 65536
-        f1, f2 = FC, FC + 2e6
-        buf1 = make_tone(f1, 1.0, 0.0, n, FS)
-        buf2 = make_tone(f2, 0.01, 1.1, n, FS)
-        buf = SampleBuffer(FS, buf1.samples + buf2.samples)
-        freqs, p = power_spectrum(buf, "flattop", n)
-        k1 = np.argmin(np.abs(freqs - f1))
-        k2 = np.argmin(np.abs(freqs - f2))
-        assert p[k1] - p[k2] == pytest.approx(40.0, abs=0.1)
-
-    def test_parseval_rectangular(self):
-        rng = np.random.default_rng(7)
-        n = 4096
-        buf = SampleBuffer(FS, rng.standard_normal(n) * 0.1)
-        _, p = power_spectrum(buf, "rectangular", n)
-        total = np.sum(10 ** (p / 10.0) * 1e-3)
-        mean_square = np.mean(buf.samples**2)
-        assert total == pytest.approx(mean_square, rel=1e-3)
-
-    def test_pad_requires_flag(self):
-        buf = make_tone(FC, 1.0, 0.0, 3000, FS)
-        with pytest.raises(ValueError, match="pad"):
-            power_spectrum(buf, "rectangular", 4096)
-        freqs, p = power_spectrum(buf, "rectangular", 4096, allow_pad=True)
-        assert len(freqs) == 2049
-
-    def test_non_power_of_two_rejected(self):
-        buf = make_tone(FC, 1.0, 0.0, 4096, FS)
-        with pytest.raises(ValueError, match="power of two"):
-            power_spectrum(buf, "rectangular", 4000)
-
-    def test_empty_buffer_rejected(self):
-        with pytest.raises(ValueError, match="empty"):
-            power_spectrum(SampleBuffer(FS, np.zeros(0)))
 
 
 class TestPhasor:

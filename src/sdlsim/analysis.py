@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .elements import MAX_BLOCK, DelayLineSpec
+from .elements import DelayLineSpec, block_limit
 from .engine import _line_element, build_circulator
 from .errors import ConfigError, QuantizationError, SimulationFault
 from .schedule import ControlSchedule, build_schedule
@@ -134,6 +134,13 @@ class ModFreqPoint:
     note: str | None = None
 
 
+def loss_db(value: complex) -> float:
+    """Positive dB below unity of a transfer ratio: -20*log10|value|, and
+    inf for an exact zero (an ideal network's reverse path)."""
+    mag = abs(value)
+    return -20.0 * math.log10(mag) if mag > 0 else math.inf
+
+
 def _tone(omega: np.ndarray, amplitude: float):
     """Closed-form drive: lane k carries amplitude*cos(omega[k]*n)."""
     omega = np.asarray(omega, dtype=float)
@@ -156,15 +163,18 @@ def _drive(step, n_ports: int, ports: np.ndarray, drive, n_total: int, marks=())
     block yields (n0, drive block (lanes, b), output block (n_ports, lanes, b)).
 
     step is CirculatorNetwork.advance or an element's step. Blocks are at
-    most MAX_BLOCK samples long and never straddle a sample index in marks.
+    most block_limit(lanes) samples long, the same lane-sample budget the
+    network and elements split by, so a drive block never cuts a settled
+    span short; they never straddle a sample index in marks.
     Raises SimulationFault at the first non-finite output sample.
     """
     lanes = len(ports)
     lane_ix = np.arange(lanes)
+    limit = block_limit(lanes)
     edges = sorted({0, n_total, *(int(m) for m in marks if 0 < m < n_total)})
     for lo, hi in zip(edges, edges[1:]):
-        for n0 in range(lo, hi, MAX_BLOCK):
-            b = min(MAX_BLOCK, hi - n0)
+        for n0 in range(lo, hi, limit):
+            b = min(limit, hi - n0)
             d = drive(n0, b)
             ext = np.zeros((n_ports, lanes, b))
             ext[ports, lane_ix] = d
@@ -490,12 +500,11 @@ def modfreq_sweep(
                 acc_in += np.einsum("lb,lb->l", drive, weight)
 
         s_cols = acc_out / acc_in
-        with np.errstate(divide="ignore"):
-            for m, (ix, fm, sched) in enumerate(valid):
-                s = s_cols[:, 4 * m : 4 * m + 4]
-                il = max(-20.0 * math.log10(abs(s[j, i])) for j, i in FORWARD_PATHS.values())
-                iso = min(-20.0 * math.log10(abs(s[j, i])) for j, i in REVERSE_PATHS.values())
-                results[ix] = ModFreqPoint(fm, il, iso, f_mod_achieved=sched.f_mod)
+        for m, (ix, fm, sched) in enumerate(valid):
+            s = s_cols[:, 4 * m : 4 * m + 4]
+            il = max(loss_db(s[j, i]) for j, i in FORWARD_PATHS.values())
+            iso = min(loss_db(s[j, i]) for j, i in REVERSE_PATHS.values())
+            results[ix] = ModFreqPoint(fm, il, iso, f_mod_achieved=sched.f_mod)
 
     return [results[ix] for ix in sorted(results)]
 

@@ -45,6 +45,7 @@ from .analysis import (
     REVERSE_PATHS,
     group_delay,
     line_sweep,
+    loss_db,
     metrics,
     modfreq_sweep,
     sparams_sweep,
@@ -59,6 +60,10 @@ from .touchstone import parse_touchstone
 
 DEFAULT_BAND = (150e6, 160e6, 51)
 DEFAULT_IR_LEN = 8192
+# Upper bounds on run length: frequency points of a band, and schedule
+# periods of each analysis window.
+MAX_POINTS = 1024
+MAX_PERIODS = 1024
 
 _PALETTE = (
     "#1f77b4",
@@ -243,6 +248,12 @@ def _line(raw, name: str, base_dir: Path, problems: list[str]):
     return _spec(DelayLineSpec, _LINE, raw, name, problems)
 
 
+def _crossbar_latency(matching, fs: float) -> float:
+    """Seconds a through traversal adds to the line delay: k_link samples,
+    2 bare and 4 with matching sections."""
+    return (K_LINK_BARE if matching is None else K_LINK_MATCHED) / fs
+
+
 def load_config(path) -> CirculatorConfig:
     """Parse and validate a YAML circulator configuration.
 
@@ -303,11 +314,13 @@ def load_config(path) -> CirculatorConfig:
     band = analysis["band"] or DEFAULT_BAND
     if isinstance(band, dict):
         band = tuple(_section(band, _BAND, "analysis.band", problems).values())
-        if None not in band and not (band[0] < band[1] and band[2] >= 2):
-            problems.append("analysis.band: start must be below stop, and points at least 2")
+        if None not in band and not (band[0] < band[1] and 2 <= band[2] <= MAX_POINTS):
+            problems.append(
+                f"analysis.band: start must be below stop, and points from 2 to {MAX_POINTS}"
+            )
     for key, low in (("settle_periods", 0), ("measure_periods", 1), ("spectrum_window_periods", 16)):
-        if analysis[key] is not None and analysis[key] < low:
-            problems.append(f"analysis.{key} must be >= {low}")
+        if analysis[key] is not None and not low <= analysis[key] <= MAX_PERIODS:
+            problems.append(f"analysis.{key} must be from {low} to {MAX_PERIODS}")
 
     lines = [(name, line) for name, line in (("line_a", line_a), ("line_b", line_b))
              if isinstance(line, DelayLineSpec)]
@@ -338,10 +351,12 @@ def load_config(path) -> CirculatorConfig:
         matching=matching,
         digest=digest,
         source=str(p),
-        # Physics warnings, not errors: commutation offset vs actual line delay.
+        # Physics warnings, not errors: commutation offset vs actual link delay.
         warnings=tuple(
             f"{name}: {msg}" for name, line in lines
-            for msg in validate_schedule(schedule, line.tau).messages
+            for msg in validate_schedule(
+                schedule, line.tau, _crossbar_latency(matching, fs)
+            ).messages
         ),
         **analysis,
     )
@@ -463,19 +478,16 @@ def write_svg(
 
 
 def _band_frequencies(config: CirculatorConfig, overrides: dict) -> np.ndarray:
-    start = overrides.get("freq_start") or config.band[0]
-    stop = overrides.get("freq_stop") or config.band[1]
-    points = overrides.get("freq_points") or config.band[2]
+    # An unset flag (None) keeps the configured value; 0 is a given value.
+    start, stop, points = (
+        default if overrides.get(key) is None else overrides[key]
+        for key, default in zip(("freq_start", "freq_stop", "freq_points"), config.band)
+    )
     if not start < stop:
         raise ConfigError(f"frequency band start {start:.6g} must be below stop {stop:.6g}")
-    if points < 2:
-        raise ConfigError("frequency band needs at least 2 points")
+    if not 2 <= points <= MAX_POINTS:
+        raise ConfigError(f"frequency band needs 2 to {MAX_POINTS} points, got {points}")
     return np.linspace(start, stop, int(points))
-
-
-def _level_db(value: complex) -> float:
-    mag = abs(value)
-    return -20.0 * math.log10(mag) if mag > 0 else math.inf
 
 
 def _cmd_sweep(config: CirculatorConfig, out: Path, overrides: dict) -> list[Path]:
@@ -525,9 +537,9 @@ def _cmd_sweep(config: CirculatorConfig, out: Path, overrides: dict) -> list[Pat
     fmhz = [f / 1e6 for f in grid.frequencies]
     series = []
     for key, (j, i) in sorted(FORWARD_PATHS.items()):
-        series.append((f"S{key} fwd", fmhz, [-_level_db(grid.s[k, j, i]) for k in range(len(fmhz))]))
+        series.append((f"S{key} fwd", fmhz, [-loss_db(grid.s[k, j, i]) for k in range(len(fmhz))]))
     for key, (j, i) in sorted(REVERSE_PATHS.items()):
-        series.append((f"S{key} rev", fmhz, [-_level_db(grid.s[k, j, i]) for k in range(len(fmhz))]))
+        series.append((f"S{key} rev", fmhz, [-loss_db(grid.s[k, j, i]) for k in range(len(fmhz))]))
     svg = out / "sweep.svg"
     write_svg(svg, config, "sweep", "transmission over the analysis band", "frequency / MHz", "|S| / dB", series)
 
@@ -594,8 +606,7 @@ def _quarter_wave_rule(config: CirculatorConfig) -> float | None:
     A has an analytic delay."""
     if not isinstance(config.line_a, DelayLineSpec):
         return None
-    k_link = K_LINK_BARE if config.matching is None else K_LINK_MATCHED
-    return 1.0 / (4.0 * (config.line_a.tau + k_link / config.sample_rate))
+    return 1.0 / (4.0 * (config.line_a.tau + _crossbar_latency(config.matching, config.sample_rate)))
 
 
 def _cmd_modsweep(config: CirculatorConfig, out: Path, overrides: dict) -> list[Path]:
@@ -618,7 +629,7 @@ def _cmd_modsweep(config: CirculatorConfig, out: Path, overrides: dict) -> list[
     csv = out / "modsweep.csv"
     _write_text(csv, lines)
 
-    ok = [pt for pt in points if math.isfinite(pt.iso_db)]
+    ok = [pt for pt in points if pt.note is None]
     xs = [pt.f_mod_achieved / 1e3 for pt in ok]
     svg = out / "modsweep.svg"
     write_svg(
@@ -679,7 +690,7 @@ def _cmd_linecheck(config: CirculatorConfig, out: Path, overrides: dict) -> list
         written.append(csv)
         fmhz = [f / 1e6 for f in grid.frequencies]
         svg_series.append(
-            (f"line {tag} S21", fmhz, [-_level_db(grid.s[k, 1, 0]) for k in range(len(fmhz))])
+            (f"line {tag} S21", fmhz, [-loss_db(grid.s[k, 1, 0]) for k in range(len(fmhz))])
         )
         delay_series.append((f"line {tag}", fmhz, [d * 1e9 for d in delays]))
         mid = len(delays) // 2

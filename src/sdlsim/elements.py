@@ -25,10 +25,19 @@ from scipy import signal as sig
 from .touchstone import TouchstoneData
 
 
-# Longest block processed in one pass (samples): element history buffers
-# hold this many samples beyond the longest delay, and longer blocks are
-# split. 64 samples keep a 204-lane block's working set near 1 MB.
+# Block length budget: one pass processes at most BLOCK_LANE_SAMPLES
+# lane-samples, but never fewer than MAX_BLOCK samples. Element history
+# buffers hold block_limit(lanes) samples beyond the longest delay, and
+# longer blocks are split. The floor of 64 samples keeps a 204-lane block's
+# working set near 1 MB; one lane gets 2,048-sample blocks, so each settled
+# span of a single-lane run is one call.
 MAX_BLOCK = 64
+BLOCK_LANE_SAMPLES = 2048
+
+
+def block_limit(lanes: int) -> int:
+    """Longest block (samples) processed in one pass at this lane count."""
+    return max(MAX_BLOCK, BLOCK_LANE_SAMPLES // lanes)
 
 # Longest line delay, impulse response or commutation period (samples) and
 # highest band-filter order a design accepts: 2^20 samples is 262 us at
@@ -46,11 +55,13 @@ def _as_block(incident) -> tuple[np.ndarray, tuple[int, ...]]:
 
 
 def _in_blocks(process, x: np.ndarray) -> np.ndarray:
-    """Apply a block processor in pieces of at most MAX_BLOCK samples."""
-    if x.shape[-1] <= MAX_BLOCK:
+    """Apply a block processor to an (n_ports, lanes, B) block in pieces of
+    at most block_limit(lanes) samples."""
+    limit = block_limit(x.shape[1])
+    if x.shape[-1] <= limit:
         return process(x)
     return np.concatenate(
-        [process(x[..., s : s + MAX_BLOCK]) for s in range(0, x.shape[-1], MAX_BLOCK)],
+        [process(x[..., s : s + limit]) for s in range(0, x.shape[-1], limit)],
         axis=-1,
     )
 
@@ -220,7 +231,7 @@ class DelayLineElement(ScatteringElement):
     def reset(self, lanes: int = 1) -> None:
         super().reset(lanes)
         # Time-major ring of filtered samples: row t % len holds sample t.
-        self._ring = np.zeros((self.buf_len - 1 + MAX_BLOCK, 2, lanes))
+        self._ring = np.zeros((self.buf_len - 1 + block_limit(lanes), 2, lanes))
         self._t = 0
         if self.sos is not None:
             self._zi = np.zeros((self.sos.shape[0], 2 * lanes, 2))
@@ -425,7 +436,7 @@ class TouchstoneElement(ScatteringElement):
         super().reset(lanes)
         # Doubled time-major ring: sample t sits in rows t % size and
         # t % size + size, so every window a block needs is one slice.
-        self._size = self.ir_len - 1 + MAX_BLOCK
+        self._size = self.ir_len - 1 + block_limit(lanes)
         self._hist = np.zeros((2 * self._size, 2, lanes))
         self._t = 0
 

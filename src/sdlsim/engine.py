@@ -20,12 +20,15 @@ Time advances in blocks. External ports never reflect, and a crossbar's
 line ports reflect (gamma_off*min(w, 1-w)) only inside its switch
 transitions, so outside those windows the bare network is feed-forward:
 crossbar -> line -> crossbar within any span where no line port reflects.
-Such settled spans run as whole blocks of up to MAX_BLOCK samples, each element
-processing the block at once. A sample where either crossbar reflects
-closes the 2-sample crossbar-line loop and runs at B = 1; so does every
-sample of a matched network, whose match-line loop is 2 samples long in
-every switch state. Both are the same block code, and outputs do not
-depend on how a run is split into advance calls.
+Such settled spans run as whole blocks, each element processing the block
+at once. Block length is budgeted in lane-samples (elements.block_limit):
+2,048 samples on one lane, down to a floor of 64 from 32 lanes up, so a
+single-lane run takes each settled span (about a quarter period) in one
+block. A sample where either crossbar reflects closes the 2-sample
+crossbar-line loop and runs at B = 1; so does every sample of a matched
+network, whose match-line loop is 2 samples long in every switch state.
+Both are the same block code, and outputs do not depend on how a run is
+split into advance calls.
 """
 
 from __future__ import annotations
@@ -40,13 +43,13 @@ import numpy as np
 from .elements import (
     LINE_A,
     LINE_B,
-    MAX_BLOCK,
     CrossbarElement,
     DelayLineElement,
     DelayLineSpec,
     MatchingElement,
     ScatteringElement,
     TouchstoneElement,
+    block_limit,
 )
 from .errors import ConfigError, OracleDeclined, SimulationFault
 from .schedule import ControlSchedule, trace_for
@@ -214,9 +217,10 @@ class CirculatorNetwork:
             el.reset(lanes)
         # Wave on each link emitted at the previous sample, arriving now.
         self._carry = np.zeros((len(self.links), lanes))
-        # Incident and emitted waves of every slot over one block, reused
-        # from block to block.
-        size = self._n_slots * lanes * MAX_BLOCK
+        # Longest block _span returns, and the incident and emitted waves
+        # of every slot over one such block, reused from block to block.
+        self._limit = 1 if self.matches is not None else block_limit(lanes)
+        size = self._n_slots * lanes * self._limit
         self._buffers = (np.empty(size), np.empty(size))
         self._n = 0
         self.link_energy: dict[str, float] = {}
@@ -249,11 +253,12 @@ class CirculatorNetwork:
         return self.advance(np.asarray(ext_in, dtype=np.float64)[:, :, None])[:, :, 0]
 
     def _span(self, limit: int) -> int:
-        """Length of the next block: one sample, or up to MAX_BLOCK samples
-        whose line ports do not reflect after the first."""
-        if self.matches is not None or limit == 1:
+        """Length of the next block: one sample, or up to block_limit(lanes)
+        samples whose line ports do not reflect after the first. A matched
+        network always takes one sample."""
+        if self._limit == 1 or limit == 1:
             return 1
-        return min(limit, MAX_BLOCK, 1 + self._ctl.quiet_from(self._n + 1))
+        return min(limit, self._limit, 1 + self._ctl.quiet_from(self._n + 1))
 
     def _block(self, ext: np.ndarray) -> np.ndarray:
         b = ext.shape[2]

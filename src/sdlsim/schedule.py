@@ -166,20 +166,36 @@ def expanded_controls(
     return t, np.column_stack([left, 1.0 - left, right, 1.0 - right])
 
 
-def validate_schedule(schedule: ControlSchedule, line_tau: float) -> ScheduleReport:
-    """Advisory report of the delta-to-line-delay mismatch and rounding residues."""
+def validate_schedule(
+    schedule: ControlSchedule, line_tau: float, link_delay: float = 0.0
+) -> ScheduleReport:
+    """Advisory report of the delta-to-line-delay mismatch and rounding residues.
+
+    mismatch_s is delta - line_tau. The offset that cancels leakage is the
+    one-way link delay, line_tau plus the crossbar latency link_delay
+    (k_link samples), so the isolation flag is raised when delta misses
+    that by more than the transition window.
+    """
     mismatch = schedule.delta - line_tau
     fraction = mismatch / line_tau if line_tau else float("inf")
     period_residue = schedule.period * schedule.sample_rate - schedule.period_samples
     offset = schedule.side_offset if schedule.side_offset is not None else schedule.delta
     offset_residue = offset * schedule.sample_rate - schedule.offset_samples
-    flag = abs(mismatch) > schedule.t_transition
+    link_mismatch = schedule.delta - (line_tau + link_delay)
+    # Rounding residue of the sums is no mismatch, even with instantaneous
+    # switching: allow 1e-9 of the offset, far below one sample.
+    flag = abs(link_mismatch) > schedule.t_transition + 1e-9 * abs(schedule.delta)
     messages = []
     if flag:
+        latency = (
+            f", {link_mismatch * 1e9:+.3f} ns with the {link_delay * 1e9:.3f} ns crossbar latency"
+            if link_delay
+            else ""
+        )
         messages.append(
             f"side offset {schedule.delta * 1e9:.3f} ns differs from line delay "
             f"{line_tau * 1e9:.3f} ns by {mismatch * 1e9:+.3f} ns "
-            f"({100 * fraction:+.2f}%), beyond the {schedule.t_transition * 1e9:.3f} ns "
+            f"({100 * fraction:+.2f}%){latency}, beyond the {schedule.t_transition * 1e9:.3f} ns "
             "transition window; first-order isolation degradation expected"
         )
     return ScheduleReport(mismatch, fraction, period_residue, offset_residue, flag, messages)

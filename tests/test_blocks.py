@@ -23,6 +23,7 @@ from sdlsim.elements import (
     MatchSpec,
     SwitchSpec,
     TouchstoneElement,
+    block_limit,
 )
 from sdlsim.engine import build_circulator
 from sdlsim.schedule import build_schedule
@@ -87,6 +88,7 @@ def whole_run(name: str) -> tuple[np.ndarray, np.ndarray]:
 @settings(max_examples=6, deadline=None)
 @given(chunks=st.lists(st.integers(1, 3 * MAX_BLOCK), min_size=1, max_size=12))
 @example(chunks=[1])
+@example(chunks=[2 * block_limit(2) + 1])  # longer than the block limit of 2 and 3 lanes
 def test_advance_split_anywhere_is_bit_identical(name, chunks):
     ext, expected = whole_run(name)
     net = network(name)
@@ -106,6 +108,48 @@ def test_step_is_one_sample_advance():
     net.reset(ext.shape[1])
     out = np.stack([net.step(ext[:, :, n]) for n in range(300)], axis=2)
     assert np.array_equal(out, expected[:, :, :300])
+
+
+def count_blocks(net) -> list[int]:
+    """Lengths of the blocks the network runs, recorded from now on."""
+    sizes = []
+    block = net._block
+
+    def counted(ext):
+        sizes.append(ext.shape[2])
+        return block(ext)
+
+    net._block = counted
+    return sizes
+
+
+def test_one_lane_settled_spans_run_as_long_blocks():
+    # ideal.yaml never reflects at a line port, so a one-lane run is
+    # limited only by the lane-sample budget; 9,056 samples is `run`'s length.
+    net = network("ideal")
+    net.reset(1)
+    sizes = count_blocks(net)
+    net.advance(np.zeros((4, 1, 9056)))
+    assert sum(sizes) == 9056
+    assert len(sizes) <= math.ceil(9056 / block_limit(1)) + 1
+    assert max(sizes) == block_limit(1) == 2048
+
+
+def test_many_lanes_keep_the_block_floor():
+    net = network("ideal")
+    net.reset(204)
+    sizes = count_blocks(net)
+    net.advance(np.zeros((4, 204, 300)))
+    assert block_limit(204) == MAX_BLOCK == 64
+    assert sizes == [64, 64, 64, 64, 44]
+
+
+def test_matched_network_runs_single_samples():
+    net = network("matched")
+    net.reset(1)
+    sizes = count_blocks(net)
+    net.advance(np.zeros((4, 1, 100)))
+    assert sizes == [1] * 100
 
 
 def test_link_energy_independent_of_split():
@@ -136,13 +180,14 @@ def elements():
 
 @pytest.mark.parametrize("label,element", list(elements()), ids=lambda v: v if isinstance(v, str) else "")
 def test_element_block_equals_sample_steps(label, element):
-    lanes, n = 3, 400
+    lanes, n = 3, 1000
     x = np.random.default_rng(3).standard_normal((2, lanes, n))
     element.reset(lanes)
     per_sample = np.stack([element.step(x[:, :, i]) for i in range(n)], axis=2)
     element.reset(lanes)
     blocks, start = [], 0
-    for size in (1, 5, MAX_BLOCK, 2 * MAX_BLOCK + 3, n):
+    # block_limit(lanes) + 5 samples take the splitting path of _in_blocks.
+    for size in (1, 5, MAX_BLOCK, 2 * MAX_BLOCK + 3, block_limit(lanes) + 5, n):
         blocks.append(element.step(x[:, :, start : start + size]))
         start += size
     assert np.array_equal(np.concatenate(blocks, axis=2), per_sample)

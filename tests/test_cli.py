@@ -14,7 +14,8 @@ import yaml
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from sdlsim.cli import TouchstoneLineRef, execute, load_config, main
+from sdlsim.analysis import modfreq_sweep
+from sdlsim.cli import MAX_PERIODS, MAX_POINTS, TouchstoneLineRef, execute, load_config, main
 from sdlsim.elements import DelayLineSpec, MatchSpec, SwitchSpec
 from sdlsim.engine import build_circulator
 from sdlsim.errors import ConfigError
@@ -88,6 +89,23 @@ class TestLoadConfig:
         assert math.isinf(cfg.switch.iso_off_db)
         assert cfg.line_a.il_db == 0.0 and cfg.line_a.bandwidth is None
         assert math.isinf(cfg.line_a.port_return_db)
+
+    def test_ideal_config_compensates_exactly(self):
+        # period/4 = 280.5 ns = tau plus the 2-sample crossbar latency.
+        assert load_config(CONFIG_DIR / "ideal.yaml").warnings == ()
+
+    def test_schedule_warning_counts_crossbar_latency(self, tmp_path):
+        # period/4 = 281 ns: tau plus 4 samples, exact only with matching.
+        switch = {"il_on_db": 0.8, "iso_off_db": 32.0, "t_transition": 0.0}
+        bare = write_config(tmp_path, "bare.yaml", switch=switch, schedule={"period": 1.124e-6})
+        warnings = load_config(bare).warnings
+        assert len(warnings) == 2
+        assert "by +1.000 ns (+0.36%), +0.500 ns with the 0.500 ns crossbar latency" in warnings[0]
+        matched = write_config(
+            tmp_path, "matched.yaml", switch=switch, schedule={"period": 1.124e-6},
+            matching={"series_l": 33e-9, "shunt_c": 18e-12},
+        )
+        assert load_config(matched).warnings == ()
 
     def test_missing_keys_all_reported_at_once(self, tmp_path):
         path = tmp_path / "bad.yaml"
@@ -204,6 +222,14 @@ class TestLoadConfig:
             ([(("schedule", "period"), 1.0)], "schedule: period"),
             ([(("schedule", "side_offset"), 1.0)], "side_offset"),
             ([(("switch", "t_transition"), 1e300)], "t_transition"),
+            ([(("analysis", "band", "points"), MAX_POINTS + 1)], f"points from 2 to {MAX_POINTS}"),
+            ([(("analysis", "band", "points"), 10**12)], "analysis.band"),
+            ([(("analysis", "settle_periods"), MAX_PERIODS + 1)],
+             f"analysis.settle_periods must be from 0 to {MAX_PERIODS}"),
+            ([(("analysis", "measure_periods"), 10**12)],
+             f"analysis.measure_periods must be from 1 to {MAX_PERIODS}"),
+            ([(("analysis", "spectrum_window_periods"), MAX_PERIODS + 1)],
+             f"analysis.spectrum_window_periods must be from 16 to {MAX_PERIODS}"),
         ],
     )
     def test_malformed_input_exits_1(self, tmp_path, capsys, edits, message):
@@ -213,6 +239,14 @@ class TestLoadConfig:
         assert message in str(err.value)
         assert main(["spectrum", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
         assert message in capsys.readouterr().err
+
+    def test_freq_points_flag_capped(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        for points in (0, 1, MAX_POINTS + 1, 10**12):
+            code = main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o"),
+                         "--freq-points", str(points)])
+            assert code == 1
+            assert f"needs 2 to {MAX_POINTS} points" in capsys.readouterr().err
 
     @pytest.mark.parametrize("value", ["51", True, 51.5, math.inf, "1e30"])
     def test_integers_are_strict(self, tmp_path, value):
@@ -494,6 +528,24 @@ class TestCommands:
         stdout = capsys.readouterr().out
         assert "quarter-wave rule: f_mod = 891.266 kHz (period 4488.0 samples)" in stdout
         assert "kHz from the rule" in stdout
+
+    def test_modsweep_on_ideal_config(self, tmp_path, capsys):
+        # The exactly compensated ideal network's reverse transfer is 0:
+        # infinite isolation, not a math domain error.
+        cfg = load_config(CONFIG_DIR / "ideal.yaml")
+        fm = cfg.schedule.f_mod
+        (pt,) = modfreq_sweep(cfg, [fm], 155e6, settle=1, measure=1)
+        assert pt.note is None and math.isfinite(pt.il_db) and math.isinf(pt.iso_db)
+        ideal = tmp_path / "ideal.yaml"
+        ideal.write_text(
+            (CONFIG_DIR / "ideal.yaml").read_text()
+            .replace("settle_periods: 10", "settle_periods: 1")
+            .replace("measure_periods: 4", "measure_periods: 1")
+        )
+        out = tmp_path / "out"
+        assert main(["modsweep", "--config", str(ideal), "--out", str(out), "--fmod", repr(fm)]) == 0
+        assert data_rows(out / "modsweep.csv")[1][3] == "inf"
+        assert "best isolation inf dB" in capsys.readouterr().out
 
     def test_modsweep_flag_and_bad_point(self, tmp_path, capsys):
         cfg = write_config(tmp_path)

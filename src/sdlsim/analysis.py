@@ -12,18 +12,23 @@ compares output power between consecutive periods inside the window and
 flags runs that are still settling.
 
 Every analysis is a thin parameterisation of one drive-and-measure kernel
-(_drive): the stimulus of each block is built in closed form, the network
+(_measure): the stimulus of each block is built in closed form, the network
 advances the whole block (see engine: settled spans run as blocks, switch
-transitions and matched networks sample by sample), and the analysis
-accumulates its phasors from the block with one einsum. Lanes (one per
-frequency and drive port) are independent runs sharing each block.
+transitions and matched networks sample by sample), and each lane's outputs
+and drive are projected onto its detection frequencies over its own window.
+Lanes (one per frequency, drive port and schedule) are independent runs
+sharing each block. In the harmonic-transfer view of a periodically
+switched network the same-frequency S-parameter is the k = 0 term of the
+projection onto the commutation lattice f0 + k*f_mod and the spectrum's
+sidebands are the k != 0 terms, so sweep, modsweep and linecheck detect one
+frequency per lane and spectrum_probe the lattice.
 """
 
 from __future__ import annotations
 
 import math
 import warnings as _warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -121,6 +126,7 @@ class SpectrumReport:
     il_db: float
     iso3_db: float
     iso4_db: float
+    warnings: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -131,7 +137,8 @@ class ModFreqPoint:
     il_db: float
     iso_db: float
     f_mod_achieved: float = math.nan
-    note: str | None = None
+    note: str | None = None  # why the point was skipped
+    warnings: tuple[str, ...] = ()
 
 
 def loss_db(value: complex) -> float:
@@ -152,26 +159,40 @@ def _tone(omega: np.ndarray, amplitude: float):
     return drive
 
 
-def _detector(omega: np.ndarray, n0: int, b: int) -> np.ndarray:
-    """exp(-j*omega[k]*n) over samples n0..n0+b-1, shape (lanes, b)."""
-    return np.exp(-1j * np.outer(omega, np.arange(n0, n0 + b, dtype=np.float64)))
+def _measure(step, n_ports: int, ports, drive, detect, start, stop, period=None):
+    """The drive-and-measure kernel: drive each lane, project onto its
+    detection frequencies over its window.
 
+    Lane k is driven on port ports[k] with drive(n0, b)[k] over samples
+    n0..n0+b-1, one block of at most block_limit(lanes) samples at a time
+    (the budget the network and elements split by, so a drive block never
+    cuts a settled span short), until the last window ends. step is
+    CirculatorNetwork.advance or an element's step. Over lane k's window
+    start[k] <= n < stop[k] its outputs and drive are projected onto
+    exp(-j*detect[k, m]*n) (detect in rad/sample, shape (lanes, M)).
 
-def _drive(step, n_ports: int, ports: np.ndarray, drive, n_total: int, marks=()):
-    """The drive-and-measure kernel: lane k is driven on port ports[k] with
-    drive(n0, b)[k] over samples n0..n0+b-1, one block at a time, and every
-    block yields (n0, drive block (lanes, b), output block (n_ports, lanes, b)).
-
-    step is CirculatorNetwork.advance or an element's step. Blocks are at
-    most block_limit(lanes) samples long, the same lane-sample budget the
-    network and elements split by, so a drive block never cuts a settled
-    span short; they never straddle a sample index in marks.
+    Returns the output sums (n_ports, lanes, M), the drive sums
+    (lanes, M) and, with period given (each window then whole periods),
+    each lane's output energy per measured period (periods, lanes); blocks
+    never straddle a window start or, with period, a lane's period edge.
     Raises SimulationFault at the first non-finite output sample.
     """
     lanes = len(ports)
     lane_ix = np.arange(lanes)
+    start, stop = (np.broadcast_to(np.asarray(v, dtype=np.int64), (lanes,)) for v in (start, stop))
+    n_total = int(stop.max())
+    edges = {0, n_total, *start.tolist()}
+    energy = None
+    if period is not None:
+        period = np.broadcast_to(np.asarray(period, dtype=np.int64), (lanes,))
+        for lo, hi, p in set(zip(start.tolist(), stop.tolist(), period.tolist())):
+            edges.update(range(lo, hi, p))
+        energy = np.zeros((int(((stop - start) // period).max()), lanes))
+    edges = sorted(edges)
+    first_start, last_start, first_stop = int(start.min()), int(start.max()), int(stop.min())
     limit = block_limit(lanes)
-    edges = sorted({0, n_total, *(int(m) for m in marks if 0 < m < n_total)})
+    acc_out = np.zeros((n_ports, lanes, detect.shape[1]), dtype=complex)
+    acc_in = np.zeros((lanes, detect.shape[1]), dtype=complex)
     for lo, hi in zip(edges, edges[1:]):
         for n0 in range(lo, hi, limit):
             b = min(limit, hi - n0)
@@ -182,7 +203,56 @@ def _drive(step, n_ports: int, ports: np.ndarray, drive, n_total: int, marks=())
             bad = np.flatnonzero(~np.isfinite(out).all(axis=(0, 1)))
             if len(bad):
                 raise SimulationFault(n0 + int(bad[0]))
-            yield n0, d, out
+            if n0 + b <= first_start:
+                continue  # no lane measures yet
+            n = np.arange(n0, n0 + b, dtype=np.float64)
+            weight = np.exp(-1j * (detect[:, :, None] * n))
+            if n0 < last_start or n0 + b > first_stop:
+                weight *= ((n >= start[:, None]) & (n < stop[:, None]))[:, None]
+            acc_out += np.einsum("plb,lmb->plm", out, weight)
+            acc_in += np.einsum("lb,lmb->lm", d, weight)
+            if energy is not None:
+                act = np.flatnonzero((n0 >= start) & (n0 < stop))
+                e = np.einsum("plb,plb->l", out, out)
+                energy[(n0 - start[act]) // period[act], act] += e[act]
+    return acc_out, acc_in, energy
+
+
+def _drift_notes(energy: np.ndarray, where: list[str]) -> list[str]:
+    """A note for each lane whose output energy changes by more than
+    _DRIFT_LIMIT_DB between consecutive measured periods; where[k] names
+    lane k."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        drift = 10.0 * np.log10(energy[1:] / energy[:-1])
+    worst = np.nanmax(np.abs(drift), axis=0, initial=0.0)
+    return [
+        f"not settled: output power drifts {worst[k]:.3f} dB between periods at {where[k]}"
+        for k in np.flatnonzero(worst > _DRIFT_LIMIT_DB)
+    ]
+
+
+def _four_port(config, points, settle: int, measure: int):
+    """Same-frequency S-matrices of the circulator at each point
+    (frequency, schedule), one lane per point and drive port, all stepped
+    together; lanes get their own schedules only when a point's schedule
+    is not the network's. Returns s (points, 4, 4) and the lanes'
+    measured energy per period (periods, 4 * points); lane 4k + i drives
+    port i + 1 at point k.
+    """
+    net = build_circulator(config)
+    schedules = [sched for _, sched in points for _ in range(4)]
+    if any(sched != net.schedule for sched in schedules):
+        net.set_lane_schedules(schedules)
+    net.reset(lanes=len(schedules))
+    period = np.array([sched.period_samples for sched in schedules])
+    omega = 2.0 * math.pi * np.repeat([f for f, _ in points], 4) / net.sample_rate
+    a0 = dbm_to_amplitude(float(getattr(config, "drive_dbm", DEFAULT_DRIVE_DBM)))
+    acc_out, acc_in, energy = _measure(
+        net.advance, 4, np.tile(np.arange(4), len(points)), _tone(omega, a0),
+        omega[:, None], settle * period, (settle + measure) * period, period,
+    )
+    s = (acc_out[:, :, 0] / acc_in[:, 0]).reshape(4, len(points), 4).transpose(1, 0, 2)
+    return s, energy
 
 
 def _schedule_summary(schedule: ControlSchedule) -> str:
@@ -232,53 +302,14 @@ def sparams_sweep(
     """
     freqs = _check_frequencies(frequencies, config.sample_rate)
     _check_windows(settle, measure)
-    drive_dbm = float(getattr(config, "drive_dbm", DEFAULT_DRIVE_DBM))
-    a0 = dbm_to_amplitude(drive_dbm)
-
-    net = build_circulator(config)
-    fs = net.sample_rate
-    period = net.schedule.period_samples
-    n_settle = settle * period
-    n_total = n_settle + measure * period
-    nf = len(freqs)
-    lanes = 4 * nf
-    net.reset(lanes=lanes)
-
-    f_lane = np.repeat(np.asarray(freqs, dtype=float), 4)
-    p_lane = np.tile(np.arange(4), nf)
-    omega = 2.0 * math.pi * f_lane / fs
-
-    acc_out = np.zeros((4, lanes), dtype=complex)
-    acc_in = np.zeros(lanes, dtype=complex)
-    block_power = np.zeros((measure, lanes))
-    periods = n_settle + period * np.arange(measure)
-    for n0, drive, out in _drive(net.advance, 4, p_lane, _tone(omega, a0), n_total, periods):
-        if n0 < n_settle:
-            continue
-        det = _detector(omega, n0, drive.shape[1])
-        acc_out += np.einsum("plb,lb->pl", out, det)
-        acc_in += np.einsum("lb,lb->l", drive, det)
-        block_power[(n0 - n_settle) // period] += np.einsum("plb,plb->l", out, out)
-
-    # Lane 4k + i drives port i + 1 at frequency k.
-    s = (acc_out / acc_in).reshape(4, nf, 4).transpose(1, 0, 2)
-
-    notes: list[str] = []
-    if measure >= 2:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            drift = 10.0 * np.log10(block_power[1:] / block_power[:-1])
-        worst = np.nanmax(np.abs(drift), axis=0, initial=0.0)
-        for lane in np.flatnonzero(worst > _DRIFT_LIMIT_DB):
-            notes.append(
-                f"not settled: output power drifts {worst[lane]:.3f} dB between "
-                f"periods at {f_lane[lane] / 1e6:.4f} MHz, drive port {p_lane[lane] + 1}"
-            )
+    s, energy = _four_port(config, [(f, config.schedule) for f in freqs], settle, measure)
+    where = [f"{f / 1e6:.4f} MHz, drive port {p}" for f in freqs for p in range(1, 5)]
     return SParamGrid(
         frequencies=tuple(freqs),
         s=s,
-        drive_level=drive_dbm,
+        drive_level=float(getattr(config, "drive_dbm", DEFAULT_DRIVE_DBM)),
         schedule_summary=_schedule_summary(config.schedule),
-        warnings=tuple(notes),
+        warnings=tuple(_drift_notes(energy, where)),
     )
 
 
@@ -408,20 +439,17 @@ def spectrum_probe(
     def tone(n0: int, b: int) -> np.ndarray:
         return make_tone(f0, a0, 0.0, b, fs, start_index=n0).samples[None]
 
-    net.reset(lanes=1)
-    block = np.empty((4, n_window))
-    tone_window = np.empty(n_window)
-    for n0, drive, out in _drive(net.advance, 4, np.zeros(1, int), tone, n_total, [n_settle]):
-        if n0 >= n_settle:
-            block[:, n0 - n_settle : n0 - n_settle + drive.shape[1]] = out[:, 0]
-            tone_window[n0 - n_settle : n0 - n_settle + drive.shape[1]] = drive[0]
-
+    # The commutation lattice f0 + k*f_mod: k = 0 is the same-frequency
+    # transfer, k != 0 the sidebands.
     orders = [k for k in range(-k_max, k_max + 1) if 0.0 < f0 + k * f_mod < fs / 2.0]
     line_f = np.array([f0 + k * f_mod for k in orders])
-    sample_ix = n_settle + np.arange(n_window)
-    basis = np.exp(-2j * math.pi * np.outer(line_f, sample_ix) / fs)
-    c_ports = (2.0 / n_window) * (block @ basis.T)
-    c_in = (2.0 / n_window) * (basis @ tone_window)
+    net.reset(lanes=1)
+    acc_out, acc_in, energy = _measure(
+        net.advance, 4, [0], tone, 2.0 * math.pi * line_f[None] / fs,
+        n_settle, n_total, period,
+    )
+    c_ports = (2.0 / n_window) * acc_out[:, 0]
+    c_in = (2.0 / n_window) * acc_in[0]
 
     k0 = orders.index(0)
     ports = []
@@ -441,6 +469,7 @@ def spectrum_probe(
         il_db=input_main - ports[1].main_dbm,
         iso3_db=input_main - ports[2].main_dbm,
         iso4_db=input_main - ports[3].main_dbm,
+        warnings=tuple(_drift_notes(energy, [f"{f0 / 1e6:.4f} MHz, drive port 1"])),
     )
 
 
@@ -476,35 +505,16 @@ def modfreq_sweep(
         valid.append((ix, fm, sched))
 
     if valid:
-        net = build_circulator(config)
-        net.set_lane_schedules([sched for _, _, sched in valid for _ in range(4)])
-        lanes = 4 * len(valid)
-        net.reset(lanes=lanes)
-
-        periods = np.array([sched.period_samples for _, _, sched in valid for _ in range(4)])
-        meas_start = settle * periods
-        meas_stop = (settle + measure) * periods
-        n_total = int(meas_stop.max())
-        p_lane = np.tile(np.arange(4), len(valid))
-
-        a0 = dbm_to_amplitude(float(getattr(config, "drive_dbm", DEFAULT_DRIVE_DBM)))
-        omega = np.full(lanes, 2.0 * math.pi * f0 / net.sample_rate)
-        acc_out = np.zeros((4, lanes), dtype=complex)
-        acc_in = np.zeros(lanes, dtype=complex)
-        for n0, drive, out in _drive(net.advance, 4, p_lane, _tone(omega, a0), n_total):
-            n = np.arange(n0, n0 + drive.shape[1])
-            active = (n >= meas_start[:, None]) & (n < meas_stop[:, None])
-            if active.any():
-                weight = _detector(omega, n0, drive.shape[1]) * active
-                acc_out += np.einsum("plb,lb->pl", out, weight)
-                acc_in += np.einsum("lb,lb->l", drive, weight)
-
-        s_cols = acc_out / acc_in
+        s, energy = _four_port(config, [(f0, sched) for _, _, sched in valid], settle, measure)
         for m, (ix, fm, sched) in enumerate(valid):
-            s = s_cols[:, 4 * m : 4 * m + 4]
-            il = max(loss_db(s[j, i]) for j, i in FORWARD_PATHS.values())
-            iso = min(loss_db(s[j, i]) for j, i in REVERSE_PATHS.values())
-            results[ix] = ModFreqPoint(fm, il, iso, f_mod_achieved=sched.f_mod)
+            where = [f"f_mod {sched.f_mod / 1e3:.3f} kHz, drive port {p}" for p in range(1, 5)]
+            results[ix] = ModFreqPoint(
+                fm,
+                max(loss_db(s[m, j, i]) for j, i in FORWARD_PATHS.values()),
+                min(loss_db(s[m, j, i]) for j, i in REVERSE_PATHS.values()),
+                f_mod_achieved=sched.f_mod,
+                warnings=tuple(_drift_notes(energy[:, 4 * m : 4 * m + 4], where)),
+            )
 
     return [results[ix] for ix in sorted(results)]
 
@@ -524,28 +534,18 @@ def line_sweep(
     freqs = _check_frequencies(frequencies, sample_rate)
     element = _line_element(line, sample_rate)
     nf = len(freqs)
-    lanes = 2 * nf
-    element.reset(lanes)
+    element.reset(2 * nf)
 
     f_lane = np.repeat(np.asarray(freqs, dtype=float), 2)
-    d_lane = np.tile(np.arange(2), nf)
     omega = 2.0 * math.pi * f_lane / sample_rate
-
     # Integer stimulus cycles per lane keep the negative-frequency image of
     # the real tone out of the accumulated phasor.
     wlen = np.array([integer_cycle_length(f, sample_rate, measure) for f in f_lane])
-    acc_out = np.zeros((2, lanes), dtype=complex)
-    acc_in = np.zeros(lanes, dtype=complex)
-    n_total = settle + measure
-    for n0, drive, out in _drive(element.step, 2, d_lane, _tone(omega, 1.0), n_total, [settle]):
-        if n0 < settle:
-            continue
-        n = np.arange(n0, n0 + drive.shape[1])
-        weight = _detector(omega, n0, drive.shape[1]) * ((n - settle) < wlen[:, None])
-        acc_out += np.einsum("plb,lb->pl", out, weight)
-        acc_in += np.einsum("lb,lb->l", drive, weight)
-
-    s = (acc_out / acc_in).reshape(2, nf, 2).transpose(1, 0, 2)
+    acc_out, acc_in, _ = _measure(
+        element.step, 2, np.tile(np.arange(2), nf), _tone(omega, 1.0), omega[:, None],
+        settle, settle + wlen,
+    )
+    s = (acc_out[:, :, 0] / acc_in[:, 0]).reshape(2, nf, 2).transpose(1, 0, 2)
     summary = "static two-port, delay line only"
     if isinstance(line, DelayLineSpec):
         summary += f", tau={line.tau:g} s"

@@ -374,6 +374,24 @@ def _csv_header(config: CirculatorConfig, command: str) -> list[str]:
     return [f"# sdlsim {__version__}", f"# config {config.digest}", f"# command {command}"]
 
 
+def _grid_rows(grid, delays=None) -> list[str]:
+    """CSV rows of an n-port S grid: frequency, re/im of every s_ji (row j
+    outer), then the group delay when given."""
+    ports = range(1, grid.n_ports + 1)
+    cols = ["frequency_hz"] + [
+        f"s{j}{i}_{part}" for j in ports for i in ports for part in ("re", "im")
+    ]
+    if delays is not None:
+        cols.append("group_delay_s")
+    rows = [",".join(cols)]
+    for k, f in enumerate(grid.frequencies):
+        row = [_fmt(f)] + [_fmt(v) for s in grid.s[k].flat for v in (s.real, s.imag)]
+        if delays is not None:
+            row.append(_fmt(delays[k]))
+        rows.append(",".join(row))
+    return rows
+
+
 def _svg_header(config: CirculatorConfig, command: str) -> list[str]:
     return [
         f"<!-- sdlsim {__version__} -->",
@@ -501,20 +519,8 @@ def _cmd_sweep(config: CirculatorConfig, out: Path, overrides: dict) -> list[Pat
     threshold = config.iso_threshold_db if threshold is None else threshold
     m = metrics(grid, threshold)
 
-    lines = _csv_header(config, "sweep")
-    cols = ["frequency_hz"]
-    for j in range(1, 5):
-        for i in range(1, 5):
-            cols += [f"s{j}{i}_re", f"s{j}{i}_im"]
-    lines.append(",".join(cols))
-    for k, f in enumerate(grid.frequencies):
-        row = [_fmt(f)]
-        for j in range(4):
-            for i in range(4):
-                row += [_fmt(grid.s[k, j, i].real), _fmt(grid.s[k, j, i].imag)]
-        lines.append(",".join(row))
     sweep_csv = out / "sweep.csv"
-    _write_text(sweep_csv, lines)
+    _write_text(sweep_csv, _csv_header(config, "sweep") + _grid_rows(grid))
 
     mlines = _csv_header(config, "sweep") + ["key,value"]
     mlines.append(f"center_frequency_hz,{_fmt(m.center_frequency)}")
@@ -560,6 +566,8 @@ def _cmd_spectrum(config: CirculatorConfig, out: Path, overrides: dict) -> list[
         window=config.spectrum_window_periods,
         settle=config.settle_periods,
     )
+    for note in rep.warnings:
+        print(f"warning: {note}", file=sys.stderr)
     lines = _csv_header(config, "spectrum")
     lines.append(f"# f0_hz {_fmt(rep.f0)}")
     lines.append(f"# f_mod_hz {_fmt(rep.f_mod)}")
@@ -623,6 +631,8 @@ def _cmd_modsweep(config: CirculatorConfig, out: Path, overrides: dict) -> list[
     for pt in points:
         if pt.note:
             print(f"warning: f_mod {pt.f_mod:.6g} Hz skipped: {pt.note}", file=sys.stderr)
+        for note in pt.warnings:
+            print(f"warning: {note}", file=sys.stderr)
         lines.append(
             ",".join([_fmt(pt.f_mod), _fmt(pt.f_mod_achieved), _fmt(pt.il_db), _fmt(pt.iso_db)])
         )
@@ -654,24 +664,6 @@ def _cmd_modsweep(config: CirculatorConfig, out: Path, overrides: dict) -> list[
     return [csv, svg]
 
 
-def _line_grid_rows(grid, delays) -> list[str]:
-    rows = []
-    cols = ["frequency_hz"]
-    for j in (1, 2):
-        for i in (1, 2):
-            cols += [f"s{j}{i}_re", f"s{j}{i}_im"]
-    cols.append("group_delay_s")
-    rows.append(",".join(cols))
-    for k, f in enumerate(grid.frequencies):
-        row = [_fmt(f)]
-        for j in range(2):
-            for i in range(2):
-                row += [_fmt(grid.s[k, j, i].real), _fmt(grid.s[k, j, i].imag)]
-        row.append(_fmt(delays[k]))
-        rows.append(",".join(row))
-    return rows
-
-
 def _cmd_linecheck(config: CirculatorConfig, out: Path, overrides: dict) -> list[Path]:
     freqs = _band_frequencies(config, overrides)
     written = []
@@ -686,7 +678,7 @@ def _cmd_linecheck(config: CirculatorConfig, out: Path, overrides: dict) -> list
         for w in caught:
             print(f"warning: line_{tag}: {w.message}", file=sys.stderr)
         csv = out / f"linecheck_{tag}.csv"
-        _write_text(csv, _csv_header(config, "linecheck") + _line_grid_rows(grid, delays))
+        _write_text(csv, _csv_header(config, "linecheck") + _grid_rows(grid, delays))
         written.append(csv)
         fmhz = [f / 1e6 for f in grid.frequencies]
         svg_series.append(

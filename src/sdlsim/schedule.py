@@ -30,7 +30,6 @@ class ControlSchedule:
     delta: float
     duty: float
     t_transition: float
-    left_phase: float
     sample_rate: float
     side_offset: float | None = None
 
@@ -49,10 +48,6 @@ class ControlSchedule:
         return round(self.side_offset * self.sample_rate)
 
     @property
-    def left_phase_samples(self) -> int:
-        return round(self.left_phase * self.sample_rate)
-
-    @property
     def f_mod(self) -> float:
         """Achieved switching frequency after sample quantization."""
         return self.sample_rate / self.period_samples
@@ -69,12 +64,10 @@ class ControlTrace:
 
 @dataclass
 class ScheduleReport:
-    """Advisory delay-matching and quantization report."""
+    """Advisory delay-matching report."""
 
     mismatch_s: float
     mismatch_fraction: float
-    period_residue_samples: float
-    offset_residue_samples: float
     isolation_flag: bool
     messages: list[str] = field(default_factory=list)
 
@@ -121,7 +114,6 @@ def build_schedule(
         delta=period / 4.0,
         duty=duty,
         t_transition=t_transition,
-        left_phase=0.0,
         sample_rate=sample_rate,
         side_offset=side_offset,
     )
@@ -148,9 +140,7 @@ def trace_for(schedule: ControlSchedule, side: str, n_samples: int) -> ControlTr
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     base = _one_period(schedule)
-    shift = schedule.left_phase_samples
-    if side == "right":
-        shift += schedule.offset_samples
+    shift = schedule.offset_samples if side == "right" else 0
     idx = (np.arange(n_samples) - shift) % schedule.period_samples
     return ControlTrace(side, schedule.sample_rate, base[idx])
 
@@ -169,7 +159,7 @@ def expanded_controls(
 def validate_schedule(
     schedule: ControlSchedule, line_tau: float, link_delay: float = 0.0
 ) -> ScheduleReport:
-    """Advisory report of the delta-to-line-delay mismatch and rounding residues.
+    """Advisory report of the delta-to-line-delay mismatch.
 
     mismatch_s is delta - line_tau. The offset that cancels leakage is the
     one-way link delay, line_tau plus the crossbar latency link_delay
@@ -178,9 +168,6 @@ def validate_schedule(
     """
     mismatch = schedule.delta - line_tau
     fraction = mismatch / line_tau if line_tau else float("inf")
-    period_residue = schedule.period * schedule.sample_rate - schedule.period_samples
-    offset = schedule.side_offset if schedule.side_offset is not None else schedule.delta
-    offset_residue = offset * schedule.sample_rate - schedule.offset_samples
     link_mismatch = schedule.delta - (line_tau + link_delay)
     # Rounding residue of the sums is no mismatch, even with instantaneous
     # switching: allow 1e-9 of the offset, far below one sample.
@@ -198,4 +185,4 @@ def validate_schedule(
             f"({100 * fraction:+.2f}%){latency}, beyond the {schedule.t_transition * 1e9:.3f} ns "
             "transition window; first-order isolation degradation expected"
         )
-    return ScheduleReport(mismatch, fraction, period_residue, offset_residue, flag, messages)
+    return ScheduleReport(mismatch, fraction, flag, messages)

@@ -15,9 +15,6 @@ import numpy as np
 
 Z0 = 50.0
 
-# Reported power for an exactly-zero amplitude. Finite so CSV stays numeric.
-DBM_FLOOR = -400.0
-
 _TWO_PI = 2.0 * math.pi
 
 
@@ -31,11 +28,10 @@ def wrap_phase(phi: float) -> float:
 
 
 def amplitude_to_dbm(amplitude: float) -> float:
-    """Power of a wave of peak amplitude `amplitude` root-watt, in dBm."""
+    """Power of a wave of peak amplitude `amplitude` root-watt, in dBm;
+    -inf for an exact zero (no power was measured)."""
     p_watt = amplitude * amplitude / 2.0
-    if p_watt <= 0.0:
-        return DBM_FLOOR
-    return max(10.0 * math.log10(p_watt / 1e-3), DBM_FLOOR)
+    return 10.0 * math.log10(p_watt / 1e-3) if p_watt > 0.0 else -math.inf
 
 
 def dbm_to_amplitude(dbm: float) -> float:

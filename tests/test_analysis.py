@@ -248,6 +248,34 @@ class TestSpectrum:
         with pytest.raises(ConfigError, match="at least 16"):
             spectrum_probe(lossy_config(), 155e6, -10.0, window=8)
 
+    def test_unsettled_run_warns(self):
+        rep = spectrum_probe(lossy_config(), 155e6, -10.0, settle=0)
+        assert any("not settled" in w for w in rep.warnings)
+        assert spectrum_probe(lossy_config(), 155e6, -10.0).warnings == ()
+
+    def test_lines_equal_whole_record_projection(self):
+        # Reference: one advance call over the whole run, then every line
+        # projected over the whole window at once.
+        from sdlsim.engine import build_circulator
+        from sdlsim.signals import make_tone
+
+        cfg = lossy_config()
+        f0, window, settle = 155e6, 16, 3
+        rep = spectrum_probe(cfg, f0, -10.0, window=window, settle=settle)
+        net = build_circulator(cfg)
+        period = net.schedule.period_samples
+        n_settle, n_window = settle * period, window * period
+        net.reset(lanes=1)
+        ext = np.zeros((4, 1, n_settle + n_window))
+        ext[0, 0] = make_tone(f0, dbm_to_amplitude(-10.0), 0.0, n_settle + n_window, FS).samples
+        record = net.advance(ext)[:, 0, n_settle:]
+        line_f = np.array([ln.frequency for ln in rep.ports[0].lines])
+        basis = np.exp(-2j * math.pi * np.outer(line_f, n_settle + np.arange(n_window)) / FS)
+        amplitude = np.abs((2.0 / n_window) * (record @ basis.T))
+        reported = np.array([[ln.power_dbm for ln in port.lines] for port in rep.ports])
+        # dBm back to peak amplitude: P = a^2 / 2 watt.
+        np.testing.assert_allclose(np.sqrt(2e-3 * 10 ** (reported / 10)), amplitude, rtol=1e-9)
+
 
 class TestModFreq:
     def test_quantization_failures_reported_not_fatal(self):
@@ -259,6 +287,20 @@ class TestModFreq:
         assert ok.f_mod_achieved == pytest.approx(FS / 4488)
         assert math.isnan(bad.il_db) and bad.note is not None
         assert neg.note is not None
+
+    def test_unsettled_run_warns(self):
+        (pt,) = modfreq_sweep(lossy_config(), [FS / 4488], 155e6, settle=0, measure=2)
+        assert pt.note is None
+        assert any("not settled" in w and "f_mod" in w for w in pt.warnings)
+
+    def test_point_beside_other_periods_equals_point_alone(self):
+        # Lanes are independent runs: neighbours with other periods (their
+        # block cuts and lane-sample budget) must not change a point.
+        cfg = lossy_config()
+        alone = modfreq_sweep(cfg, [FS / 4488], 155e6, settle=2, measure=2)[0]
+        beside = modfreq_sweep(cfg, [FS / 4800, FS / 4488, FS / 4200], 155e6, settle=2, measure=2)[1]
+        assert beside.f_mod_achieved == alone.f_mod_achieved
+        np.testing.assert_allclose([beside.il_db, beside.iso_db], [alone.il_db, alone.iso_db], rtol=1e-12)
 
     def test_matched_commutation_beats_detuned(self):
         cfg = lossy_config()

@@ -380,6 +380,17 @@ class TestDesignErrors:
 
 
 PAPER = yaml.safe_load((CONFIG_DIR / "paper.yaml").read_text())
+_FREQS = np.linspace(140e6, 170e6, 31)
+_S = np.zeros((31, 2, 2), dtype=complex)
+_S[:, 0, 1] = _S[:, 1, 0] = 0.6 * np.exp(-2j * np.pi * _FREQS * 280e-9)
+LINE_S2P = write_touchstone(TouchstoneData(_FREQS, _S, unit="HZ", format="RI"))
+# The configs the fuzz test mutates: paper.yaml, paper.yaml with four
+# matching sections, and paper.yaml with line A read from LINE_S2P.
+BASES = {
+    "paper": PAPER,
+    "matched": PAPER | {"matching": [{"series_l": 33.0e-9, "shunt_c": 18.0e-12} for _ in range(4)]},
+    "touchstone": PAPER | {"line_a": {"touchstone": "line.s2p", "ir_len": 1024}},
+}
 # Key names worth inserting: every schema key, so a mutation can also put a
 # known key where it does not belong, plus misspellings.
 KEY_NAMES = sorted(
@@ -408,12 +419,12 @@ def containers(node, path=()):
 
 
 @st.composite
-def mutated_paper(draw):
-    """configs/paper.yaml with one or two values inserted or replaced at
-    random key paths (line_b stays an alias of line_a). Numbers and
-    existing keys are drawn more often, so that many mutants still load
-    and reach build_circulator."""
-    raw = copy.deepcopy(PAPER)
+def mutated_config(draw):
+    """One of BASES with one or two values inserted or replaced at random
+    key paths (paper.yaml's line_b stays an alias of its line_a). Numbers
+    and existing keys are drawn more often, so that many mutants still
+    load and reach build_circulator."""
+    raw = copy.deepcopy(BASES[draw(st.sampled_from(sorted(BASES)))])
     for _ in range(draw(st.integers(1, 2))):
         _, node = draw(st.sampled_from(list(containers(raw))))
         value = draw(st.one_of(NUMBERS, NUMBERS, VALUES))
@@ -439,10 +450,11 @@ def config_floats(obj, name=""):
         yield name, obj
 
 
-@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(raw=mutated_paper())
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(raw=mutated_config())
 def test_mutated_config_loads_or_raises_config_error(raw):
     with tempfile.TemporaryDirectory() as tmp:
+        (Path(tmp) / "line.s2p").write_text(LINE_S2P)
         path = Path(tmp) / "mutated.yaml"
         path.write_text(yaml.safe_dump(raw, sort_keys=False))
         try:
@@ -517,6 +529,31 @@ class TestCommands:
         assert len(rows) - 1 == 4 * 11
         for port in "1234":
             assert sum(r[0] == port for r in rows[1:]) == 11
+
+    @pytest.mark.parametrize("command", ["spectrum", "modsweep"])
+    def test_unsettled_run_warns_on_stderr(self, tmp_path, capsys, command):
+        cfg = write_config(tmp_path, analysis=FAST_ANALYSIS | {"settle_periods": 0})
+        args = [command, "--config", str(cfg), "--out", str(tmp_path / "out")]
+        if command == "modsweep":
+            args += ["--fmod", "877193"]
+        assert main(args) == 0
+        assert "warning: not settled: output power drifts" in capsys.readouterr().err
+
+    def test_spectrum_on_ideal_config(self, tmp_path, capsys):
+        # Ports 3 and 4 of the ideal network carry exactly nothing: their
+        # lines read -inf dBm and the isolation inf, not a clamped floor.
+        ideal = tmp_path / "ideal.yaml"
+        ideal.write_text(
+            (CONFIG_DIR / "ideal.yaml").read_text().replace("settle_periods: 10", "settle_periods: 1")
+        )
+        out = tmp_path / "out"
+        assert main(["spectrum", "--config", str(ideal), "--out", str(out)]) == 0
+        text = (out / "spectrum.csv").read_text()
+        assert "# iso3_db inf\n# iso4_db inf\n" in text
+        rows = data_rows(out / "spectrum.csv")[1:]
+        assert all(r[3] == "-inf" for r in rows if r[0] in "34")
+        assert all(math.isfinite(float(r[3])) for r in rows if r[0] == "2")
+        assert "port3 inf dB, port4 inf dB" in capsys.readouterr().out
 
     def test_modsweep_reports_quarter_wave_rule(self, tmp_path, capsys):
         cfg = write_config(tmp_path)

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sdlsim.signals import (
-    DBM_FLOOR,
     Phasor,
     SampleBuffer,
     amplitude_to_dbm,
@@ -45,7 +44,9 @@ class TestDbm:
         assert amplitude_to_dbm(a) == pytest.approx(-10.0, abs=1e-12)
 
     def test_zero_amplitude_reports_floor(self):
-        assert amplitude_to_dbm(0.0) == DBM_FLOOR
+        # An exact zero has no finite level; a tiny one is reported unclamped.
+        assert amplitude_to_dbm(0.0) == -math.inf
+        assert amplitude_to_dbm(1e-30) == pytest.approx(-580.0 + 10 * math.log10(5.0), abs=1e-9)
 
 
 class TestMakeTone:

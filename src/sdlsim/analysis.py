@@ -110,10 +110,12 @@ class PortSpectrum:
     lines: tuple[SpectralLine, ...]
 
     def worst_sideband_dbc(self) -> float:
-        side = [ln.power_dbm for ln in self.lines if ln.order != 0]
-        if not side:
+        """Strongest sideband relative to the main line; -inf when no
+        sideband carries power (every line of a silent port is -inf)."""
+        worst = max((ln.power_dbm for ln in self.lines if ln.order != 0), default=-math.inf)
+        if worst == -math.inf:
             return -math.inf
-        return max(side) - self.main_dbm
+        return worst - self.main_dbm
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,10 @@ as one sample. Splitting a stream into blocks of any lengths gives
 bit-identical outputs. All elements are causal and linear in the signal for
 a fixed control trajectory.
 
+For the network's in-block loops (engine.CirculatorNetwork) an element can
+take back a trial block (mark/rewind) and hand out a zeroed copy of itself
+(zeroed), whose steps give its impulse responses.
+
 Includes the L-section matching synthesis (synth_lmatch) and its
 discrete-time realization alongside the delay-line, crossbar-switch, and
 measured-data elements.
@@ -16,7 +20,10 @@ measured-data elements.
 from __future__ import annotations
 
 import cmath
+import contextlib
+import copy
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,6 +87,10 @@ class ScatteringElement:
     and returns (n_ports, lanes, B) blocks (see the module docstring)."""
 
     n_ports: int = 2
+    # Attributes that step rebinds or updates in place; mark copies them.
+    # History rings need no copy: they keep block_limit(lanes) rows beyond
+    # the longest delay, so one block overwrites no row a rewound step reads.
+    _state: tuple[str, ...] = ()
 
     def __init__(self) -> None:
         self.warnings: list[str] = []
@@ -90,6 +101,23 @@ class ScatteringElement:
 
     def step(self, incident: np.ndarray) -> np.ndarray:
         raise NotImplementedError
+
+    def mark(self) -> dict:
+        """The element's state now, for rewind."""
+        return {name: copy.copy(getattr(self, name)) for name in self._state}
+
+    def rewind(self, mark: dict) -> None:
+        """Return to a mark taken at most one block of at most
+        block_limit(lanes) samples ago."""
+        self.__dict__.update(mark)
+
+    def zeroed(self, lanes: int) -> ScatteringElement:
+        """A copy sharing this element's design, reset to zero state on
+        lanes lanes (reset rebinds every state array, so this element's
+        state is untouched)."""
+        probe = copy.copy(self)
+        probe.reset(lanes)
+        return probe
 
 
 @dataclass(frozen=True)
@@ -153,10 +181,26 @@ class SwitchSpec:
             raise ValueError("gamma_off must lie in [-1, 1]")
 
 
+@contextlib.contextmanager
+def _refused(category: type[Warning], message: str):
+    """Raise ValueError(message) where scipy warns with category: the
+    design it warns about cannot be trusted."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", category)
+        try:
+            yield
+        except category as warning:
+            raise ValueError(f"{message} ({warning})") from None
+
+
 def _filter_group_delay_samples(sos: np.ndarray, f_center: float, fs: float) -> float:
     total = 0.0
     for section in sos:
-        _, gd = sig.group_delay((section[:3], section[3:]), w=[f_center], fs=fs)
+        # A section whose denominator all but vanishes at f_center has no
+        # reliable group delay there, and the tap compensation rests on it.
+        with _refused(UserWarning, "band filter group delay at f_center is ill-conditioned; "
+                      "widen bandwidth or reduce band_order"):
+            _, gd = sig.group_delay((section[:3], section[3:]), w=[f_center], fs=fs)
         total += gd[0]
     return total
 
@@ -174,6 +218,7 @@ class DelayLineElement(ScatteringElement):
     """
 
     n_ports = 2
+    _state = ("_t", "_zi")
 
     def __init__(self, spec: DelayLineSpec, sample_rate: float):
         super().__init__()
@@ -233,8 +278,7 @@ class DelayLineElement(ScatteringElement):
         # Time-major ring of filtered samples: row t % len holds sample t.
         self._ring = np.zeros((self.buf_len - 1 + block_limit(lanes), 2, lanes))
         self._t = 0
-        if self.sos is not None:
-            self._zi = np.zeros((self.sos.shape[0], 2 * lanes, 2))
+        self._zi = None if self.sos is None else np.zeros((self.sos.shape[0], 2 * lanes, 2))
 
     def _ring_rows(self, start: int, b: int) -> np.ndarray:
         """Rows of samples start..start+b-1, read in at most two slices."""
@@ -382,6 +426,7 @@ class TouchstoneElement(ScatteringElement):
     """
 
     n_ports = 2
+    _state = ("_t",)
 
     def __init__(
         self,
@@ -439,6 +484,12 @@ class TouchstoneElement(ScatteringElement):
         self._size = self.ir_len - 1 + block_limit(lanes)
         self._hist = np.zeros((2 * self._size, 2, lanes))
         self._t = 0
+        # Taps at lags of block_limit(lanes) and beyond read only samples
+        # before the block, however the stream is split. Their product is
+        # kept with the (start, length) of its block, so a block stepped
+        # again after a rewind recomputes only the nearer taps.
+        self._far_cols = 2 * max(0, self.ir_len - block_limit(lanes))
+        self._far = (-1, 0, None)
 
     def _process(self, x: np.ndarray) -> np.ndarray:
         lanes, b = x.shape[1:]
@@ -462,7 +513,13 @@ class TouchstoneElement(ScatteringElement):
             offset=((self._t - self.ir_len + 1) % size) * row,
             strides=(row,) + hist.strides,
         )
-        out = self._taps @ window.reshape(b, 2 * self.ir_len, lanes)
+        window = window.reshape(b, 2 * self.ir_len, lanes)
+        far = self._far_cols
+        out = self._taps[:, far:] @ window[:, far:]
+        if far:
+            if self._far[:2] != (self._t, b):
+                self._far = (self._t, b, self._taps[:, :far] @ window[:, :far])
+            out += self._far[2]
         self._t += b
         return out.transpose(1, 2, 0)
 
@@ -599,7 +656,11 @@ def _bilinear_biquad(num_s: list[float], den_s: list[float], k: float) -> tuple[
     num = list(num_s)[-len(den) :]
     if not any(num):
         return np.zeros(3), np.array([1.0, 0.0, 0.0])
-    b, a = sig.bilinear(num, den, fs=k / 2.0)
+    # scipy drops numerator coefficients below 1e-14 with this warning,
+    # which delays the response by a sample.
+    with _refused(sig.BadCoefficients, "L-section response vanishes at this sample rate; "
+                  "series_l and shunt_c are far too large"):
+        b, a = sig.bilinear(num, den, fs=k / 2.0)
     b = np.concatenate([b, np.zeros(3 - len(b))])
     a = np.concatenate([a, np.zeros(3 - len(a))])
     return b, a
@@ -613,6 +674,7 @@ class MatchingElement(ScatteringElement):
     """
 
     n_ports = 2
+    _state = ("_z",)
 
     def __init__(self, spec: MatchSpec, sample_rate: float):
         super().__init__()
@@ -632,39 +694,23 @@ class MatchingElement(ScatteringElement):
             num_11, num_22 = num_cap, num_ind
         else:
             num_11, num_22 = num_ind, num_cap
-        coef = [
-            _bilinear_biquad(num, den, k)
-            for num in (num_11, num_thru, num_thru, num_22)
+        # S11, S21, S12, S22, which read incident ports 1, 1, 2, 2.
+        self._biquads = [
+            _bilinear_biquad(num, den, k) for num in (num_11, num_thru, num_thru, num_22)
         ]
-        # Column vectors over the four biquads S11, S21, S12, S22, which
-        # read incident ports 1, 1, 2, 2; b12 and a12 stack the coefficients
-        # of the two state updates.
-        self._feeds = np.array([0, 0, 1, 1])
-        b, a = (np.array([bq[i] for bq in coef])[:, :, None] for i in range(2))
-        self._b0 = b[:, 0]
-        self._b12 = b[:, 1:].transpose(1, 0, 2).copy()
-        self._a12 = a[:, 1:].transpose(1, 0, 2).copy()
+        self._feeds = (0, 0, 1, 1)
         self.reset()
 
     def reset(self, lanes: int = 1) -> None:
         super().reset(lanes)
-        self._z = np.zeros((2, 4, lanes))
+        self._z = np.zeros((4, lanes, 2))
 
     def step(self, incident: np.ndarray) -> np.ndarray:
-        # The four biquads run side by side, one transposed direct form II
-        # update per sample (z1 <- b1 x - a1 y + z2, z2 <- b2 x - a2 y);
         # out1 = S11 + S12, out2 = S21 + S22.
         x, shape = _as_block(incident)
-        xin = x[self._feeds]
-        y = np.empty_like(xin)
-        z = self._z
-        for j in range(x.shape[-1]):
-            xj = xin[:, :, j]
-            yj = self._b0 * xj + z[0]
-            zn = self._b12 * xj
-            zn -= self._a12 * yj
-            zn[0] += z[1]
-            z = zn
-            y[:, :, j] = yj
+        y = np.empty((4,) + x.shape[1:])
+        z = np.empty_like(self._z)
+        for i, ((b, a), port) in enumerate(zip(self._biquads, self._feeds)):
+            y[i], z[i] = sig.lfilter(b, a, x[port], zi=self._z[i])
         self._z = z
         return (y[:2] + y[2:]).reshape(shape)

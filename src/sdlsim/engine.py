@@ -25,10 +25,19 @@ at once. Block length is budgeted in lane-samples (elements.block_limit):
 2,048 samples on one lane, down to a floor of 64 from 32 lanes up, so a
 single-lane run takes each settled span (about a quarter period) in one
 block. A sample where either crossbar reflects closes the 2-sample
-crossbar-line loop and runs at B = 1; so does every sample of a matched
-network, whose match-line loop is 2 samples long in every switch state.
-Both are the same block code, and outputs do not depend on how a run is
-split into advance calls.
+crossbar-line loop and runs at B = 1, through the same block code.
+
+A matched network keeps one loop inside every block: a match's line-side
+output reaches its line a sample later, and the line's reflection comes
+back a sample after that. The block closes these loops in closed form
+(Burrus's block form of a linear recursion): a trial pass with the
+match-to-line links cut gives the waves f they would carry, the loops'
+closed response g over a block (made once per reset from impulse
+responses of zeroed element copies) gives the true waves u = g * f, and
+the elements, rewound, step the block again with u fed in. On bare
+networks outputs are bit-identical however a run is split into advance
+calls; on matched ones they agree with per-sample stepping to rounding
+(within 1e-12 of the stimulus peak).
 """
 
 from __future__ import annotations
@@ -170,13 +179,24 @@ class CirculatorNetwork:
         self._ext_slots = np.array(
             [self._slots[f"{side}_crossbar"].start + row for side, row in _PORT_MAP.values()]
         )
-        # Links feeding the crossbars' line ports (the crossbars hold the
-        # first slots), and all others, as (source slot, destination slot).
-        feeds = list(zip(self._link_src.tolist(), self._link_dst.tolist()))
-        xbar_rows = range(self._slots["right_crossbar"].stop)
-        self._feed_xbar = [(s, d) for s, d in feeds if d in xbar_rows]
-        self._feed_rest = [(s, d) for s, d in feeds if d not in xbar_rows]
+        # The elements behind the crossbars step in this order (lines, then
+        # matches), each fed the waves its sources emitted earlier in the
+        # block. Links feeding the crossbars' line ports, and links feeding
+        # an element from one stepped after it (a match's line-side output
+        # into its line), are kept apart, as (source slot, destination slot):
+        # the latter close the match-line loops that _block solves.
         self._others = [n for n in self.elements if not n.endswith("_crossbar")]
+        order = {name: i for i, name in enumerate(self._others)}
+        self._feed_xbar, self._feeds, loops = [], {n: [] for n in self._others}, []
+        for (s, _, d, _), src, dst in zip(self.links, self._link_src.tolist(), self._link_dst.tolist()):
+            if d not in order:
+                self._feed_xbar.append((src, dst))
+            elif order.get(s, -1) >= order[d]:
+                loops.append((src, dst))
+            else:
+                self._feeds[d].append((src, dst))
+        self._loop_src = np.array([s for s, _ in loops], dtype=np.int64)
+        self._loop_dst = np.array([d for _, d in loops], dtype=np.int64)
 
         self._ctl = _LaneControl(self.left, [schedule])
         self.lanes = 1
@@ -217,11 +237,10 @@ class CirculatorNetwork:
             el.reset(lanes)
         # Wave on each link emitted at the previous sample, arriving now.
         self._carry = np.zeros((len(self.links), lanes))
-        # Longest block _span returns, and the incident and emitted waves
-        # of every slot over one such block, reused from block to block.
-        self._limit = 1 if self.matches is not None else block_limit(lanes)
-        size = self._n_slots * lanes * self._limit
-        self._buffers = (np.empty(size), np.empty(size))
+        # Longest block _span returns. The block buffers and the loop
+        # response for such blocks are made by the first block (_prepare).
+        self._limit = block_limit(lanes)
+        self._buffers = None
         self._n = 0
         self.link_energy: dict[str, float] = {}
 
@@ -254,14 +273,73 @@ class CirculatorNetwork:
 
     def _span(self, limit: int) -> int:
         """Length of the next block: one sample, or up to block_limit(lanes)
-        samples whose line ports do not reflect after the first. A matched
-        network always takes one sample."""
-        if self._limit == 1 or limit == 1:
+        samples whose line ports do not reflect after the first."""
+        if limit == 1:
             return 1
         return min(limit, self._limit, 1 + self._ctl.quiet_from(self._n + 1))
 
+    def _prepare(self) -> None:
+        """The incident and emitted waves of every slot over one block of
+        up to block_limit(lanes) samples, reused from block to block, and
+        the closed-loop response of the match-line loops over such a block."""
+        size = self._n_slots * self.lanes * self._limit
+        self._buffers = (np.empty(size), np.empty(size))
+        if len(self._loop_src):
+            n = self._limit
+            self._n_fft = 1 << (2 * n - 1).bit_length()
+            self._loop_fft = np.fft.rfft(self._loop_response(n), self._n_fft, axis=0)
+
+    def _loop_response(self, n: int) -> np.ndarray:
+        """g, shape (n, loops, loops): over one block, the waves u on the
+        loop-closing links are the causal convolution g * f of the waves f
+        they carry with those links cut. With a[t, i, j] the wave leaving
+        link i at t for a unit wave on link j at 0, u = f + a * u, so
+        g = (I - a)^-1 as a power series in the delay: g[0] = I and
+        g[t] = sum_{m=1..t} a[m] g[t - m] (a[0] = 0, the link latency)."""
+        k = len(self._loop_src)
+        probes = {name: self.elements[name].zeroed(k) for name in self._others}
+        inc = np.zeros((self._n_slots, k, n))
+        wave = np.zeros_like(inc)
+        inc[self._loop_dst, np.arange(k), 1] = 1.0
+        self._forward(probes, inc, wave)
+        # a_t[i, m, j] = a[m, i, j]; g is kept newest first, so both factors
+        # of each step are contiguous slices.
+        a_t = wave[self._loop_src].transpose(0, 2, 1).copy()
+        g_rev = np.zeros((n, k, k))
+        g_rev[n - 1] = np.eye(k)
+        for t in range(1, n):
+            g_rev[n - 1 - t] = a_t[:, 1 : t + 1].reshape(k, t * k) @ g_rev[n - t :].reshape(t * k, k)
+        return g_rev[::-1]
+
+    def _close_loops(self, f: np.ndarray) -> np.ndarray:
+        """Waves on the loop-closing links over a block, shape (loops,
+        lanes, b), from the waves f they carry with the loops cut."""
+        # A non-finite wave would spread over the whole transform: solve up
+        # to the first one, so a fault is reported where it arises.
+        finite = np.isfinite(f).all(axis=(0, 1))
+        stop = f.shape[2] if finite.all() else int(np.argmin(finite))
+        u = np.full(f.shape, np.nan)
+        n_fft = self._n_fft
+        spec = self._loop_fft @ np.fft.rfft(f[:, :, :stop], n_fft, axis=-1).transpose(2, 0, 1)
+        u[:, :, :stop] = np.fft.irfft(spec.transpose(1, 2, 0), n_fft, axis=-1)[:, :, :stop]
+        return u
+
+    def _forward(self, elements: dict, inc: np.ndarray, wave: np.ndarray) -> None:
+        """Step the elements behind the crossbars over one block, in order,
+        each on the waves its sources emitted earlier in the block; inputs
+        on loop-closing links are left as they are. A single sample has
+        only the waves carried in from the previous one."""
+        within = inc.shape[2] > 1
+        for name in self._others:
+            for s, d in self._feeds[name] if within else ():
+                inc[d, :, 1:] = wave[s, :, :-1]
+            slots = self._slots[name]
+            wave[slots] = elements[name].step(inc[slots])
+
     def _block(self, ext: np.ndarray) -> np.ndarray:
         b = ext.shape[2]
+        if self._buffers is None:
+            self._prepare()
         coef = self._ctl.block(self._n, b)
         shape = (self._n_slots, self.lanes, b)
         inc, wave = (buf[: math.prod(shape)].reshape(shape) for buf in self._buffers)
@@ -272,17 +350,24 @@ class CirculatorNetwork:
         # the line waves they would reflect stay zero. The elements behind
         # the crossbars then run on those outputs, and the crossbars'
         # port-side outputs on theirs. A single sample needs only the
-        # waves carried in from the previous one: one crossbar pass.
+        # waves carried in from the previous one: one crossbar pass, and
+        # one pass of the other elements.
         if b > 1:
             for _, d in self._feed_xbar:
                 inc[d, :, 1:] = 0.0
         self._crossbars(inc, wave, coef, "line" if b > 1 else None)
-        if b > 1:
-            for s, d in self._feed_rest:
-                inc[d, :, 1:] = wave[s, :, :-1]
-        for name in self._others:
-            slots = self._slots[name]
-            wave[slots] = self.elements[name].step(inc[slots])
+        if b > 1 and len(self._loop_src):
+            # A trial pass with the match-line loops cut gives the waves f
+            # on the cut links; the loops closed give u = g * f there. The
+            # elements then step the block again with u fed in.
+            marks = [self.elements[name].mark() for name in self._others]
+            inc[self._loop_dst, :, 1:] = 0.0
+            self._forward(self.elements, inc, wave)
+            u = self._close_loops(wave[self._loop_src])
+            inc[self._loop_dst, :, 1:] = u[:, :, :-1]
+            for name, mark in zip(self._others, marks):
+                self.elements[name].rewind(mark)
+        self._forward(self.elements, inc, wave)
         if b > 1:
             for s, d in self._feed_xbar:
                 inc[d, :, 1:] = wave[s, :, :-1]

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -14,11 +15,13 @@ from sdlsim.analysis import (
     sparams_sweep,
     spectrum_probe,
 )
+from sdlsim.cli import load_config
 from sdlsim.elements import DelayLineSpec, SwitchSpec
 from sdlsim.errors import ConfigError
 from sdlsim.schedule import build_schedule
 from sdlsim.signals import dbm_to_amplitude
 
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 FS = 4e9
 D = 1120
 
@@ -231,6 +234,15 @@ class TestSpectrum:
         rep = spectrum_probe(ideal_config(), 155e6, -10.0)
         assert rep.ports[1].worst_sideband_dbc() <= -80.0
         assert rep.il_db == pytest.approx(0.0, abs=0.01)
+
+    def test_silent_ports_have_no_sidebands(self):
+        # configs/ideal.yaml leaks and reflects exactly nothing into ports 1,
+        # 3 and 4, so every line there is -inf dBm: no sideband power, not nan.
+        rep = spectrum_probe(load_config(CONFIG_DIR / "ideal.yaml"), 155e6, -10.0, settle=1)
+        for port in (0, 2, 3):
+            assert rep.ports[port].main_dbm == -math.inf
+            assert rep.ports[port].worst_sideband_dbc() == -math.inf
+        assert rep.ports[1].worst_sideband_dbc() <= -80.0
 
     def test_calibrated_deltas(self):
         rep = spectrum_probe(lossy_config(), 155e6, -10.0)

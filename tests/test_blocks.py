@@ -1,5 +1,7 @@
-"""Block stepping: any split of a run into advance calls, and any split of
-an element's input into blocks, gives bit-identical waves."""
+"""Block stepping: any split of a run into advance calls gives bit-identical
+waves on bare networks and agrees with per-sample stepping within 1e-12 on
+matched ones; any split of an element's input into blocks gives
+bit-identical waves."""
 
 from __future__ import annotations
 
@@ -26,7 +28,7 @@ from sdlsim.elements import (
     block_limit,
 )
 from sdlsim.engine import build_circulator
-from sdlsim.schedule import build_schedule
+from sdlsim.schedule import build_schedule, trace_for
 from sdlsim.touchstone import TouchstoneData
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -47,26 +49,31 @@ def measured_line() -> TouchstoneData:
 
 def network(name: str):
     paper = load_config(CONFIG_DIR / "paper.yaml")
+    if name.startswith("matched"):
+        paper = dataclasses.replace(paper, matching=MatchSpec(33e-9, 18e-12))
+        name = name.removeprefix("matched").removeprefix("-") or "paper"
     if name == "ideal":
         return build_circulator(load_config(CONFIG_DIR / "ideal.yaml"))
     if name == "paper":
         return build_circulator(paper)
-    if name == "matched":
-        return build_circulator(dataclasses.replace(paper, matching=MatchSpec(33e-9, 18e-12)))
     if name == "touchstone":
         ref = SimpleNamespace(data=measured_line(), ir_len=256)
         return build_circulator(dataclasses.replace(paper, line_a=ref, line_b=ref))
     if name == "per-lane":
         net = build_circulator(paper)
-        net.set_lane_schedules(
-            [build_schedule(1.14e-6, 2e-9, 0.5, FS), build_schedule(1.12e-6, 2e-9, 0.5, FS)]
-        )
+        net.set_lane_schedules(per_lane_schedules())
         return net
     raise ValueError(name)
 
 
-NETWORKS = ("ideal", "paper", "matched", "touchstone", "per-lane")
+def per_lane_schedules():
+    return [build_schedule(1.14e-6, 2e-9, 0.5, FS), build_schedule(1.12e-6, 2e-9, 0.5, FS)]
+
+
+NETWORKS = ("ideal", "paper", "touchstone", "per-lane")
+MATCHED = ("matched", "matched-touchstone", "matched-per-lane")
 _WHOLE: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+_PER_SAMPLE: dict[str, np.ndarray] = {}
 
 
 def stimulus(lanes: int) -> np.ndarray:
@@ -77,20 +84,26 @@ def whole_run(name: str) -> tuple[np.ndarray, np.ndarray]:
     """(stimulus, output) of one advance call over the whole run."""
     if name not in _WHOLE:
         net = network(name)
-        lanes = 2 if name == "per-lane" else 3
+        lanes = 2 if name.endswith("per-lane") else 3
         net.reset(lanes)
         ext = stimulus(lanes)
         _WHOLE[name] = ext, net.advance(ext)
     return _WHOLE[name]
 
 
-@pytest.mark.parametrize("name", NETWORKS)
-@settings(max_examples=6, deadline=None)
-@given(chunks=st.lists(st.integers(1, 3 * MAX_BLOCK), min_size=1, max_size=12))
-@example(chunks=[1])
-@example(chunks=[2 * block_limit(2) + 1])  # longer than the block limit of 2 and 3 lanes
-def test_advance_split_anywhere_is_bit_identical(name, chunks):
-    ext, expected = whole_run(name)
+def per_sample_run(name: str) -> np.ndarray:
+    """Output of the whole run stepped one sample at a time."""
+    if name not in _PER_SAMPLE:
+        ext, _ = whole_run(name)
+        net = network(name)
+        net.reset(ext.shape[1])
+        _PER_SAMPLE[name] = np.stack([net.step(ext[:, :, n]) for n in range(N_SAMPLES)], axis=2)
+    return _PER_SAMPLE[name]
+
+
+def split_run(name: str, chunks: list[int]) -> np.ndarray:
+    """Output of the whole run advanced in chunks of the given lengths, cycled."""
+    ext, _ = whole_run(name)
     net = network(name)
     net.reset(ext.shape[1])
     parts, start, k = [], 0, 0
@@ -99,7 +112,33 @@ def test_advance_split_anywhere_is_bit_identical(name, chunks):
         parts.append(net.advance(ext[:, :, start:stop]))
         start, k = stop, k + 1
     assert net.sample_index == N_SAMPLES
-    assert np.array_equal(np.concatenate(parts, axis=2), expected)
+    return np.concatenate(parts, axis=2)
+
+
+SPLITS = st.lists(st.integers(1, 3 * MAX_BLOCK), min_size=1, max_size=12)
+
+
+@pytest.mark.parametrize("name", NETWORKS)
+@settings(max_examples=6, deadline=None)
+@given(chunks=SPLITS)
+@example(chunks=[1])
+@example(chunks=[2 * block_limit(2) + 1])  # longer than the block limit of 2 and 3 lanes
+def test_advance_split_anywhere_is_bit_identical(name, chunks):
+    _, expected = whole_run(name)
+    assert np.array_equal(split_run(name, chunks), expected)
+
+
+@pytest.mark.parametrize("name", MATCHED)
+@settings(max_examples=6, deadline=None)
+@given(chunks=SPLITS)
+@example(chunks=[N_SAMPLES])
+@example(chunks=[2 * block_limit(2) + 1])
+def test_matched_split_anywhere_matches_per_sample_steps(name, chunks):
+    # Each block closes its match-line loops with a solve, so blocks agree
+    # with one-sample steps to rounding, not bit for bit.
+    ext, _ = whole_run(name)
+    out = split_run(name, chunks)
+    assert np.max(np.abs(out - per_sample_run(name))) <= 1e-12 * np.max(np.abs(ext))
 
 
 def test_step_is_one_sample_advance():
@@ -144,12 +183,31 @@ def test_many_lanes_keep_the_block_floor():
     assert sizes == [64, 64, 64, 64, 44]
 
 
-def test_matched_network_runs_single_samples():
-    net = network("matched")
-    net.reset(1)
+@pytest.mark.parametrize("name", MATCHED)
+def test_matched_settled_spans_run_as_blocks(name):
+    # Every block is as long as it can be: block_limit(lanes) samples, up
+    # to the end of the run, or up to the next sample where a crossbar line
+    # port reflects. Only its first sample may reflect, so one-sample blocks
+    # occur only inside switch transitions.
+    ext, _ = whole_run(name)
+    lanes = ext.shape[1]
+    net = network(name)
+    net.reset(lanes)
+    limit = block_limit(lanes)
+    reflects = np.zeros(N_SAMPLES + 1, dtype=bool)
+    for sched in per_lane_schedules() if name.endswith("per-lane") else [net.schedule]:
+        for side in ("left", "right"):
+            refl = net.left.coefficients(trace_for(sched, side, N_SAMPLES + 1).g)[2]
+            reflects |= refl != 0.0
     sizes = count_blocks(net)
-    net.advance(np.zeros((4, 1, 100)))
-    assert sizes == [1] * 100
+    net.advance(ext)
+    assert sum(sizes) == N_SAMPLES
+    starts = np.cumsum([0] + sizes[:-1])
+    for n, b in zip(starts.tolist(), sizes):
+        assert b <= limit
+        assert not reflects[n + 1 : n + b].any()
+        assert b == limit or n + b == N_SAMPLES or reflects[n + b]
+    assert max(sizes) == limit
 
 
 def test_link_energy_independent_of_split():
@@ -176,6 +234,8 @@ def elements():
     )
     yield "matching", MatchingElement(MatchSpec(33e-9, 18e-12), FS)
     yield "touchstone", TouchstoneElement(measured_line(), FS, ir_len=128)
+    # Longer than block_limit(3): its far taps' product is kept per block.
+    yield "long touchstone", TouchstoneElement(measured_line(), FS, ir_len=1024)
 
 
 @pytest.mark.parametrize("label,element", list(elements()), ids=lambda v: v if isinstance(v, str) else "")
@@ -206,3 +266,23 @@ def test_crossbar_block_equals_sample_steps():
     ports = CrossbarElement.step_with(x, *coef, side="port")
     lines = CrossbarElement.step_with(x, *coef, side="line")
     assert np.array_equal(np.concatenate([ports, lines]), block)
+
+
+@pytest.mark.parametrize("label,element", list(elements()), ids=lambda v: v if isinstance(v, str) else "")
+@pytest.mark.parametrize("size", [1, block_limit(3)])
+def test_element_rewind_repeats_block(label, element, size):
+    # A trial block taken back with rewind leaves no trace: the block
+    # stepped again gives what it gives without the trial.
+    lanes = 3
+    rng = np.random.default_rng(5)
+    history, trial, block = (rng.standard_normal((2, lanes, n)) for n in (700, size, size))
+    element.reset(lanes)
+    element.step(history)
+    mark = element.mark()
+    element.step(trial)
+    element.rewind(mark)
+    again = element.step(block)
+    element.reset(lanes)
+    element.step(history)
+    assert np.array_equal(again, element.step(block))
+

@@ -6,6 +6,7 @@ import copy
 import dataclasses
 import math
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -453,7 +454,9 @@ def config_floats(obj, name=""):
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(raw=mutated_config())
 def test_mutated_config_loads_or_raises_config_error(raw):
-    with tempfile.TemporaryDirectory() as tmp:
+    # A warning escaping the loader or the element designs fails the test.
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        warnings.simplefilter("error")
         (Path(tmp) / "line.s2p").write_text(LINE_S2P)
         path = Path(tmp) / "mutated.yaml"
         path.write_text(yaml.safe_dump(raw, sort_keys=False))

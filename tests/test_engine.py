@@ -84,6 +84,20 @@ class TestStructure:
         with pytest.raises(ConfigError, match="sample rate"):
             build_circulator(cfg)
 
+    @pytest.mark.filterwarnings("error")
+    def test_ill_conditioned_band_filter_is_config_error(self):
+        # An 8th-order 1 MHz band at 4 GS/s has no reliable group delay at
+        # f_center, and the tap compensation rests on it.
+        line = DelayLineSpec(tau=2e-6, bandwidth=1e6, band_order=8)
+        with pytest.raises(ConfigError, match="line_a: band filter group delay"):
+            build_circulator(make_config(line=line))
+
+    @pytest.mark.filterwarnings("error")
+    def test_vanishing_match_response_is_config_error(self):
+        # 1 H and 1 F: the bilinear through response is about 1e-20.
+        with pytest.raises(ConfigError, match=r"matching\[0\]: L-section response vanishes"):
+            build_circulator(make_config(matching=MatchSpec(1.0, 1.0)))
+
 
 class TestRun:
     def test_zero_stimuli_zero_records(self):
@@ -163,8 +177,12 @@ class TestRun:
         for x, y in zip(a.port_out, b.port_out):
             np.testing.assert_allclose(3.0 * x.samples, y.samples, atol=1e-12)
 
-    def test_nan_stimulus_faults_with_index(self):
-        net = build_circulator(make_config())
+    @pytest.mark.parametrize("matching", [None, MatchSpec(33e-9, 18e-12)])
+    def test_nan_stimulus_faults_with_index(self, matching):
+        # The line ports reflect, so a matched network's match-line loops
+        # carry the fault back within a few samples, not a block early.
+        line = DelayLineSpec(il_db=0.0, bandwidth=None, port_return_db=15.0, echoes=())
+        net = build_circulator(make_config(line=line, matching=matching))
         bad = np.zeros(500)
         bad[100] = np.nan
         with pytest.raises(SimulationFault) as exc:

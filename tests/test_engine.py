@@ -177,8 +177,16 @@ class TestRun:
         for x, y in zip(a.port_out, b.port_out):
             np.testing.assert_allclose(3.0 * x.samples, y.samples, atol=1e-12)
 
+    def test_nan_stimulus_faults_with_index(self):
+        net = build_circulator(make_config())
+        bad = np.zeros(500)
+        bad[100] = np.nan
+        with pytest.raises(SimulationFault) as exc:
+            run(net, [SampleBuffer(FS, bad), None, None, None], 4000)
+        assert 100 <= exc.value.sample_index <= 100 + D + 8
+
     @pytest.mark.parametrize("matching", [None, MatchSpec(33e-9, 18e-12)])
-    def test_nan_stimulus_faults_with_index(self, matching):
+    def test_nan_stimulus_faults_with_index_reflecting_lines(self, matching):
         # The line ports reflect, so a matched network's match-line loops
         # carry the fault back within a few samples, not a block early.
         line = DelayLineSpec(il_db=0.0, bandwidth=None, port_return_db=15.0, echoes=())

@@ -11,17 +11,19 @@ intermodulation line lands on the analysis grid. A convergence monitor
 compares output power between consecutive periods inside the window and
 flags runs that are still settling.
 
-Every analysis is a thin parameterisation of one drive-and-measure kernel
-(_measure): the stimulus of each block is built in closed form, the network
-advances the whole block (see engine: settled spans run as blocks, switch
-transitions and matched networks sample by sample), and each lane's outputs
-and drive are projected onto its detection frequencies over its own window.
-Lanes (one per frequency, drive port and schedule) are independent runs
-sharing each block. In the harmonic-transfer view of a periodically
+Every analysis of the switched network is a thin parameterisation of one
+drive-and-measure kernel (_measure): the stimulus of each block is built in
+closed form, the network advances the whole block (see engine: settled
+spans run as blocks, switch transitions sample by sample), and each lane's
+outputs and drive are projected onto its detection frequencies over its own
+window. Lanes (one per frequency, drive port and schedule) are independent
+runs sharing each block. In the harmonic-transfer view of a periodically
 switched network the same-frequency S-parameter is the k = 0 term of the
 projection onto the commutation lattice f0 + k*f_mod and the spectrum's
-sidebands are the k != 0 terms, so sweep, modsweep and linecheck detect one
-frequency per lane and spectrum_probe the lattice.
+sidebands are the k != 0 terms, so sweep and modsweep detect one frequency
+per lane and spectrum_probe the lattice. A bare delay line is linear and
+time-invariant: line_sweep drives no lanes but evaluates the element's
+exact response (element.response).
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from .elements import DelayLineSpec, block_limit
 from .engine import _line_element, build_circulator
 from .errors import ConfigError, QuantizationError, SimulationFault
 from .schedule import ControlSchedule, build_schedule
-from .signals import amplitude_to_dbm, dbm_to_amplitude, integer_cycle_length, make_tone
+from .signals import amplitude_to_dbm, dbm_to_amplitude, make_tone
 
 FORWARD_PATHS = {"21": (1, 0), "32": (2, 1), "43": (3, 2), "14": (0, 3)}
 REVERSE_PATHS = {"12": (0, 1), "23": (1, 2), "34": (2, 3), "41": (3, 0)}
@@ -47,6 +49,8 @@ DEFAULT_SETTLE_PERIODS = 10
 DEFAULT_MEASURE_PERIODS = 4
 DEFAULT_ISO_THRESHOLD_DB = 27.0
 DEFAULT_DRIVE_DBM = -10.0
+# Highest commutation sideband order spectrum_probe reports.
+SIDEBAND_ORDERS = 5
 
 _DRIFT_LIMIT_DB = 0.1
 
@@ -161,7 +165,7 @@ def _tone(omega: np.ndarray, amplitude: float):
     return drive
 
 
-def _measure(step, n_ports: int, ports, drive, detect, start, stop, period=None):
+def _measure(step, ports, drive, detect, start, stop, period):
     """The drive-and-measure kernel: drive each lane, project onto its
     detection frequencies over its window.
 
@@ -169,37 +173,34 @@ def _measure(step, n_ports: int, ports, drive, detect, start, stop, period=None)
     n0..n0+b-1, one block of at most block_limit(lanes) samples at a time
     (the budget the network and elements split by, so a drive block never
     cuts a settled span short), until the last window ends. step is
-    CirculatorNetwork.advance or an element's step. Over lane k's window
-    start[k] <= n < stop[k] its outputs and drive are projected onto
-    exp(-j*detect[k, m]*n) (detect in rad/sample, shape (lanes, M)).
+    CirculatorNetwork.advance. Over lane k's window start[k] <= n < stop[k],
+    whole periods of period[k] samples, its outputs and drive are projected
+    onto exp(-j*detect[k, m]*n) (detect in rad/sample, shape (lanes, M)).
 
-    Returns the output sums (n_ports, lanes, M), the drive sums
-    (lanes, M) and, with period given (each window then whole periods),
+    Returns the output sums (4, lanes, M), the drive sums (lanes, M) and
     each lane's output energy per measured period (periods, lanes); blocks
-    never straddle a window start or, with period, a lane's period edge.
-    Raises SimulationFault at the first non-finite output sample.
+    never straddle a lane's period edge. Raises SimulationFault at the
+    first non-finite output sample.
     """
     lanes = len(ports)
     lane_ix = np.arange(lanes)
-    start, stop = (np.broadcast_to(np.asarray(v, dtype=np.int64), (lanes,)) for v in (start, stop))
-    n_total = int(stop.max())
-    edges = {0, n_total, *start.tolist()}
-    energy = None
-    if period is not None:
-        period = np.broadcast_to(np.asarray(period, dtype=np.int64), (lanes,))
-        for lo, hi, p in set(zip(start.tolist(), stop.tolist(), period.tolist())):
-            edges.update(range(lo, hi, p))
-        energy = np.zeros((int(((stop - start) // period).max()), lanes))
+    start, stop, period = (
+        np.broadcast_to(np.asarray(v, dtype=np.int64), (lanes,)) for v in (start, stop, period)
+    )
+    edges = {0, int(stop.max())}
+    for lo, hi, p in set(zip(start.tolist(), stop.tolist(), period.tolist())):
+        edges.update(range(lo, hi, p))
     edges = sorted(edges)
+    energy = np.zeros((int(((stop - start) // period).max()), lanes))
     first_start, last_start, first_stop = int(start.min()), int(start.max()), int(stop.min())
     limit = block_limit(lanes)
-    acc_out = np.zeros((n_ports, lanes, detect.shape[1]), dtype=complex)
+    acc_out = np.zeros((4, lanes, detect.shape[1]), dtype=complex)
     acc_in = np.zeros((lanes, detect.shape[1]), dtype=complex)
     for lo, hi in zip(edges, edges[1:]):
         for n0 in range(lo, hi, limit):
             b = min(limit, hi - n0)
             d = drive(n0, b)
-            ext = np.zeros((n_ports, lanes, b))
+            ext = np.zeros((4, lanes, b))
             ext[ports, lane_ix] = d
             out = step(ext)
             bad = np.flatnonzero(~np.isfinite(out).all(axis=(0, 1)))
@@ -213,10 +214,9 @@ def _measure(step, n_ports: int, ports, drive, detect, start, stop, period=None)
                 weight *= ((n >= start[:, None]) & (n < stop[:, None]))[:, None]
             acc_out += np.einsum("plb,lmb->plm", out, weight)
             acc_in += np.einsum("lb,lmb->lm", d, weight)
-            if energy is not None:
-                act = np.flatnonzero((n0 >= start) & (n0 < stop))
-                e = np.einsum("plb,plb->l", out, out)
-                energy[(n0 - start[act]) // period[act], act] += e[act]
+            act = np.flatnonzero((n0 >= start) & (n0 < stop))
+            e = np.einsum("plb,plb->l", out, out)
+            energy[(n0 - start[act]) // period[act], act] += e[act]
     return acc_out, acc_in, energy
 
 
@@ -250,7 +250,7 @@ def _four_port(config, points, settle: int, measure: int):
     omega = 2.0 * math.pi * np.repeat([f for f, _ in points], 4) / net.sample_rate
     a0 = dbm_to_amplitude(float(getattr(config, "drive_dbm", DEFAULT_DRIVE_DBM)))
     acc_out, acc_in, energy = _measure(
-        net.advance, 4, np.tile(np.arange(4), len(points)), _tone(omega, a0),
+        net.advance, np.tile(np.arange(4), len(points)), _tone(omega, a0),
         omega[:, None], settle * period, (settle + measure) * period, period,
     )
     s = (acc_out[:, :, 0] / acc_in[:, 0]).reshape(4, len(points), 4).transpose(1, 0, 2)
@@ -412,15 +412,15 @@ def spectrum_probe(
     f0: float,
     drive_dbm: float = DEFAULT_DRIVE_DBM,
     window: int = 16,
-    k_max: int = 5,
     settle: int = DEFAULT_SETTLE_PERIODS,
 ) -> SpectrumReport:
     """Single-tone spectral-line report at f0 and its commutation sidebands.
 
     Drives port 1 and reports, per port, the level at f0 and at
-    f0 +/- k*f_mod for k = 1..k_max, plus the main-tone deltas against the
-    input (port-2 insertion loss, port-3/4 isolation). The window must span
-    at least 16 schedule periods so adjacent lines stay orthogonal.
+    f0 +/- k*f_mod for k = 1..SIDEBAND_ORDERS, plus the main-tone deltas
+    against the input (port-2 insertion loss, port-3/4 isolation). The
+    window must span at least 16 schedule periods so adjacent lines stay
+    orthogonal.
     """
     net = build_circulator(config)
     fs = net.sample_rate
@@ -443,11 +443,11 @@ def spectrum_probe(
 
     # The commutation lattice f0 + k*f_mod: k = 0 is the same-frequency
     # transfer, k != 0 the sidebands.
-    orders = [k for k in range(-k_max, k_max + 1) if 0.0 < f0 + k * f_mod < fs / 2.0]
+    orders = [k for k in range(-SIDEBAND_ORDERS, SIDEBAND_ORDERS + 1) if 0.0 < f0 + k * f_mod < fs / 2.0]
     line_f = np.array([f0 + k * f_mod for k in orders])
     net.reset(lanes=1)
     acc_out, acc_in, energy = _measure(
-        net.advance, 4, [0], tone, 2.0 * math.pi * line_f[None] / fs,
+        net.advance, [0], tone, 2.0 * math.pi * line_f[None] / fs,
         n_settle, n_total, period,
     )
     c_ports = (2.0 / n_window) * acc_out[:, 0]
@@ -521,39 +521,21 @@ def modfreq_sweep(
     return [results[ix] for ix in sorted(results)]
 
 
-def line_sweep(
-    line,
-    sample_rate: float,
-    frequencies,
-    settle: int = 8192,
-    measure: int = 4096,
-) -> SParamGrid:
-    """Two-port sweep of the configured delay line alone, no switches.
+def line_sweep(line, sample_rate: float, frequencies) -> SParamGrid:
+    """Two-port response of the configured delay line alone, no switches.
 
-    `line` is a DelayLineSpec or a resolved measured-data reference; settle
-    and measure are sample counts here since there is no schedule.
+    `line` is a DelayLineSpec or a resolved measured-data reference. The
+    element is linear and time-invariant, so its S-parameters are its exact
+    response as built (element.response), not a simulated measurement.
     """
     freqs = _check_frequencies(frequencies, sample_rate)
     element = _line_element(line, sample_rate)
-    nf = len(freqs)
-    element.reset(2 * nf)
-
-    f_lane = np.repeat(np.asarray(freqs, dtype=float), 2)
-    omega = 2.0 * math.pi * f_lane / sample_rate
-    # Integer stimulus cycles per lane keep the negative-frequency image of
-    # the real tone out of the accumulated phasor.
-    wlen = np.array([integer_cycle_length(f, sample_rate, measure) for f in f_lane])
-    acc_out, acc_in, _ = _measure(
-        element.step, 2, np.tile(np.arange(2), nf), _tone(omega, 1.0), omega[:, None],
-        settle, settle + wlen,
-    )
-    s = (acc_out[:, :, 0] / acc_in[:, 0]).reshape(2, nf, 2).transpose(1, 0, 2)
     summary = "static two-port, delay line only"
     if isinstance(line, DelayLineSpec):
         summary += f", tau={line.tau:g} s"
     return SParamGrid(
         frequencies=tuple(freqs),
-        s=s,
+        s=element.response(freqs),
         drive_level=amplitude_to_dbm(1.0),
         schedule_summary=summary,
         warnings=tuple(element.warnings),

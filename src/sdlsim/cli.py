@@ -65,6 +65,7 @@ DEFAULT_IR_LEN = 8192
 MAX_POINTS = 1024
 MAX_PERIODS = 1024
 
+_SVG_SIZE = (720, 432)  # chart width and height, pixels
 _PALETTE = (
     "#1f77b4",
     "#d62728",
@@ -86,7 +87,6 @@ class TouchstoneLineRef:
 
     data: object
     ir_len: int
-    path: str
 
 
 @dataclasses.dataclass
@@ -241,7 +241,7 @@ def _line(raw, name: str, base_dir: Path, problems: list[str]):
 
     def measured(touchstone: str, ir_len: int) -> TouchstoneLineRef:
         path = (base_dir / touchstone).resolve()
-        return TouchstoneLineRef(parse_touchstone(path.read_text()), ir_len, str(path))
+        return TouchstoneLineRef(parse_touchstone(path.read_text()), ir_len)
 
     if raw is not None and "touchstone" in raw:
         return _spec(measured, _TOUCHSTONE_LINE, raw, name, problems)
@@ -422,10 +422,9 @@ def write_svg(
     xlabel: str,
     ylabel: str,
     series: list[tuple[str, list[float], list[float]]],
-    width: int = 720,
-    height: int = 432,
 ) -> None:
     """Minimal deterministic line chart. Data of record lives in the CSVs."""
+    width, height = _SVG_SIZE
     left, right, top, bottom = 72, 18, 30, 46
     pw, ph = width - left - right, height - top - bottom
     finite_x = [x for _, xs, ys in series for x, y in zip(xs, ys) if math.isfinite(x) and math.isfinite(y)]
@@ -801,9 +800,10 @@ def _build_parser() -> _Parser:
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", required=True, help="YAML configuration file")
         cmd.add_argument("--out", default="out", help="output directory (default: out)")
-        cmd.add_argument("--freq-start", type=float, help="band start in Hz")
-        cmd.add_argument("--freq-stop", type=float, help="band stop in Hz")
-        cmd.add_argument("--freq-points", type=int, help="number of sweep points")
+        if name != "schedule":
+            cmd.add_argument("--freq-start", type=float, help="band start in Hz")
+            cmd.add_argument("--freq-stop", type=float, help="band stop in Hz")
+            cmd.add_argument("--freq-points", type=int, help="number of sweep points")
         if name == "modsweep":
             cmd.add_argument(
                 "--fmod", help="comma-separated switching frequencies in Hz"
@@ -826,12 +826,10 @@ def main(argv=None) -> int:
     for note in config.warnings:
         print(f"warning: {note}", file=sys.stderr)
     overrides = {
-        "freq_start": args.freq_start,
-        "freq_stop": args.freq_stop,
-        "freq_points": args.freq_points,
+        key: getattr(args, key)
+        for key in ("freq_start", "freq_stop", "freq_points", "threshold_db")
+        if getattr(args, key, None) is not None
     }
-    if getattr(args, "threshold_db", None) is not None:
-        overrides["threshold_db"] = args.threshold_db
     if getattr(args, "fmod", None) is not None:
         try:
             overrides["fmod"] = [float(v) for v in args.fmod.split(",") if v.strip()]

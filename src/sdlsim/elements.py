@@ -325,6 +325,20 @@ class DelayLineElement(ScatteringElement):
         x, shape = _as_block(incident)
         return _in_blocks(self._process, x).reshape(shape)
 
+    def response(self, frequencies) -> np.ndarray:
+        """Exact scattering response (n, 2, 2) at frequencies (Hz): the band
+        filter times the tap sum; ch = 0 taps fill the diagonal, ch = 1 taps
+        the off-diagonal."""
+        f = np.asarray(frequencies, dtype=np.float64)
+        band = 1.0 if self.sos is None else sig.sosfreqz(self.sos, worN=f, fs=self.sample_rate)[1]
+        omega = 2.0 * math.pi * f / self.sample_rate
+        s = np.zeros((len(f), 2, 2), dtype=complex)
+        for delay, ch, gain in self.taps:
+            h = gain * band * np.exp(-1j * omega * delay)
+            s[:, 0, ch] += h
+            s[:, 1, 1 - ch] += h
+        return s
+
 
 PORT_TOP, PORT_BOT, LINE_A, LINE_B = 0, 1, 2, 3
 
@@ -527,6 +541,14 @@ class TouchstoneElement(ScatteringElement):
         x, shape = _as_block(incident)
         return _in_blocks(self._process, x).reshape(shape)
 
+    def response(self, frequencies) -> np.ndarray:
+        """Exact scattering response (n, 2, 2) at frequencies (Hz) of the
+        truncated impulse responses h the element steps with."""
+        lags = np.arange(self.ir_len)
+        return np.array(
+            [self.h @ np.exp(-2j * math.pi * f / self.sample_rate * lags) for f in frequencies]
+        ).reshape(-1, 2, 2)
+
 
 L_TOWARD_LINE = "L-toward-line"
 L_TOWARD_PORT = "L-toward-port"
@@ -669,8 +691,8 @@ def _bilinear_biquad(num_s: list[float], den_s: list[float], k: float) -> tuple[
 class MatchingElement(ScatteringElement):
     """Discrete-time L-section two-port.
 
-    Four biquads realize S11, S21, S12, S22 of the analytic section via the
-    bilinear transform, pre-warped so the response at spec.f0 is exact.
+    Three biquads realize S11, S21 = S12 and S22 of the analytic section via
+    the bilinear transform, pre-warped so the response at spec.f0 is exact.
     """
 
     n_ports = 2
@@ -694,23 +716,23 @@ class MatchingElement(ScatteringElement):
             num_11, num_22 = num_cap, num_ind
         else:
             num_11, num_22 = num_ind, num_cap
-        # S11, S21, S12, S22, which read incident ports 1, 1, 2, 2.
-        self._biquads = [
-            _bilinear_biquad(num, den, k) for num in (num_11, num_thru, num_thru, num_22)
-        ]
-        self._feeds = (0, 0, 1, 1)
+        # S11, S21 = S12, S22.
+        self._biquads = [_bilinear_biquad(num, den, k) for num in (num_11, num_thru, num_22)]
         self.reset()
 
     def reset(self, lanes: int = 1) -> None:
         super().reset(lanes)
+        # Filter states of S11, S21, S12, S22, which read incident ports 1, 1, 2, 2.
         self._z = np.zeros((4, lanes, 2))
 
     def step(self, incident: np.ndarray) -> np.ndarray:
-        # out1 = S11 + S12, out2 = S21 + S22.
+        # out1 = S11 + S12, out2 = S21 + S22; both ports pass the through
+        # biquad in one call.
         x, shape = _as_block(incident)
-        y = np.empty((4,) + x.shape[1:])
+        (b11, a11), (b_thru, a_thru), (b22, a22) = self._biquads
         z = np.empty_like(self._z)
-        for i, ((b, a), port) in enumerate(zip(self._biquads, self._feeds)):
-            y[i], z[i] = sig.lfilter(b, a, x[port], zi=self._z[i])
+        y11, z[0] = sig.lfilter(b11, a11, x[0], zi=self._z[0])
+        thru, z[1:3] = sig.lfilter(b_thru, a_thru, x, zi=self._z[1:3])
+        y22, z[3] = sig.lfilter(b22, a22, x[1], zi=self._z[3])
         self._z = z
-        return (y[:2] + y[2:]).reshape(shape)
+        return np.stack([y11 + thru[1], thru[0] + y22]).reshape(shape)

@@ -86,9 +86,8 @@ class _LaneControl:
         self.coef = np.zeros((2, 3, self.rows, int(self.periods.max())))
         for r, sched in enumerate(schedules):
             p = sched.period_samples
-            left = np.array(crossbar.coefficients(trace_for(sched, "left", p).g))
-            # The right crossbar runs the left one's control offset_samples later.
-            self.coef[:, :, r, :p] = (left, np.roll(left, sched.offset_samples, axis=1))
+            for side, name in enumerate(("left", "right")):
+                self.coef[side, :, r, :p] = crossbar.coefficients(trace_for(sched, name, p))
         self._row_ix = np.arange(self.rows)[:, None]
 
     @functools.cached_property
@@ -131,7 +130,6 @@ class CirculatorNetwork:
         schedule: ControlSchedule,
         sample_rate: float,
         matches: list[ScatteringElement] | None = None,
-        config_digest: str = "",
     ):
         if matches is not None and len(matches) != 4:
             raise ConfigError("matching requires exactly 4 elements (line-side ports)")
@@ -147,7 +145,6 @@ class CirculatorNetwork:
             )
         self.sample_rate = sample_rate
         self.schedule = schedule
-        self.config_digest = config_digest
         self.left = CrossbarElement(switch_spec)
         self.right = CrossbarElement(switch_spec)
         self.line_a = line_a
@@ -401,8 +398,6 @@ class RunRecord:
     port_in: list[SampleBuffer]
     port_out: list[SampleBuffer]
     link_energy: dict[str, float]
-    schedule: ControlSchedule
-    config_digest: str = ""
 
     def __post_init__(self) -> None:
         lengths = {len(b) for b in self.port_in + self.port_out}
@@ -448,8 +443,6 @@ def run(network: CirculatorNetwork, stimuli: list[SampleBuffer | None], n_sample
             port_in=[SampleBuffer(network.sample_rate, ext[p]) for p in range(4)],
             port_out=[SampleBuffer(network.sample_rate, outs[p]) for p in range(4)],
             link_energy=dict(network.link_energy),
-            schedule=network.schedule,
-            config_digest=network.config_digest,
         )
     finally:
         network.track_link_energy = False
@@ -479,7 +472,7 @@ def build_circulator(config) -> CirculatorNetwork:
     config duck-type: sample_rate, schedule (ControlSchedule), switch
     (SwitchSpec), line_a / line_b (DelayLineSpec or resolved measured-data
     reference), matching (None, one MatchSpec for all four positions, or a
-    4-list), digest (optional).
+    4-list).
     """
     fs = config.sample_rate
     line_a = _line_element(config.line_a, fs, "line_a")
@@ -498,15 +491,7 @@ def build_circulator(config) -> CirculatorNetwork:
         if len(specs) != 4:
             raise ConfigError("matching must give one spec or exactly four")
         matches = [_design(f"matching[{i}]", MatchingElement, s, fs) for i, s in enumerate(specs)]
-    return CirculatorNetwork(
-        config.switch,
-        line_a,
-        line_b,
-        config.schedule,
-        fs,
-        matches=matches,
-        config_digest=getattr(config, "digest", ""),
-    )
+    return CirculatorNetwork(config.switch, line_a, line_b, config.schedule, fs, matches=matches)
 
 
 @dataclass(frozen=True)
@@ -579,8 +564,8 @@ def event_walk_oracle(config, injection: BurstInjection) -> list[PredictedArriva
     schedule = config.schedule
     p = schedule.period_samples
     traces = {
-        "left": trace_for(schedule, "left", p).g,
-        "right": trace_for(schedule, "right", p).g,
+        "left": trace_for(schedule, "left", p),
+        "right": trace_for(schedule, "right", p),
     }
     n0 = round(injection.t_start * fs)
     n1 = n0 + max(1, math.ceil(injection.duration * fs))

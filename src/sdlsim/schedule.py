@@ -21,13 +21,13 @@ from .errors import QuantizationError
 class ControlSchedule:
     """Four-phase commutation schedule shared by both crossbars.
 
-    delta is always period/4, the canonical side-to-side offset. side_offset
-    overrides the offset actually applied to the right crossbar (None keeps
-    delta); it exists so reciprocity checks can run both sides in phase.
+    The right crossbar runs offset_samples behind the left one: a quarter
+    period, the canonical side-to-side offset, unless side_offset overrides
+    it; the override exists so reciprocity checks can run both sides in
+    phase.
     """
 
     period: float
-    delta: float
     duty: float
     t_transition: float
     sample_rate: float
@@ -51,15 +51,6 @@ class ControlSchedule:
     def f_mod(self) -> float:
         """Achieved switching frequency after sample quantization."""
         return self.sample_rate / self.period_samples
-
-
-@dataclass(frozen=True)
-class ControlTrace:
-    """Materialized bar-fraction sequence for one crossbar side."""
-
-    side: str
-    sample_rate: float
-    g: np.ndarray
 
 
 @dataclass
@@ -111,7 +102,6 @@ def build_schedule(
         )
     return ControlSchedule(
         period=period,
-        delta=period / 4.0,
         duty=duty,
         t_transition=t_transition,
         sample_rate=sample_rate,
@@ -135,14 +125,14 @@ def _one_period(schedule: ControlSchedule) -> np.ndarray:
     return g
 
 
-def trace_for(schedule: ControlSchedule, side: str, n_samples: int) -> ControlTrace:
-    """Materialize n_samples of the periodic bar-fraction trace for one side."""
+def trace_for(schedule: ControlSchedule, side: str, n_samples: int) -> np.ndarray:
+    """Materialize n_samples of the periodic bar-fraction trace g for one side."""
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     base = _one_period(schedule)
     shift = schedule.offset_samples if side == "right" else 0
     idx = (np.arange(n_samples) - shift) % schedule.period_samples
-    return ControlTrace(side, schedule.sample_rate, base[idx])
+    return base[idx]
 
 
 def expanded_controls(
@@ -150,8 +140,8 @@ def expanded_controls(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-switch control expansion: columns c1 = left bar, c2 = 1 - c1,
     c3 = right bar, c4 = 1 - c3. Returns (time_s, (n_samples, 4) array)."""
-    left = trace_for(schedule, "left", n_samples).g
-    right = trace_for(schedule, "right", n_samples).g
+    left = trace_for(schedule, "left", n_samples)
+    right = trace_for(schedule, "right", n_samples)
     t = np.arange(n_samples) / schedule.sample_rate
     return t, np.column_stack([left, 1.0 - left, right, 1.0 - right])
 
@@ -159,19 +149,21 @@ def expanded_controls(
 def validate_schedule(
     schedule: ControlSchedule, line_tau: float, link_delay: float = 0.0
 ) -> ScheduleReport:
-    """Advisory report of the delta-to-line-delay mismatch.
+    """Advisory report of the side-offset-to-line-delay mismatch.
 
-    mismatch_s is delta - line_tau. The offset that cancels leakage is the
+    mismatch_s is offset - line_tau, with offset the applied side offset
+    offset_samples / sample_rate. The offset that cancels leakage is the
     one-way link delay, line_tau plus the crossbar latency link_delay
-    (k_link samples), so the isolation flag is raised when delta misses
-    that by more than the transition window.
+    (k_link samples), so the isolation flag is raised when the offset
+    misses that by more than the transition window.
     """
-    mismatch = schedule.delta - line_tau
+    offset = schedule.offset_samples / schedule.sample_rate
+    mismatch = offset - line_tau
     fraction = mismatch / line_tau if line_tau else float("inf")
-    link_mismatch = schedule.delta - (line_tau + link_delay)
+    link_mismatch = offset - (line_tau + link_delay)
     # Rounding residue of the sums is no mismatch, even with instantaneous
     # switching: allow 1e-9 of the offset, far below one sample.
-    flag = abs(link_mismatch) > schedule.t_transition + 1e-9 * abs(schedule.delta)
+    flag = abs(link_mismatch) > schedule.t_transition + 1e-9 * abs(offset)
     messages = []
     if flag:
         latency = (
@@ -180,7 +172,7 @@ def validate_schedule(
             else ""
         )
         messages.append(
-            f"side offset {schedule.delta * 1e9:.3f} ns differs from line delay "
+            f"side offset {offset * 1e9:.3f} ns differs from line delay "
             f"{line_tau * 1e9:.3f} ns by {mismatch * 1e9:+.3f} ns "
             f"({100 * fraction:+.2f}%){latency}, beyond the {schedule.t_transition * 1e9:.3f} ns "
             "transition window; first-order isolation degradation expected"

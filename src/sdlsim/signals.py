@@ -60,10 +60,6 @@ class SampleBuffer:
     def __len__(self) -> int:
         return len(self.samples)
 
-    @property
-    def duration(self) -> float:
-        return len(self.samples) / self.sample_rate
-
 
 @dataclass(frozen=True)
 class Phasor:

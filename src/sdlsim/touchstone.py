@@ -34,8 +34,6 @@ class TouchstoneData:
     frequencies: np.ndarray
     s: np.ndarray  # (n_freq, 2, 2) complex, s[k][j][i] = S_ji at frequency k
     reference_impedance: float = 50.0
-    unit: str = "GHZ"
-    format: str = "MA"
     comments: list[str] = field(default_factory=list)
 
     def __post_init__(self) -> None:
@@ -134,7 +132,7 @@ def parse_touchstone(text: str) -> TouchstoneData:
     if not rows:
         raise ParseError(len(text.splitlines()) or 1, "no data rows")
     s = np.array(rows, dtype=np.complex128).reshape(-1, 2, 2)
-    return TouchstoneData(np.array(freqs), s, z0, unit, fmt, comments)
+    return TouchstoneData(np.array(freqs), s, z0, comments)
 
 
 def _complex_to_pair(fmt: str, value: complex) -> tuple[float, float]:

@@ -197,7 +197,7 @@ def test_matched_settled_spans_run_as_blocks(name):
     reflects = np.zeros(N_SAMPLES + 1, dtype=bool)
     for sched in per_lane_schedules() if name.endswith("per-lane") else [net.schedule]:
         for side in ("left", "right"):
-            refl = net.left.coefficients(trace_for(sched, side, N_SAMPLES + 1).g)[2]
+            refl = net.left.coefficients(trace_for(sched, side, N_SAMPLES + 1))[2]
             reflects |= refl != 0.0
     sizes = count_blocks(net)
     net.advance(ext)

@@ -108,6 +108,15 @@ class TestLoadConfig:
         )
         assert load_config(matched).warnings == ()
 
+    def test_schedule_warning_describes_applied_offset(self, tmp_path):
+        # side_offset 0 runs both crossbars in phase: the advisory must
+        # report that offset, not the quarter period it replaced.
+        cfg = load_config(edited_paper(tmp_path, (("schedule", "side_offset"), 0.0)))
+        assert cfg.schedule.offset_samples == 0
+        assert len(cfg.warnings) == 2
+        assert "side offset 0.000 ns differs from line delay 280.000 ns by -280.000 ns" in cfg.warnings[0]
+        assert not any("285.000" in w for w in cfg.warnings)
+
     def test_missing_keys_all_reported_at_once(self, tmp_path):
         path = tmp_path / "bad.yaml"
         path.write_text("line_a: {tau: 280.0e-9}\n")
@@ -326,7 +335,7 @@ class TestLoadConfig:
         freqs = np.linspace(140e6, 170e6, 31)
         s = np.zeros((31, 2, 2), dtype=complex)
         s[:, 0, 1] = s[:, 1, 0] = 0.6 * np.exp(-2j * np.pi * freqs * 280e-9)
-        text = write_touchstone(TouchstoneData(freqs, s, unit="HZ", format="RI"))
+        text = write_touchstone(TouchstoneData(freqs, s))
         (tmp_path / "line.s2p").write_text(text)
         path = write_config(
             tmp_path, line_a={"touchstone": "line.s2p", "ir_len": 4096}
@@ -371,7 +380,7 @@ class TestDesignErrors:
         s = np.zeros((31, 2, 2), dtype=complex)
         s[:, 0, 1] = s[:, 1, 0] = 0.6
         (tmp_path / "line.s2p").write_text(
-            write_touchstone(TouchstoneData(freqs, s, unit="HZ", format="RI"))
+            write_touchstone(TouchstoneData(freqs, s))
         )
         path = write_config(tmp_path, line_b={"touchstone": "line.s2p", "ir_len": 0})
         with pytest.raises(ConfigError, match="line_b: ir_len"):
@@ -384,7 +393,7 @@ PAPER = yaml.safe_load((CONFIG_DIR / "paper.yaml").read_text())
 _FREQS = np.linspace(140e6, 170e6, 31)
 _S = np.zeros((31, 2, 2), dtype=complex)
 _S[:, 0, 1] = _S[:, 1, 0] = 0.6 * np.exp(-2j * np.pi * _FREQS * 280e-9)
-LINE_S2P = write_touchstone(TouchstoneData(_FREQS, _S, unit="HZ", format="RI"))
+LINE_S2P = write_touchstone(TouchstoneData(_FREQS, _S))
 # The configs the fuzz test mutates: paper.yaml, paper.yaml with four
 # matching sections, and paper.yaml with line A read from LINE_S2P.
 BASES = {
@@ -634,6 +643,13 @@ class TestCommands:
 
     def test_usage_error_exit_code(self, capsys):
         assert main(["not-a-command"]) == 1
+        assert "config error" in capsys.readouterr().err
+
+    def test_schedule_takes_no_band_flags(self, tmp_path, capsys):
+        # schedule writes one commutation period; a band flag is a usage error.
+        cfg = write_config(tmp_path)
+        code = main(["schedule", "--config", str(cfg), "--out", str(tmp_path / "o"), "--freq-points", "9"])
+        assert code == 1
         assert "config error" in capsys.readouterr().err
 
     def test_runtime_error_exit_code(self, tmp_path, capsys):

@@ -319,6 +319,61 @@ class TestTouchstoneElement:
         np.testing.assert_allclose(shifted[:, 37:], base[:, : n - 37], atol=1e-12)
 
 
+def stepped_response(element, freqs, settle, window=1000):
+    """(n, 2, 2) response measured by stepping: per drive port, a cosine and
+    a sine lane per frequency; out_cos + j*out_sin is the response to
+    exp(j*omega*n), projected onto exp(-j*omega*n) after settle samples."""
+    omega = 2 * math.pi * np.asarray(freqs) / FS
+    n = np.arange(settle + window)
+    phase = np.outer(omega, n)
+    s = np.empty((len(freqs), 2, 2), dtype=complex)
+    for drive in (0, 1):
+        element.reset(lanes=2 * len(freqs))
+        inc = np.zeros((2, 2 * len(freqs), len(n)))
+        inc[drive] = np.concatenate([np.cos(phase), np.sin(phase)])
+        out = element.step(inc)[:, :, settle:]
+        z = out[:, : len(freqs)] + 1j * out[:, len(freqs) :]
+        s[:, :, drive] = (z * np.exp(-1j * phase[:, settle:])).mean(axis=-1).T
+    return s
+
+
+def asymmetric_touchstone():
+    freqs = np.linspace(100e6, 210e6, 221)
+    s = np.zeros((len(freqs), 2, 2), dtype=complex)
+    for (j, i), (gain, tau) in {
+        (0, 0): (-0.2, 20e-9), (1, 0): (0.8, 100e-9), (0, 1): (0.7, 60e-9), (1, 1): (0.1, 30e-9),
+    }.items():
+        s[:, j, i] = gain * np.exp(-2j * math.pi * freqs * tau)
+    return TouchstoneData(freqs, s)
+
+
+class TestResponse:
+    """element.response() is the response the stepped element has."""
+
+    FREQS = [140e6, 151.3e6, 155e6, 163.7e6]
+
+    @pytest.mark.parametrize(
+        "element, settle",
+        [
+            (DelayLineElement(DelayLineSpec(echoes=((2, -22.3), (3, -40.0))), FS), 8000),
+            (
+                DelayLineElement(
+                    DelayLineSpec(tau=20e-9, il_db=1.0, bandwidth=None, port_return_db=12.0,
+                                  echoes=((2, -10.0), (3, -15.0))),
+                    FS,
+                ),
+                241,
+            ),
+            (TouchstoneElement(asymmetric_touchstone(), FS, ir_len=1024), 1024),
+        ],
+        ids=["paper-line", "flat-echoes", "touchstone"],
+    )
+    def test_matches_stepped_element(self, element, settle):
+        exact = element.response(self.FREQS)
+        assert exact.shape == (len(self.FREQS), 2, 2)
+        np.testing.assert_allclose(stepped_response(element, self.FREQS, settle), exact, rtol=0, atol=1e-12)
+
+
 class TestCausality:
     def test_delay_line_causal(self):
         spec = DelayLineSpec()

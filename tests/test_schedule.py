@@ -27,12 +27,12 @@ class TestBuildSchedule:
 
     def test_transition_zero_gives_binary_trace(self):
         sched = build_schedule(1.14e-6, 0.0, 0.5, FS)
-        g = trace_for(sched, "left", 3 * 4560).g
+        g = trace_for(sched, "left", 3 * 4560)
         assert set(np.unique(g)) == {0.0, 1.0}
 
     def test_duty_half_complementary(self):
         sched = paper_schedule()
-        g = trace_for(sched, "left", 4560).g
+        g = trace_for(sched, "left", 4560)
         half = 4560 // 2
         np.testing.assert_allclose(g[:half] + g[half:], 1.0)
 
@@ -52,14 +52,14 @@ class TestBuildSchedule:
 
 class TestTraceFor:
     def test_origin_convention_bar_at_zero(self):
-        g = trace_for(paper_schedule(), "left", 8).g
+        g = trace_for(paper_schedule(), "left", 8)
         assert g[0] == 1.0
 
     def test_right_is_left_delayed_quarter_period(self):
         sched = paper_schedule()
         n = 3 * sched.period_samples
-        left = trace_for(sched, "left", n).g
-        right = trace_for(sched, "right", n).g
+        left = trace_for(sched, "left", n)
+        right = trace_for(sched, "right", n)
         shift = sched.offset_samples
         np.testing.assert_array_equal(right[shift:], left[: n - shift])
         assert right[shift] == left[0]
@@ -67,18 +67,18 @@ class TestTraceFor:
     def test_periodicity_exact(self):
         sched = paper_schedule()
         p = sched.period_samples
-        g = trace_for(sched, "left", 3 * p).g
+        g = trace_for(sched, "left", 3 * p)
         np.testing.assert_array_equal(g[:p], g[p : 2 * p])
         np.testing.assert_array_equal(g[:p], g[2 * p :])
 
     def test_conduction_time_sums_to_duty(self):
         sched = paper_schedule()
         p = sched.period_samples
-        g = trace_for(sched, "left", p).g
+        g = trace_for(sched, "left", p)
         assert g.sum() == pytest.approx(0.5 * p, abs=1e-9)
 
     def test_values_bounded(self):
-        g = trace_for(paper_schedule(), "left", 10000).g
+        g = trace_for(paper_schedule(), "left", 10000)
         assert g.min() >= 0.0 and g.max() <= 1.0
 
     def test_unknown_side_rejected(self):
@@ -88,8 +88,8 @@ class TestTraceFor:
     def test_side_offset_zero_aligns_sides(self):
         sched = build_schedule(1.14e-6, 2e-9, 0.5, FS, side_offset=0.0)
         n = 9000
-        left = trace_for(sched, "left", n).g
-        right = trace_for(sched, "right", n).g
+        left = trace_for(sched, "left", n)
+        right = trace_for(sched, "right", n)
         np.testing.assert_array_equal(left, right)
 
     @given(
@@ -106,7 +106,7 @@ class TestTraceFor:
         if round(tt * FS) > min(bar_n, p_samples - bar_n):
             return
         sched = build_schedule(period, tt, duty, FS)
-        g = trace_for(sched, "left", p_samples).g
+        g = trace_for(sched, "left", p_samples)
         assert g.sum() == pytest.approx(bar_n, abs=1e-6)
 
 

@@ -28,10 +28,12 @@ from .elements import (
     MatchSpec,
     SwitchSpec,
     TouchstoneElement,
+    TouchstoneLineRef,
     synth_lmatch,
 )
 from .engine import (
     BurstInjection,
+    CirculatorConfig,
     CirculatorNetwork,
     RunRecord,
     build_circulator,
@@ -48,10 +50,8 @@ from .schedule import (
 )
 from .signals import (
     SampleBuffer,
-    extract_phasor,
     amplitude_to_dbm,
     dbm_to_amplitude,
-    integer_cycle_length,
     make_burst,
     make_tone,
 )
@@ -64,6 +64,7 @@ __all__ = [
     "build_circulator",
     "build_schedule",
     "BurstInjection",
+    "CirculatorConfig",
     "CirculatorMetrics",
     "CirculatorNetwork",
     "ConfigError",
@@ -72,9 +73,7 @@ __all__ = [
     "DelayLineSpec",
     "event_walk_oracle",
     "expanded_controls",
-    "extract_phasor",
     "group_delay",
-    "integer_cycle_length",
     "line_sweep",
     "make_burst",
     "make_tone",
@@ -100,6 +99,7 @@ __all__ = [
     "synth_lmatch",
     "TouchstoneData",
     "TouchstoneElement",
+    "TouchstoneLineRef",
     "validate_schedule",
     "write_touchstone",
 ]

@@ -6,10 +6,12 @@ transient to die out, then take the ratio of the output phasor to the
 injected phasor at the stimulus frequency. Harmonic-conversion products are
 deliberately excluded here and reported only by spectrum_probe.
 
-Measurement windows are integer numbers of schedule periods so that every
-intermodulation line lands on the analysis grid. A convergence monitor
-compares output power between consecutive periods inside the window and
-flags runs that are still settling.
+Each analysis reads its settings from the CirculatorConfig it runs:
+drive_dbm, settle_periods, measure_periods and spectrum_window_periods.
+The windows are whole numbers of schedule periods, bounded when the config
+is made, so that every intermodulation line lands on the analysis grid. A
+convergence monitor compares output power between consecutive periods
+inside the window and flags runs that are still settling.
 
 Every analysis of the switched network is a thin parameterisation of one
 drive-and-measure kernel (_measure): the stimulus of each block is built in
@@ -34,8 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elements import DelayLineSpec, block_limit
-from .engine import _line_element, build_circulator
+from .elements import block_limit
+from .engine import CirculatorConfig, _line_element, build_circulator
 from .errors import ConfigError, QuantizationError, SimulationFault
 from .schedule import ControlSchedule, build_schedule
 from .signals import amplitude_to_dbm, dbm_to_amplitude, make_tone
@@ -45,10 +47,6 @@ REVERSE_PATHS = {"12": (0, 1), "23": (1, 2), "34": (2, 3), "41": (3, 0)}
 # Pair key -> (forward path, reverse path) sharing those two ports.
 PORT_PAIRS = {"12": ("21", "12"), "23": ("32", "23"), "34": ("43", "34"), "41": ("14", "41")}
 
-DEFAULT_SETTLE_PERIODS = 10
-DEFAULT_MEASURE_PERIODS = 4
-DEFAULT_ISO_THRESHOLD_DB = 27.0
-DEFAULT_DRIVE_DBM = -10.0
 # Highest commutation sideband order spectrum_probe reports.
 SIDEBAND_ORDERS = 5
 
@@ -70,8 +68,6 @@ class SParamGrid:
 
     frequencies: tuple[float, ...]
     s: np.ndarray
-    drive_level: float
-    schedule_summary: str
     warnings: tuple[str, ...] = ()
 
     @property
@@ -126,7 +122,6 @@ class PortSpectrum:
 class SpectrumReport:
     f0: float
     f_mod: float
-    drive_dbm: float
     input_main_dbm: float
     ports: tuple[PortSpectrum, ...]
     il_db: float
@@ -233,13 +228,14 @@ def _drift_notes(energy: np.ndarray, where: list[str]) -> list[str]:
     ]
 
 
-def _four_port(config, points, settle: int, measure: int):
+def _four_port(config: CirculatorConfig, points):
     """Same-frequency S-matrices of the circulator at each point
     (frequency, schedule), one lane per point and drive port, all stepped
     together; lanes get their own schedules only when a point's schedule
-    is not the network's. Returns s (points, 4, 4) and the lanes'
-    measured energy per period (periods, 4 * points); lane 4k + i drives
-    port i + 1 at point k.
+    is not the network's. Each lane settles for config.settle_periods and
+    measures over config.measure_periods of its own schedule. Returns s
+    (points, 4, 4) and the lanes' measured energy per period (periods,
+    4 * points); lane 4k + i drives port i + 1 at point k.
     """
     net = build_circulator(config)
     schedules = [sched for _, sched in points for _ in range(4)]
@@ -248,21 +244,14 @@ def _four_port(config, points, settle: int, measure: int):
     net.reset(lanes=len(schedules))
     period = np.array([sched.period_samples for sched in schedules])
     omega = 2.0 * math.pi * np.repeat([f for f, _ in points], 4) / net.sample_rate
-    a0 = dbm_to_amplitude(float(getattr(config, "drive_dbm", DEFAULT_DRIVE_DBM)))
+    a0 = dbm_to_amplitude(config.drive_dbm)
+    settle, measure = config.settle_periods, config.measure_periods
     acc_out, acc_in, energy = _measure(
         net.advance, np.tile(np.arange(4), len(points)), _tone(omega, a0),
         omega[:, None], settle * period, (settle + measure) * period, period,
     )
     s = (acc_out[:, :, 0] / acc_in[:, 0]).reshape(4, len(points), 4).transpose(1, 0, 2)
     return s, energy
-
-
-def _schedule_summary(schedule: ControlSchedule) -> str:
-    return (
-        f"f_mod={schedule.f_mod:.6f} Hz, period={schedule.period_samples} samples, "
-        f"offset={schedule.offset_samples} samples, duty={schedule.duty:g}, "
-        f"transition={schedule.t_transition:g} s"
-    )
 
 
 def _check_frequencies(frequencies, sample_rate: float) -> list[float]:
@@ -283,36 +272,18 @@ def _check_frequencies(frequencies, sample_rate: float) -> list[float]:
     return freqs
 
 
-def _check_windows(settle: int, measure: int) -> None:
-    if settle != int(settle) or settle < 0:
-        raise ConfigError("settle must be a non-negative integer number of periods")
-    if measure != int(measure) or measure < 1:
-        raise ConfigError("measure must be a positive integer number of periods")
-
-
-def sparams_sweep(
-    config,
-    frequencies,
-    settle: int = DEFAULT_SETTLE_PERIODS,
-    measure: int = DEFAULT_MEASURE_PERIODS,
-) -> SParamGrid:
+def sparams_sweep(config: CirculatorConfig, frequencies) -> SParamGrid:
     """Single-tone S-parameter sweep of the full four-port network.
 
     Drives every port in turn at every frequency (one simulation lane per
-    combination, all stepped together), discards `settle` schedule periods,
-    and accumulates same-frequency phasors over `measure` periods.
+    combination, all stepped together) at config.drive_dbm, discards
+    config.settle_periods schedule periods, and accumulates same-frequency
+    phasors over config.measure_periods.
     """
     freqs = _check_frequencies(frequencies, config.sample_rate)
-    _check_windows(settle, measure)
-    s, energy = _four_port(config, [(f, config.schedule) for f in freqs], settle, measure)
+    s, energy = _four_port(config, [(f, config.schedule) for f in freqs])
     where = [f"{f / 1e6:.4f} MHz, drive port {p}" for f in freqs for p in range(1, 5)]
-    return SParamGrid(
-        frequencies=tuple(freqs),
-        s=s,
-        drive_level=float(getattr(config, "drive_dbm", DEFAULT_DRIVE_DBM)),
-        schedule_summary=_schedule_summary(config.schedule),
-        warnings=tuple(_drift_notes(energy, where)),
-    )
+    return SParamGrid(frequencies=tuple(freqs), s=s, warnings=tuple(_drift_notes(energy, where)))
 
 
 def group_delay(grid: SParamGrid, path: tuple[int, int] = (2, 1)):
@@ -354,7 +325,7 @@ def _longest_true_run(mask: np.ndarray) -> tuple[int, int] | None:
     return best
 
 
-def metrics(grid: SParamGrid, iso_threshold_db: float = DEFAULT_ISO_THRESHOLD_DB) -> CirculatorMetrics:
+def metrics(grid: SParamGrid, iso_threshold_db: float) -> CirculatorMetrics:
     """Band-level circulator figures at a stated isolation threshold."""
     if grid.n_ports != 4:
         raise ConfigError("metrics needs a four-port grid")
@@ -407,36 +378,24 @@ def metrics(grid: SParamGrid, iso_threshold_db: float = DEFAULT_ISO_THRESHOLD_DB
     )
 
 
-def spectrum_probe(
-    config,
-    f0: float,
-    drive_dbm: float = DEFAULT_DRIVE_DBM,
-    window: int = 16,
-    settle: int = DEFAULT_SETTLE_PERIODS,
-) -> SpectrumReport:
+def spectrum_probe(config: CirculatorConfig, f0: float) -> SpectrumReport:
     """Single-tone spectral-line report at f0 and its commutation sidebands.
 
-    Drives port 1 and reports, per port, the level at f0 and at
-    f0 +/- k*f_mod for k = 1..SIDEBAND_ORDERS, plus the main-tone deltas
-    against the input (port-2 insertion loss, port-3/4 isolation). The
-    window must span at least 16 schedule periods so adjacent lines stay
-    orthogonal.
+    Drives port 1 at config.drive_dbm and reports, per port, the level at
+    f0 and at f0 +/- k*f_mod for k = 1..SIDEBAND_ORDERS, plus the main-tone
+    deltas against the input (port-2 insertion loss, port-3/4 isolation),
+    over config.spectrum_window_periods after config.settle_periods.
     """
     net = build_circulator(config)
     fs = net.sample_rate
     period = net.schedule.period_samples
-    if window != int(window) or window < 16:
-        raise ConfigError(
-            f"spectral window of {window} schedule periods cannot resolve the "
-            "commutation sidebands; use at least 16"
-        )
     _check_frequencies([f0], fs)
     f_mod = fs / period
 
-    n_window = int(window) * period
-    n_settle = settle * period
+    n_window = config.spectrum_window_periods * period
+    n_settle = config.settle_periods * period
     n_total = n_settle + n_window
-    a0 = dbm_to_amplitude(drive_dbm)
+    a0 = dbm_to_amplitude(config.drive_dbm)
 
     def tone(n0: int, b: int) -> np.ndarray:
         return make_tone(f0, a0, 0.0, b, fs, start_index=n0).samples[None]
@@ -465,7 +424,6 @@ def spectrum_probe(
     return SpectrumReport(
         f0=float(f0),
         f_mod=f_mod,
-        drive_dbm=float(drive_dbm),
         input_main_dbm=input_main,
         ports=tuple(ports),
         il_db=input_main - ports[1].main_dbm,
@@ -475,13 +433,7 @@ def spectrum_probe(
     )
 
 
-def modfreq_sweep(
-    config,
-    f_mod_values,
-    f0: float,
-    settle: int = DEFAULT_SETTLE_PERIODS,
-    measure: int = DEFAULT_MEASURE_PERIODS,
-) -> list[ModFreqPoint]:
+def modfreq_sweep(config: CirculatorConfig, f_mod_values, f0: float) -> list[ModFreqPoint]:
     """Loss and worst-path isolation at f0 versus modulation frequency.
 
     Each requested f_mod is re-quantized onto the sample grid with the
@@ -490,7 +442,6 @@ def modfreq_sweep(
     run as parallel lanes of one simulation with per-lane schedules.
     """
     _check_frequencies([f0], config.sample_rate)
-    _check_windows(settle, measure)
     base = config.schedule
     results: dict[int, ModFreqPoint] = {}
     valid: list[tuple[int, float, ControlSchedule]] = []
@@ -507,7 +458,7 @@ def modfreq_sweep(
         valid.append((ix, fm, sched))
 
     if valid:
-        s, energy = _four_port(config, [(f0, sched) for _, _, sched in valid], settle, measure)
+        s, energy = _four_port(config, [(f0, sched) for _, _, sched in valid])
         for m, (ix, fm, sched) in enumerate(valid):
             where = [f"f_mod {sched.f_mod / 1e3:.3f} kHz, drive port {p}" for p in range(1, 5)]
             results[ix] = ModFreqPoint(
@@ -524,19 +475,10 @@ def modfreq_sweep(
 def line_sweep(line, sample_rate: float, frequencies) -> SParamGrid:
     """Two-port response of the configured delay line alone, no switches.
 
-    `line` is a DelayLineSpec or a resolved measured-data reference. The
+    `line` is a DelayLineSpec or a TouchstoneLineRef. The
     element is linear and time-invariant, so its S-parameters are its exact
     response as built (element.response), not a simulated measurement.
     """
     freqs = _check_frequencies(frequencies, sample_rate)
     element = _line_element(line, sample_rate)
-    summary = "static two-port, delay line only"
-    if isinstance(line, DelayLineSpec):
-        summary += f", tau={line.tau:g} s"
-    return SParamGrid(
-        frequencies=tuple(freqs),
-        s=element.response(freqs),
-        drive_level=amplitude_to_dbm(1.0),
-        schedule_summary=summary,
-        warnings=tuple(element.warnings),
-    )
+    return SParamGrid(frequencies=tuple(freqs), s=element.response(freqs), warnings=tuple(element.warnings))

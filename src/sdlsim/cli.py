@@ -51,19 +51,25 @@ from .analysis import (
     sparams_sweep,
     spectrum_probe,
 )
-from .elements import DelayLineSpec, MatchSpec, SwitchSpec
-from .engine import K_LINK_BARE, K_LINK_MATCHED, build_circulator, run as run_network
+from .elements import DelayLineSpec, MatchSpec, SwitchSpec, TouchstoneLineRef
+from .engine import (
+    DEFAULT_BAND,
+    K_LINK_BARE,
+    K_LINK_MATCHED,
+    CirculatorConfig,
+    build_circulator,
+    run as run_network,
+    window_problems,
+)
 from .errors import ConfigError
-from .schedule import ControlSchedule, build_schedule, expanded_controls, validate_schedule
+from .schedule import build_schedule, expanded_controls, validate_schedule
 from .signals import dbm_to_amplitude, make_burst
 from .touchstone import parse_touchstone
 
-DEFAULT_BAND = (150e6, 160e6, 51)
 DEFAULT_IR_LEN = 8192
-# Upper bounds on run length: frequency points of a band, and schedule
-# periods of each analysis window.
+# Upper bound on the frequency points of a band (engine.MAX_PERIODS bounds
+# each analysis window).
 MAX_POINTS = 1024
-MAX_PERIODS = 1024
 
 _SVG_SIZE = (720, 432)  # chart width and height, pixels
 _PALETTE = (
@@ -76,39 +82,6 @@ _PALETTE = (
     "#17becf",
     "#7f7f7f",
 )
-
-
-@dataclasses.dataclass(frozen=True)
-class TouchstoneLineRef:
-    """Delay line described by a measured two-port file instead of a spec.
-
-    Duck-compatible with the network builder: it reads .data and .ir_len.
-    """
-
-    data: object
-    ir_len: int
-
-
-@dataclasses.dataclass
-class CirculatorConfig:
-    """Fully validated run configuration, the unit every command consumes."""
-
-    sample_rate: float
-    line_a: object
-    line_b: object
-    switch: SwitchSpec
-    schedule: ControlSchedule
-    matching: object = None
-    drive_dbm: float = -10.0
-    iso_threshold_db: float = 27.0
-    settle_periods: int = 10
-    measure_periods: int = 4
-    spectrum_window_periods: int = 16
-    band: tuple[float, float, int] = DEFAULT_BAND
-    fmod_values: tuple[float, ...] = ()
-    digest: str = ""
-    source: str = ""
-    warnings: tuple[str, ...] = ()
 
 
 _REQUIRED = dataclasses.MISSING
@@ -318,9 +291,7 @@ def load_config(path) -> CirculatorConfig:
             problems.append(
                 f"analysis.band: start must be below stop, and points from 2 to {MAX_POINTS}"
             )
-    for key, low in (("settle_periods", 0), ("measure_periods", 1), ("spectrum_window_periods", 16)):
-        if analysis[key] is not None and not low <= analysis[key] <= MAX_PERIODS:
-            problems.append(f"analysis.{key} must be from {low} to {MAX_PERIODS}")
+    problems += window_problems(analysis)
 
     lines = [(name, line) for name, line in (("line_a", line_a), ("line_b", line_b))
              if isinstance(line, DelayLineSpec)]
@@ -350,7 +321,6 @@ def load_config(path) -> CirculatorConfig:
         schedule=schedule,
         matching=matching,
         digest=digest,
-        source=str(p),
         # Physics warnings, not errors: commutation offset vs actual link delay.
         warnings=tuple(
             f"{name}: {msg}" for name, line in lines
@@ -509,9 +479,7 @@ def _band_frequencies(config: CirculatorConfig, overrides: dict) -> np.ndarray:
 
 def _cmd_sweep(config: CirculatorConfig, out: Path, overrides: dict) -> list[Path]:
     freqs = _band_frequencies(config, overrides)
-    grid = sparams_sweep(
-        config, freqs, settle=config.settle_periods, measure=config.measure_periods
-    )
+    grid = sparams_sweep(config, freqs)
     for note in grid.warnings:
         print(f"warning: {note}", file=sys.stderr)
     threshold = overrides.get("threshold_db")
@@ -558,13 +526,7 @@ def _cmd_sweep(config: CirculatorConfig, out: Path, overrides: dict) -> list[Pat
 def _cmd_spectrum(config: CirculatorConfig, out: Path, overrides: dict) -> list[Path]:
     freqs = _band_frequencies(config, overrides)
     f0 = 0.5 * (freqs[0] + freqs[-1])
-    rep = spectrum_probe(
-        config,
-        f0,
-        drive_dbm=config.drive_dbm,
-        window=config.spectrum_window_periods,
-        settle=config.settle_periods,
-    )
+    rep = spectrum_probe(config, f0)
     for note in rep.warnings:
         print(f"warning: {note}", file=sys.stderr)
     lines = _csv_header(config, "spectrum")
@@ -622,9 +584,7 @@ def _cmd_modsweep(config: CirculatorConfig, out: Path, overrides: dict) -> list[
         values = list(config.fmod_values) or _default_fmod_grid(config)
     freqs = _band_frequencies(config, overrides)
     f0 = 0.5 * (freqs[0] + freqs[-1])
-    points = modfreq_sweep(
-        config, values, f0, settle=config.settle_periods, measure=config.measure_periods
-    )
+    points = modfreq_sweep(config, values, f0)
     lines = _csv_header(config, "modsweep")
     lines.append("f_mod_hz,f_mod_achieved_hz,il_db,iso_db")
     for pt in points:
@@ -782,6 +742,21 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+def _finite(text: str) -> float:
+    """A flag's number; nan, inf and non-numbers are usage errors."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _finite_list(text: str) -> list[float]:
+    return [_finite(v) for v in text.split(",") if v.strip()]
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(
         prog="sdlsim",
@@ -801,16 +776,16 @@ def _build_parser() -> _Parser:
         cmd.add_argument("--config", required=True, help="YAML configuration file")
         cmd.add_argument("--out", default="out", help="output directory (default: out)")
         if name != "schedule":
-            cmd.add_argument("--freq-start", type=float, help="band start in Hz")
-            cmd.add_argument("--freq-stop", type=float, help="band stop in Hz")
+            cmd.add_argument("--freq-start", type=_finite, help="band start in Hz")
+            cmd.add_argument("--freq-stop", type=_finite, help="band stop in Hz")
             cmd.add_argument("--freq-points", type=int, help="number of sweep points")
         if name == "modsweep":
             cmd.add_argument(
-                "--fmod", help="comma-separated switching frequencies in Hz"
+                "--fmod", type=_finite_list, help="comma-separated switching frequencies in Hz"
             )
         if name == "sweep":
             cmd.add_argument(
-                "--threshold-db", type=float, help="isolation threshold for metrics"
+                "--threshold-db", type=_finite, help="isolation threshold for metrics"
             )
     return parser
 
@@ -827,15 +802,9 @@ def main(argv=None) -> int:
         print(f"warning: {note}", file=sys.stderr)
     overrides = {
         key: getattr(args, key)
-        for key in ("freq_start", "freq_stop", "freq_points", "threshold_db")
+        for key in ("freq_start", "freq_stop", "freq_points", "threshold_db", "fmod")
         if getattr(args, key, None) is not None
     }
-    if getattr(args, "fmod", None) is not None:
-        try:
-            overrides["fmod"] = [float(v) for v in args.fmod.split(",") if v.strip()]
-        except ValueError:
-            print(f"config error: cannot parse --fmod {args.fmod!r}", file=sys.stderr)
-            return 1
     try:
         written = execute(args.command, config, args.out, **overrides)
     except ConfigError as err:

@@ -161,6 +161,15 @@ class DelayLineSpec:
 
 
 @dataclass(frozen=True)
+class TouchstoneLineRef:
+    """Delay line described by a measured two-port file instead of a spec:
+    its parsed data and the impulse-response length to build it with."""
+
+    data: TouchstoneData
+    ir_len: int
+
+
+@dataclass(frozen=True)
 class SwitchSpec:
     """Crossbar switch parameters; the defaults are calibrated assumptions
     for commercial absorptive RF switches, not measured values."""
@@ -442,24 +451,13 @@ class TouchstoneElement(ScatteringElement):
     n_ports = 2
     _state = ("_t",)
 
-    def __init__(
-        self,
-        data: TouchstoneData,
-        sample_rate: float,
-        ir_len: int,
-        require_band: tuple[float, float] | None = None,
-    ):
+    def __init__(self, data: TouchstoneData, sample_rate: float, ir_len: int):
         super().__init__()
         if not 1 <= ir_len <= MAX_SPAN:
             raise ValueError(f"ir_len must lie in [1, {MAX_SPAN}]")
         self.sample_rate = sample_rate
         self.ir_len = ir_len
         f = data.frequencies
-        if require_band is not None and (f[0] > require_band[0] or f[-1] < require_band[1]):
-            raise ValueError(
-                f"measured band [{f[0]:g}, {f[-1]:g}] Hz does not cover required "
-                f"[{require_band[0]:g}, {require_band[1]:g}] Hz"
-            )
         sv = np.linalg.svd(data.s, compute_uv=False)
         if np.any(sv > 1.0 + 1e-6):
             self.warnings.append(

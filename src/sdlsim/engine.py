@@ -45,6 +45,7 @@ from __future__ import annotations
 import copy
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,8 +57,11 @@ from .elements import (
     DelayLineElement,
     DelayLineSpec,
     MatchingElement,
+    MatchSpec,
     ScatteringElement,
+    SwitchSpec,
     TouchstoneElement,
+    TouchstoneLineRef,
     block_limit,
 )
 from .errors import ConfigError, OracleDeclined, SimulationFault
@@ -461,19 +465,66 @@ def _design(name: str, element, *args) -> ScatteringElement:
 def _line_element(line_spec, sample_rate: float, name: str = "line") -> ScatteringElement:
     if isinstance(line_spec, DelayLineSpec):
         return _design(name, DelayLineElement, line_spec, sample_rate)
-    if hasattr(line_spec, "data") and hasattr(line_spec, "ir_len"):
+    if isinstance(line_spec, TouchstoneLineRef):
         return _design(name, TouchstoneElement, line_spec.data, sample_rate, line_spec.ir_len)
     raise ConfigError(f"{name}: unsupported line description {type(line_spec).__name__}")
 
 
-def build_circulator(config) -> CirculatorNetwork:
-    """Assemble the canonical network from a circulator configuration.
+DEFAULT_BAND = (150e6, 160e6, 51)
+# Analysis windows are whole numbers of schedule periods, each from its
+# floor to MAX_PERIODS. The spectrum window needs 16 periods so adjacent
+# commutation sidebands stay orthogonal.
+MAX_PERIODS = 1024
+WINDOW_FLOORS = {"settle_periods": 0, "measure_periods": 1, "spectrum_window_periods": 16}
 
-    config duck-type: sample_rate, schedule (ControlSchedule), switch
-    (SwitchSpec), line_a / line_b (DelayLineSpec or resolved measured-data
-    reference), matching (None, one MatchSpec for all four positions, or a
-    4-list).
+
+def window_problems(values) -> list[str]:
+    """A message for each window in values (a mapping with the keys of
+    WINDOW_FLOORS) out of its bounds; None, already reported, passes."""
+    return [
+        f"analysis.{key} must be from {low} to {MAX_PERIODS}"
+        for key, low in WINDOW_FLOORS.items()
+        if values[key] is not None
+        and not (isinstance(values[key], numbers.Integral) and low <= values[key] <= MAX_PERIODS)
+    ]
+
+
+@dataclass(frozen=True)
+class CirculatorConfig:
+    """Run configuration, the unit every command and analysis consumes.
+
+    cli.load_config reads one from YAML and validates all of it; a config
+    made in code has its analysis windows checked here. The analysis
+    settings (drive level, isolation threshold, windows in schedule
+    periods, band, switching frequencies) have their defaults here and
+    nowhere else.
     """
+
+    sample_rate: float
+    line_a: DelayLineSpec | TouchstoneLineRef
+    line_b: DelayLineSpec | TouchstoneLineRef
+    switch: SwitchSpec
+    schedule: ControlSchedule
+    # One MatchSpec for all four line-side positions, or four.
+    matching: MatchSpec | tuple[MatchSpec, ...] | None = None
+    drive_dbm: float = -10.0
+    iso_threshold_db: float = 27.0
+    settle_periods: int = 10
+    measure_periods: int = 4
+    spectrum_window_periods: int = 16
+    band: tuple[float, float, int] = DEFAULT_BAND
+    fmod_values: tuple[float, ...] = ()
+    digest: str = ""
+    warnings: tuple[str, ...] = ()
+
+    def __post_init__(self) -> None:
+        problems = window_problems({key: getattr(self, key) for key in WINDOW_FLOORS})
+        if problems:
+            raise ConfigError("; ".join(problems))
+
+
+def build_circulator(config: CirculatorConfig) -> CirculatorNetwork:
+    """Assemble the canonical network from a circulator configuration."""
     fs = config.sample_rate
     line_a = _line_element(config.line_a, fs, "line_a")
     if config.line_b is config.line_a:
@@ -484,7 +535,7 @@ def build_circulator(config) -> CirculatorNetwork:
         line_b.warnings = list(line_a.warnings)
     else:
         line_b = _line_element(config.line_b, fs, "line_b")
-    matching = getattr(config, "matching", None)
+    matching = config.matching
     matches = None
     if matching is not None:
         specs = list(matching) if isinstance(matching, (list, tuple)) else [matching] * 4
@@ -537,7 +588,7 @@ def _exit_port(side: str, line: str, bar: int) -> int:
     return 2 if top else 4
 
 
-def event_walk_oracle(config, injection: BurstInjection) -> list[PredictedArrival]:
+def event_walk_oracle(config: CirculatorConfig, injection: BurstInjection) -> list[PredictedArrival]:
     """Analytic walk of one burst through the schedule states.
 
     Supported domain: instantaneous switching, infinite off-isolation, flat
@@ -552,7 +603,7 @@ def event_walk_oracle(config, injection: BurstInjection) -> list[PredictedArriva
         raise ValueError("oracle requires instantaneous switching (t_transition = 0)")
     if not math.isinf(switch.iso_off_db):
         raise ValueError("oracle requires infinite off-state isolation")
-    if getattr(config, "matching", None) is not None:
+    if config.matching is not None:
         raise ValueError("oracle does not model matching sections")
     for spec in (config.line_a, config.line_b):
         if not isinstance(spec, DelayLineSpec):

@@ -71,11 +71,11 @@ def build_schedule(
     side_offset: float | None = None,
 ) -> ControlSchedule:
     """Construct the canonical schedule with the left bar interval at t = 0."""
-    if period <= 0:
+    if not period > 0:  # NaN included
         raise QuantizationError("period must be positive")
     if not 0.0 < duty < 1.0:
         raise QuantizationError("duty must lie in (0, 1)")
-    if t_transition < 0:
+    if not t_transition >= 0:
         raise QuantizationError("t_transition must be >= 0")
     p = period * sample_rate
     if p > MAX_SPAN:

@@ -1,5 +1,5 @@
-"""Sampled-signal primitives: stimulus tones and bursts and steady-state
-phasor extraction.
+"""Sampled-signal primitives: stimulus tones and bursts, and dBm
+conversions.
 
 Wave amplitudes are real-valued traveling-wave samples in root-watt units
 referenced to Z0 = 50 ohm. dBm conversions happen only at reporting
@@ -9,22 +9,13 @@ boundaries, never inside the simulation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 Z0 = 50.0
 
 _TWO_PI = 2.0 * math.pi
-
-
-def wrap_phase(phi: float) -> float:
-    """Wrap a phase to the half-open interval (-pi, pi]."""
-    r = math.remainder(phi, _TWO_PI)
-    # math.remainder lands in [-pi, pi]; move the closed -pi endpoint.
-    if r <= -math.pi:
-        r += _TWO_PI
-    return r
 
 
 def amplitude_to_dbm(amplitude: float) -> float:
@@ -41,16 +32,10 @@ def dbm_to_amplitude(dbm: float) -> float:
 
 @dataclass
 class SampleBuffer:
-    """Uniformly sampled real wave record at one node direction.
-
-    start_index anchors the buffer on the absolute simulation time axis:
-    samples[k] was taken at sample number start_index + k. Phase-sensitive
-    measurements reference this absolute origin.
-    """
+    """Uniformly sampled real wave record at one node direction."""
 
     sample_rate: float
     samples: np.ndarray
-    start_index: int = 0
 
     def __post_init__(self) -> None:
         if self.sample_rate <= 0:
@@ -59,23 +44,6 @@ class SampleBuffer:
 
     def __len__(self) -> int:
         return len(self.samples)
-
-
-@dataclass(frozen=True)
-class Phasor:
-    """Single-frequency complex amplitude: amplitude root-watt, phase rad."""
-
-    frequency: float
-    amplitude: float
-    phase: float
-
-    @property
-    def complex(self) -> complex:
-        return self.amplitude * complex(math.cos(self.phase), math.sin(self.phase))
-
-    @staticmethod
-    def from_complex(frequency: float, value: complex) -> "Phasor":
-        return Phasor(frequency, abs(value), wrap_phase(math.atan2(value.imag, value.real)))
 
 
 def _check_nyquist(frequency: float, sample_rate: float) -> None:
@@ -103,7 +71,7 @@ def make_tone(
         raise ValueError("n_samples must be >= 0")
     n = np.arange(start_index, start_index + n_samples, dtype=np.float64)
     x = amplitude * np.cos(_TWO_PI * frequency / sample_rate * n + phase)
-    return SampleBuffer(sample_rate, x, start_index)
+    return SampleBuffer(sample_rate, x)
 
 
 def make_burst(
@@ -138,46 +106,4 @@ def make_burst(
     flat = (u >= t_rise) & (u < t_rise + t_hold)
     env[flat] = 1.0
     x = amplitude * env * np.cos(_TWO_PI * frequency * u)
-    return SampleBuffer(sample_rate, x, 0)
-
-
-def integer_cycle_length(frequency: float, sample_rate: float, max_len: int) -> int:
-    """Largest window length <= max_len spanning an integer cycle count of
-    `frequency` to within one sample. Zero when max_len is under one cycle."""
-    n_cycles = math.floor(max_len * frequency / sample_rate)
-    if n_cycles < 1:
-        return 0
-    return round(n_cycles * sample_rate / frequency)
-
-
-def extract_phasor(
-    buffer: SampleBuffer,
-    frequency: float,
-    window_start: int = 0,
-    window_len: int | None = None,
-) -> Phasor:
-    """Complex Fourier coefficient of `buffer` at `frequency`.
-
-    The window is trimmed down to the nearest integer-cycle count (see
-    integer_cycle_length) so a pure tone of amplitude A and phase p yields
-    Phasor(A, p) without spectral leakage bias. window_start is relative to
-    the buffer; the returned phase is referenced to the absolute origin via
-    buffer.start_index.
-    """
-    _check_nyquist(frequency, buffer.sample_rate)
-    if window_len is None:
-        window_len = len(buffer) - window_start
-    if window_start < 0 or window_start + window_len > len(buffer):
-        raise ValueError("window outside buffer")
-    n_used = integer_cycle_length(frequency, buffer.sample_rate, window_len)
-    if n_used < 1:
-        raise ValueError(
-            f"window of {window_len} samples is shorter than one cycle of {frequency:g} Hz"
-        )
-    x = buffer.samples[window_start : window_start + n_used]
-    if not np.all(np.isfinite(x)):
-        raise ValueError("non-finite samples in measurement window")
-    n_abs = np.arange(window_start, window_start + n_used, dtype=np.float64) + buffer.start_index
-    rot = np.exp(-1j * (_TWO_PI * frequency / buffer.sample_rate) * n_abs)
-    c = 2.0 / n_used * np.dot(x, rot)
-    return Phasor.from_complex(frequency, c)
+    return SampleBuffer(sample_rate, x)

@@ -12,7 +12,6 @@ import math
 import random
 import time
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -29,11 +28,11 @@ from sdlsim.analysis import (
     spectrum_probe,
 )
 from sdlsim.cli import load_config
-from sdlsim.elements import DelayLineSpec, SwitchSpec
-from sdlsim.engine import BurstInjection, build_circulator, event_walk_oracle, run
+from sdlsim.elements import DelayLineSpec, SwitchSpec, TouchstoneLineRef
+from sdlsim.engine import BurstInjection, CirculatorConfig, build_circulator, event_walk_oracle, run
 from sdlsim.errors import OracleDeclined
 from sdlsim.schedule import build_schedule
-from sdlsim.signals import SampleBuffer, extract_phasor, make_burst
+from sdlsim.signals import SampleBuffer, make_burst
 from sdlsim.touchstone import TouchstoneData, parse_touchstone, write_touchstone
 
 FS = 4.0e9
@@ -55,14 +54,13 @@ def verdict(ok: bool, label: str, detail: str) -> None:
 
 
 def make_config(line, switch, period, matching=None, side_offset=None):
-    return SimpleNamespace(
+    return CirculatorConfig(
         sample_rate=FS,
         line_a=line,
         line_b=line,
         switch=switch,
         schedule=build_schedule(period, switch.t_transition, 0.5, FS, side_offset),
         matching=matching,
-        drive_dbm=-10.0,
     )
 
 
@@ -96,18 +94,13 @@ def paper_config():
 def paper_sweep(paper_config):
     start, stop, points = paper_config.band
     t0 = time.perf_counter()
-    grid = sparams_sweep(
-        paper_config,
-        np.linspace(start, stop, points),
-        settle=paper_config.settle_periods,
-        measure=paper_config.measure_periods,
-    )
+    grid = sparams_sweep(paper_config, np.linspace(start, stop, points))
     return grid, time.perf_counter() - t0
 
 
 def test_01_ideal_circulation():
     t0 = time.perf_counter()
-    grid = sparams_sweep(ideal_config(), [FC], settle=10, measure=4)
+    grid = sparams_sweep(ideal_config(), [FC])
     elapsed = time.perf_counter() - t0
     fwd = {key: abs(grid.s[0, j, i]) for key, (j, i) in FORWARD.items()}
     rev = {key: abs(grid.s[0, j, i]) for key, (j, i) in REVERSE.items()}
@@ -152,19 +145,13 @@ def test_03_isolation_bandwidth(paper_sweep, paper_config):
 
 
 def test_04_output_spectra(paper_config):
-    rep = spectrum_probe(
-        paper_config,
-        FC,
-        drive_dbm=paper_config.drive_dbm,
-        window=paper_config.spectrum_window_periods,
-        settle=paper_config.settle_periods,
-    )
+    rep = spectrum_probe(paper_config, FC)
     deltas_ok = (
         abs(rep.il_db - 6.5) <= 2.0
         and abs(rep.iso3_db - 25.4) <= 2.0
         and abs(rep.iso4_db - 28.3) <= 2.0
     )
-    ideal = spectrum_probe(ideal_config(), FC, drive_dbm=-10.0, window=16, settle=10)
+    ideal = spectrum_probe(ideal_config(), FC)
     worst_sideband = max(
         line.power_dbm - ideal.input_main_dbm
         for port in ideal.ports
@@ -186,7 +173,7 @@ def test_05_synchronous_switching_reciprocity(paper_config):
             1.14e-6, paper_config.switch.t_transition, 0.5, FS, side_offset=0.0
         ),
     )
-    grid = sparams_sweep(cfg, np.linspace(151e6, 159e6, 5), settle=10, measure=4)
+    grid = sparams_sweep(cfg, np.linspace(151e6, 159e6, 5))
     gap = float(np.max(np.abs(grid.s[:, 1, 0] - grid.s[:, 0, 1])))
     verdict(
         gap <= 0.01,
@@ -236,13 +223,9 @@ def test_06_randomized_burst_oracle():
             n_arr = round(arr.time * FS) + net.k_link
             ref = make_burst(FC, 1.0, n_arr / FS, 10e-9, hold / FS, FS)
             w0, wl = n_arr + 48, hold - 16
-            measured = extract_phasor(
-                SampleBuffer(FS, rec.port_out[arr.port - 1].samples), FC, w0, wl
-            )
-            expected = extract_phasor(ref, FC, w0, wl)
-            err = abs(measured.complex - arr.amplitude * expected.complex) / abs(
-                arr.amplitude
-            )
+            measured = conftest.phasor(rec.port_out[arr.port - 1].samples, FC, FS, w0, wl)
+            expected = conftest.phasor(ref.samples, FC, FS, w0, wl)
+            err = abs(measured - arr.amplitude * expected) / abs(arr.amplitude)
             worst = max(worst, err)
             assert err <= 1e-6, (
                 f"case {cases}: {arr.path} to port {arr.port} off by {err:.2e}"
@@ -260,7 +243,7 @@ def test_07_switching_frequency_optimum(paper_config):
     n_rule = 4 * (D + K_LINK)  # quarter-wave rule on the sample grid
     periods = sorted({n_rule + 8 * k for k in range(-6, 7)} | {4560})
     values = sorted(FS / n for n in periods)
-    points = modfreq_sweep(paper_config, values, FC, settle=10, measure=4)
+    points = modfreq_sweep(paper_config, values, FC)
     ok_points = [p for p in points if p.note is None]
     best = max(ok_points, key=lambda p: p.iso_db)
     best_n = round(FS / best.f_mod_achieved)
@@ -302,10 +285,9 @@ def test_08_passivity_and_drive_invariance(paper_config):
         e_out = sum(float(np.sum(b.samples**2)) for b in rec.port_out)
         worst_gain = max(worst_gain, e_out / e_in)
     freqs = np.linspace(151e6, 159e6, 3)
-    low = sparams_sweep(paper_config, freqs, settle=6, measure=2)
-    loud = sparams_sweep(
-        dataclasses.replace(paper_config, drive_dbm=3.0), freqs, settle=6, measure=2
-    )
+    short = dataclasses.replace(paper_config, settle_periods=6, measure_periods=2)
+    low = sparams_sweep(short, freqs)
+    loud = sparams_sweep(dataclasses.replace(short, drive_dbm=3.0), freqs)
     drift = float(np.max(np.abs(low.s - loud.s) / np.maximum(np.abs(low.s), 1e-30)))
     verdict(
         worst_gain <= 1.0 + 1e-9 and drift <= 1e-9,
@@ -329,9 +311,7 @@ def test_09_measured_data_round_trip():
     grid_f = np.arange(120e6, 190.1e6, 0.5e6)
     s_line = np.zeros((len(grid_f), 2, 2), dtype=complex)
     s_line[:, 1, 0] = s_line[:, 0, 1] = 0.9 * np.exp(-2j * np.pi * grid_f * 280e-9)
-    ref = SimpleNamespace(
-        data=TouchstoneData(grid_f, s_line), ir_len=8192
-    )
+    ref = TouchstoneLineRef(TouchstoneData(grid_f, s_line), ir_len=8192)
     sweep = line_sweep(ref, FS, np.arange(153e6, 157.25e6, 0.5e6))
     delays = [d for _, d in group_delay(sweep, path=(2, 1))]
     mid = delays[len(delays) // 2]

@@ -1,6 +1,6 @@
+import dataclasses
 import math
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,6 +17,7 @@ from sdlsim.analysis import (
 )
 from sdlsim.cli import load_config
 from sdlsim.elements import DelayLineSpec, SwitchSpec
+from sdlsim.engine import MAX_PERIODS, CirculatorConfig
 from sdlsim.errors import ConfigError
 from sdlsim.schedule import build_schedule
 from sdlsim.signals import dbm_to_amplitude
@@ -26,29 +27,27 @@ FS = 4e9
 D = 1120
 
 
-def ideal_config():
+def ideal_config(**analysis):
     line = DelayLineSpec(il_db=0.0, bandwidth=None, port_return_db=math.inf, echoes=())
-    return SimpleNamespace(
+    return CirculatorConfig(
         sample_rate=FS,
         schedule=build_schedule(4 * (D + 2) / FS, 0.0, 0.5, FS),
         switch=SwitchSpec(il_on_db=0.0, iso_off_db=math.inf, t_transition=0.0, gamma_off=0.9),
         line_a=line,
         line_b=line,
-        matching=None,
-        digest="ideal",
+        **analysis,
     )
 
 
-def lossy_config(side_offset=None):
+def lossy_config(side_offset=None, **analysis):
     line = DelayLineSpec(echoes=((2, -22.3), (3, -40.0)))
-    return SimpleNamespace(
+    return CirculatorConfig(
         sample_rate=FS,
         schedule=build_schedule(1.14e-6, 2e-9, 0.5, FS, side_offset=side_offset),
         switch=SwitchSpec(il_on_db=0.8, iso_off_db=32.0, t_transition=2e-9, gamma_off=0.9),
         line_a=line,
         line_b=line,
-        matching=None,
-        digest="lossy",
+        **analysis,
     )
 
 
@@ -61,7 +60,7 @@ def synthetic_grid(frequencies, fwd=0.5, rev=0.05, refl=0.1):
         s[:, j, i] = rev
     for p in range(4):
         s[:, p, p] = refl
-    return SParamGrid(tuple(frequencies), s, -10.0, "synthetic")
+    return SParamGrid(tuple(frequencies), s)
 
 
 class TestMetrics:
@@ -84,7 +83,7 @@ class TestMetrics:
     def test_identity_grid_degenerates(self):
         freqs = list(np.linspace(150e6, 160e6, 5))
         s = np.tile(np.eye(4, dtype=complex), (5, 1, 1))
-        m = metrics(SParamGrid(tuple(freqs), s, -10.0, "identity"), 27.0)
+        m = metrics(SParamGrid(tuple(freqs), s), 27.0)
         assert all(math.isinf(v) for v in m.il_db.values())
         assert m.bandwidth == 0.0
         assert m.flags
@@ -103,7 +102,7 @@ class TestMetrics:
         # reverse leakage kills threshold at index 2, leaving runs 0-1 and 3-10
         for j, i in [(0, 1), (1, 2), (2, 3), (3, 0)]:
             s[2, j, i] = 0.2
-        m = metrics(SParamGrid(tuple(freqs), s, -10.0, "split"), 25.0)
+        m = metrics(SParamGrid(tuple(freqs), s), 25.0)
         assert m.bandwidth == pytest.approx(freqs[10] - freqs[3])
         assert m.center_frequency == pytest.approx((freqs[3] + freqs[10]) / 2)
 
@@ -111,7 +110,7 @@ class TestMetrics:
         freqs = (150e6, 155e6)
         s = np.zeros((2, 2, 2), dtype=complex)
         with pytest.raises(ConfigError, match="four-port"):
-            metrics(SParamGrid(freqs, s, -10.0, "line"), 27.0)
+            metrics(SParamGrid(freqs, s), 27.0)
 
 
 class TestGroupDelay:
@@ -119,7 +118,7 @@ class TestGroupDelay:
         freqs = 150e6 + spacing * np.arange(n)
         s = np.zeros((n, 4, 4), dtype=complex)
         s[:, 1, 0] = np.exp(-2j * math.pi * freqs * tau)
-        return SParamGrid(tuple(freqs.tolist()), s, -10.0, "delay")
+        return SParamGrid(tuple(freqs.tolist()), s)
 
     def test_pure_delay_exact(self):
         out = group_delay(self.pure_delay_grid(0.5e6), (2, 1))
@@ -146,14 +145,12 @@ class TestGroupDelay:
 
 class TestSweep:
     def test_ideal_circulation_ratios(self):
-        grid = sparams_sweep(ideal_config(), [155e6], settle=6, measure=4)
+        grid = sparams_sweep(ideal_config(settle_periods=6), [155e6])
         s = grid.s[0]
         for j, i in [(1, 0), (2, 1), (3, 2), (0, 3)]:
             assert abs(s[j, i]) == pytest.approx(1.0, abs=0.01)
         for j, i in [(0, 1), (1, 2), (2, 3), (3, 0)]:
             assert abs(s[j, i]) <= 10 ** (-60 / 20)
-        assert grid.drive_level == -10.0
-        assert "f_mod" in grid.schedule_summary
 
     def test_passive_magnitudes_bounded(self):
         grid = sparams_sweep(lossy_config(), [152e6, 155e6, 158e6])
@@ -171,10 +168,11 @@ class TestSweep:
     def test_drive_level_invariance(self):
         cfg = lossy_config()
         low = sparams_sweep(cfg, [155e6])
-        cfg.drive_dbm = 0.0
-        high = sparams_sweep(cfg, [155e6])
-        assert high.drive_level == 0.0
+        loud = dataclasses.replace(cfg, drive_dbm=0.0)
+        high = sparams_sweep(loud, [155e6])
         np.testing.assert_allclose(high.s, low.s, rtol=1e-9, atol=1e-15)
+        # The drive level is read from the config: the probe sees 0 dBm in.
+        assert spectrum_probe(loud, 155e6).input_main_dbm == pytest.approx(0.0, abs=0.01)
 
     def test_zero_side_offset_restores_reciprocity(self):
         grid = sparams_sweep(lossy_config(side_offset=0.0), [155e6])
@@ -184,7 +182,7 @@ class TestSweep:
             assert abs(s[j, i] - s[j2, i2]) <= 0.01
 
     def test_unsettled_run_warns(self):
-        grid = sparams_sweep(lossy_config(), [155e6], settle=0, measure=4)
+        grid = sparams_sweep(lossy_config(settle_periods=0), [155e6])
         assert any("not settled" in w for w in grid.warnings)
 
     def test_input_validation(self):
@@ -195,10 +193,23 @@ class TestSweep:
             sparams_sweep(cfg, [155e6, 150e6])
         with pytest.raises(ConfigError, match="Nyquist"):
             sparams_sweep(cfg, [155e6, 2.5e9])
-        with pytest.raises(ConfigError, match="measure"):
-            sparams_sweep(cfg, [155e6], measure=0)
-        with pytest.raises(ConfigError, match="settle"):
-            sparams_sweep(cfg, [155e6], settle=-1)
+
+    @pytest.mark.parametrize(
+        "window,value",
+        [
+            ("settle_periods", -1),
+            ("settle_periods", 2.5),
+            ("settle_periods", MAX_PERIODS + 1),
+            ("measure_periods", 0),
+            ("spectrum_window_periods", MAX_PERIODS + 1),
+        ],
+    )
+    def test_out_of_range_window_rejected(self, window, value):
+        # A config made in code is bounded as load_config bounds a file's.
+        with pytest.raises(ConfigError, match=f"analysis.{window} must be from"):
+            ideal_config(**{window: value})
+        with pytest.raises(ConfigError, match=f"analysis.{window} must be from"):
+            dataclasses.replace(ideal_config(), **{window: value})
 
 
 class TestSpectrum:
@@ -231,21 +242,22 @@ class TestSpectrum:
         assert 10 * math.log10(floor) <= -100.0
 
     def test_ideal_sidebands_below_80dbc(self):
-        rep = spectrum_probe(ideal_config(), 155e6, -10.0)
+        rep = spectrum_probe(ideal_config(), 155e6)
         assert rep.ports[1].worst_sideband_dbc() <= -80.0
         assert rep.il_db == pytest.approx(0.0, abs=0.01)
 
     def test_silent_ports_have_no_sidebands(self):
         # configs/ideal.yaml leaks and reflects exactly nothing into ports 1,
         # 3 and 4, so every line there is -inf dBm: no sideband power, not nan.
-        rep = spectrum_probe(load_config(CONFIG_DIR / "ideal.yaml"), 155e6, -10.0, settle=1)
+        ideal = dataclasses.replace(load_config(CONFIG_DIR / "ideal.yaml"), settle_periods=1)
+        rep = spectrum_probe(ideal, 155e6)
         for port in (0, 2, 3):
             assert rep.ports[port].main_dbm == -math.inf
             assert rep.ports[port].worst_sideband_dbc() == -math.inf
         assert rep.ports[1].worst_sideband_dbc() <= -80.0
 
     def test_calibrated_deltas(self):
-        rep = spectrum_probe(lossy_config(), 155e6, -10.0)
+        rep = spectrum_probe(lossy_config(), 155e6)
         assert rep.input_main_dbm == pytest.approx(-10.0, abs=0.01)
         assert rep.il_db == pytest.approx(6.5, abs=2.0)
         assert rep.iso3_db == pytest.approx(25.4, abs=2.0)
@@ -257,13 +269,14 @@ class TestSpectrum:
         assert orders == sorted(orders)
 
     def test_short_window_rejected(self):
-        with pytest.raises(ConfigError, match="at least 16"):
-            spectrum_probe(lossy_config(), 155e6, -10.0, window=8)
+        # Under 16 periods adjacent sidebands are not orthogonal.
+        with pytest.raises(ConfigError, match="spectrum_window_periods must be from 16"):
+            lossy_config(spectrum_window_periods=8)
 
     def test_unsettled_run_warns(self):
-        rep = spectrum_probe(lossy_config(), 155e6, -10.0, settle=0)
+        rep = spectrum_probe(lossy_config(settle_periods=0), 155e6)
         assert any("not settled" in w for w in rep.warnings)
-        assert spectrum_probe(lossy_config(), 155e6, -10.0).warnings == ()
+        assert spectrum_probe(lossy_config(), 155e6).warnings == ()
 
     def test_lines_equal_whole_record_projection(self):
         # Reference: one advance call over the whole run, then every line
@@ -271,9 +284,9 @@ class TestSpectrum:
         from sdlsim.engine import build_circulator
         from sdlsim.signals import make_tone
 
-        cfg = lossy_config()
-        f0, window, settle = 155e6, 16, 3
-        rep = spectrum_probe(cfg, f0, -10.0, window=window, settle=settle)
+        cfg = lossy_config(settle_periods=3)
+        f0, window, settle = 155e6, cfg.spectrum_window_periods, cfg.settle_periods
+        rep = spectrum_probe(cfg, f0)
         net = build_circulator(cfg)
         period = net.schedule.period_samples
         n_settle, n_window = settle * period, window * period
@@ -291,8 +304,8 @@ class TestSpectrum:
 
 class TestModFreq:
     def test_quantization_failures_reported_not_fatal(self):
-        cfg = lossy_config()
-        pts = modfreq_sweep(cfg, [FS / 4488, 0.95e6, -1.0], 155e6, settle=2, measure=2)
+        cfg = lossy_config(settle_periods=2, measure_periods=2)
+        pts = modfreq_sweep(cfg, [FS / 4488, 0.95e6, -1.0], 155e6)
         assert len(pts) == 3
         ok, bad, neg = pts
         assert math.isfinite(ok.il_db) and math.isfinite(ok.iso_db)
@@ -301,22 +314,22 @@ class TestModFreq:
         assert neg.note is not None
 
     def test_unsettled_run_warns(self):
-        (pt,) = modfreq_sweep(lossy_config(), [FS / 4488], 155e6, settle=0, measure=2)
+        (pt,) = modfreq_sweep(lossy_config(settle_periods=0, measure_periods=2), [FS / 4488], 155e6)
         assert pt.note is None
         assert any("not settled" in w and "f_mod" in w for w in pt.warnings)
 
     def test_point_beside_other_periods_equals_point_alone(self):
         # Lanes are independent runs: neighbours with other periods (their
         # block cuts and lane-sample budget) must not change a point.
-        cfg = lossy_config()
-        alone = modfreq_sweep(cfg, [FS / 4488], 155e6, settle=2, measure=2)[0]
-        beside = modfreq_sweep(cfg, [FS / 4800, FS / 4488, FS / 4200], 155e6, settle=2, measure=2)[1]
+        cfg = lossy_config(settle_periods=2, measure_periods=2)
+        alone = modfreq_sweep(cfg, [FS / 4488], 155e6)[0]
+        beside = modfreq_sweep(cfg, [FS / 4800, FS / 4488, FS / 4200], 155e6)[1]
         assert beside.f_mod_achieved == alone.f_mod_achieved
         np.testing.assert_allclose([beside.il_db, beside.iso_db], [alone.il_db, alone.iso_db], rtol=1e-12)
 
     def test_matched_commutation_beats_detuned(self):
-        cfg = lossy_config()
-        pts = modfreq_sweep(cfg, [FS / 4800, FS / 4488, FS / 4200], 155e6, settle=4, measure=2)
+        cfg = lossy_config(settle_periods=4, measure_periods=2)
+        pts = modfreq_sweep(cfg, [FS / 4800, FS / 4488, FS / 4200], 155e6)
         iso = [p.iso_db for p in pts]
         assert iso[1] > iso[0] and iso[1] > iso[2]
 

@@ -8,7 +8,6 @@ from __future__ import annotations
 import dataclasses
 import math
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -25,6 +24,7 @@ from sdlsim.elements import (
     MatchSpec,
     SwitchSpec,
     TouchstoneElement,
+    TouchstoneLineRef,
     block_limit,
 )
 from sdlsim.engine import build_circulator
@@ -57,7 +57,7 @@ def network(name: str):
     if name == "paper":
         return build_circulator(paper)
     if name == "touchstone":
-        ref = SimpleNamespace(data=measured_line(), ir_len=256)
+        ref = TouchstoneLineRef(measured_line(), ir_len=256)
         return build_circulator(dataclasses.replace(paper, line_a=ref, line_b=ref))
     if name == "per-lane":
         net = build_circulator(paper)

@@ -16,9 +16,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from sdlsim.analysis import modfreq_sweep
-from sdlsim.cli import MAX_PERIODS, MAX_POINTS, TouchstoneLineRef, execute, load_config, main
-from sdlsim.elements import DelayLineSpec, MatchSpec, SwitchSpec
-from sdlsim.engine import build_circulator
+from sdlsim.cli import MAX_POINTS, execute, load_config, main
+from sdlsim.elements import DelayLineSpec, MatchSpec, SwitchSpec, TouchstoneLineRef
+from sdlsim.engine import MAX_PERIODS, build_circulator
 from sdlsim.errors import ConfigError
 from sdlsim.touchstone import TouchstoneData, write_touchstone
 
@@ -583,7 +583,8 @@ class TestCommands:
         # infinite isolation, not a math domain error.
         cfg = load_config(CONFIG_DIR / "ideal.yaml")
         fm = cfg.schedule.f_mod
-        (pt,) = modfreq_sweep(cfg, [fm], 155e6, settle=1, measure=1)
+        short = dataclasses.replace(cfg, settle_periods=1, measure_periods=1)
+        (pt,) = modfreq_sweep(short, [fm], 155e6)
         assert pt.note is None and math.isfinite(pt.il_db) and math.isinf(pt.iso_db)
         ideal = tmp_path / "ideal.yaml"
         ideal.write_text(
@@ -595,6 +596,35 @@ class TestCommands:
         assert main(["modsweep", "--config", str(ideal), "--out", str(out), "--fmod", repr(fm)]) == 0
         assert data_rows(out / "modsweep.csv")[1][3] == "inf"
         assert "best isolation inf dB" in capsys.readouterr().out
+
+    def test_non_finite_modulation_frequency_is_noted(self):
+        # A NaN or infinite f_mod has no schedule: a noted point, not a crash.
+        cfg = dataclasses.replace(
+            load_config(CONFIG_DIR / "ideal.yaml"), settle_periods=1, measure_periods=1
+        )
+        fm = cfg.schedule.f_mod
+        nan, inf, ok = modfreq_sweep(cfg, [math.nan, math.inf, fm], 155e6)
+        assert nan.note == inf.note == "period must be positive"
+        assert math.isnan(nan.il_db) and math.isnan(inf.iso_db)
+        assert ok.note is None and math.isfinite(ok.il_db)
+
+    @pytest.mark.parametrize(
+        "command,flags",
+        [
+            ("modsweep", ["--fmod", "nan,891266"]),
+            ("modsweep", ["--fmod", "891266,inf"]),
+            ("modsweep", ["--fmod", "891266,abc"]),
+            ("sweep", ["--threshold-db", "nan"]),
+            ("sweep", ["--threshold-db", "-inf"]),
+            ("spectrum", ["--freq-start", "nan"]),
+        ],
+    )
+    def test_non_finite_flag_exits_1(self, tmp_path, capsys, command, flags):
+        out = tmp_path / "out"
+        args = [command, "--config", str(CONFIG_DIR / "ideal.yaml"), "--out", str(out)]
+        assert main(args + flags) == 1
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_modsweep_flag_and_bad_point(self, tmp_path, capsys):
         cfg = write_config(tmp_path)

@@ -1,12 +1,14 @@
+import dataclasses
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from conftest import phasor
 
-from sdlsim.elements import DelayLineSpec, MatchSpec, SwitchSpec
+from sdlsim.elements import DelayLineSpec, MatchSpec, SwitchSpec, TouchstoneLineRef
 from sdlsim.engine import (
     BurstInjection,
+    CirculatorConfig,
     K_LINK_BARE,
     K_LINK_MATCHED,
     build_circulator,
@@ -15,7 +17,7 @@ from sdlsim.engine import (
 )
 from sdlsim.errors import ConfigError, OracleDeclined, SimulationFault
 from sdlsim.schedule import build_schedule
-from sdlsim.signals import SampleBuffer, extract_phasor, make_burst
+from sdlsim.signals import SampleBuffer, make_burst
 from sdlsim.touchstone import TouchstoneData
 
 FS = 4e9
@@ -36,14 +38,13 @@ def make_config(
 ):
     if switch is None:
         switch = SwitchSpec(il_on_db=0.0, iso_off_db=math.inf, t_transition=t_transition, gamma_off=0.9)
-    return SimpleNamespace(
+    return CirculatorConfig(
         sample_rate=FS,
         schedule=build_schedule(period, t_transition, 0.5, FS, side_offset=side_offset),
         switch=switch,
         line_a=line,
         line_b=line,
         matching=matching,
-        digest="test",
     )
 
 
@@ -72,15 +73,12 @@ class TestStructure:
         freqs = np.linspace(100e6, 210e6, 23)
         s = np.zeros((23, 2, 2), dtype=complex)
         s[:, 1, 0] = s[:, 0, 1] = np.exp(-2j * math.pi * freqs * 280e-9)
-        ref = SimpleNamespace(data=TouchstoneData(freqs, s), ir_len=2048)
-        cfg = make_config()
-        cfg.line_a = ref
-        net = build_circulator(cfg)
+        ref = TouchstoneLineRef(TouchstoneData(freqs, s), ir_len=2048)
+        net = build_circulator(dataclasses.replace(make_config(), line_a=ref))
         assert net.elements["line_a"].ir_len == 2048
 
     def test_schedule_rate_mismatch_rejected(self):
-        cfg = make_config()
-        cfg.schedule = build_schedule(IDEAL_PERIOD, 0.0, 0.5, 2e9)
+        cfg = dataclasses.replace(make_config(), schedule=build_schedule(IDEAL_PERIOD, 0.0, 0.5, 2e9))
         with pytest.raises(ConfigError, match="sample rate"):
             build_circulator(cfg)
 
@@ -139,11 +137,8 @@ class TestRun:
         stimuli[inject - 1] = stim
         rec = run(net, stimuli, n)
         arr = t0 + D + 2
-        ph = extract_phasor(
-            SampleBuffer(FS, rec.port_out[expect - 1].samples), FC,
-            window_start=arr + 48, window_len=560,
-        )
-        assert ph.amplitude >= 0.99
+        ph = phasor(rec.port_out[expect - 1].samples, FC, FS, start=arr + 48, length=560)
+        assert abs(ph) >= 0.99
         for p in range(4):
             if p != expect - 1:
                 assert np.max(np.abs(rec.port_out[p].samples)) < 1e-6
@@ -307,9 +302,9 @@ class TestOracle:
             n_arr = round(arr.time * FS) + net.k_link
             ref = make_burst(FC, 1.0, n_arr / FS, t_rise, t_hold, FS)
             w0, wl = n_arr + 48, 560
-            measured = extract_phasor(SampleBuffer(FS, rec.port_out[arr.port - 1].samples), FC, w0, wl)
-            expected = extract_phasor(ref, FC, w0, wl)
-            assert abs(measured.complex - arr.amplitude * expected.complex) <= 1e-6 * abs(
+            measured = phasor(rec.port_out[arr.port - 1].samples, FC, FS, w0, wl)
+            expected = phasor(ref.samples, FC, FS, w0, wl)
+            assert abs(measured - arr.amplitude * expected) <= 1e-6 * abs(
                 arr.amplitude
             )
 

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import phasor
 
 from sdlsim.elements import (
     L_TOWARD_LINE,
@@ -13,7 +14,6 @@ from sdlsim.elements import (
     lsection_sparams,
     synth_lmatch,
 )
-from sdlsim.signals import SampleBuffer, extract_phasor
 
 FS = 4e9
 F0 = 155e6
@@ -35,8 +35,7 @@ def element_sparams(element, freqs, settle=4000, measure=4096):
             outs[i] = element.step(inc)
         for k, f in enumerate(freqs):
             for port in (0, 1):
-                buf = SampleBuffer(FS, outs[settle:, port, k], start_index=settle)
-                result[k, port, drive] = extract_phasor(buf, f).complex
+                result[k, port, drive] = phasor(outs[:, port, k], f, FS, start=settle)
     return result
 
 

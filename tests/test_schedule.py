@@ -41,6 +41,16 @@ class TestBuildSchedule:
             build_schedule(1.1401e-6, 2e-9, 0.5, FS)
         assert err.value.nearest == pytest.approx(4560 / FS, rel=1e-9)
 
+    @pytest.mark.parametrize("period", [0.0, -1.14e-6, float("nan")])
+    def test_non_positive_period_rejected(self, period):
+        with pytest.raises(QuantizationError, match="period must be positive"):
+            build_schedule(period, 2e-9, 0.5, FS)
+
+    @pytest.mark.parametrize("t_transition", [-1e-9, float("nan")])
+    def test_negative_transition_rejected(self, t_transition):
+        with pytest.raises(QuantizationError, match="t_transition must be >= 0"):
+            build_schedule(1.14e-6, t_transition, 0.5, FS)
+
     def test_bad_duty_rejected(self):
         with pytest.raises(QuantizationError):
             build_schedule(1.14e-6, 2e-9, 0.0, FS)

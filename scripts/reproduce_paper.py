@@ -35,7 +35,7 @@ def main() -> int:
     config = load_config(args.config)
     for note in config.warnings:
         print(f"warning: {note}", file=sys.stderr)
-    print(f"config {config.digest} from {config.source}")
+    print(f"config {config.digest} from {Path(args.config)}")
     print(f"commutation period {config.schedule.period_samples} samples "
           f"({config.schedule.f_mod / 1e3:.3f} kHz)")
 

@@ -447,8 +447,9 @@ def modfreq_sweep(config: CirculatorConfig, f_mod_values, f0: float) -> list[Mod
     valid: list[tuple[int, float, ControlSchedule]] = []
     for ix, fm in enumerate(f_mod_values):
         fm = float(fm)
-        if fm <= 0.0:
-            results[ix] = ModFreqPoint(fm, math.nan, math.nan, note="modulation frequency must be positive")
+        if not 0.0 < fm < math.inf:
+            note = "modulation frequency must be positive and finite"
+            results[ix] = ModFreqPoint(fm, math.nan, math.nan, note=note)
             continue
         try:
             sched = build_schedule(1.0 / fm, base.t_transition, base.duty, config.sample_rate)

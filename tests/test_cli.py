@@ -604,7 +604,7 @@ class TestCommands:
         )
         fm = cfg.schedule.f_mod
         nan, inf, ok = modfreq_sweep(cfg, [math.nan, math.inf, fm], 155e6)
-        assert nan.note == inf.note == "period must be positive"
+        assert nan.note == inf.note == "modulation frequency must be positive and finite"
         assert math.isnan(nan.il_db) and math.isnan(inf.iso_db)
         assert ok.note is None and math.isfinite(ok.il_db)
 

@@ -227,12 +227,25 @@ def _crossbar_latency(matching, fs: float) -> float:
     return (K_LINK_BARE if matching is None else K_LINK_MATCHED) / fs
 
 
+def _s21_delay(line: TouchstoneLineRef, f: float) -> float:
+    """Delay (s) of a measured line at f: the slope of its S21 phase over
+    the measured interval nearest f. A single point has no slope: nan,
+    which the schedule advisory passes over."""
+    freqs, s21 = line.data.frequencies, line.data.s[:, 1, 0]
+    if len(freqs) < 2:
+        return math.nan
+    k = min(max(int(np.searchsorted(freqs, f)), 1), len(freqs) - 1)
+    step = float(np.angle(s21[k] * np.conj(s21[k - 1])))
+    return -step / (2.0 * math.pi * float(freqs[k] - freqs[k - 1]))
+
+
 def load_config(path) -> CirculatorConfig:
     """Parse and validate a YAML circulator configuration.
 
     Every section is read against its schema by the same rules (see the
     README), and all problems are reported in one ConfigError. Schedule/
-    line-delay mismatches are not errors but warnings on the config.
+    line-delay mismatches are not errors but warnings on the config; a
+    measured line's delay is its S21 phase slope at the band centre.
     """
     p = Path(path)
     try:
@@ -313,6 +326,11 @@ def load_config(path) -> CirculatorConfig:
         json.dumps(raw, sort_keys=True, separators=(",", ":"), default=str).encode()
     ).hexdigest()[:16]
     analysis.update(band=band, fmod_values=analysis["fmod_values"] or ())
+    centre = 0.5 * (band[0] + band[1])
+    delays = [
+        (name, line.tau if isinstance(line, DelayLineSpec) else _s21_delay(line, centre))
+        for name, line in (("line_a", line_a), ("line_b", line_b))
+    ]
     return CirculatorConfig(
         sample_rate=fs,
         line_a=line_a,
@@ -323,9 +341,9 @@ def load_config(path) -> CirculatorConfig:
         digest=digest,
         # Physics warnings, not errors: commutation offset vs actual link delay.
         warnings=tuple(
-            f"{name}: {msg}" for name, line in lines
+            f"{name}: {msg}" for name, tau in delays
             for msg in validate_schedule(
-                schedule, line.tau, _crossbar_latency(matching, fs)
+                schedule, tau, _crossbar_latency(matching, fs)
             ).messages
         ),
         **analysis,

@@ -12,6 +12,13 @@ For the network's in-block loops (engine.CirculatorNetwork) an element can
 take back a trial block (mark/rewind) and hand out a zeroed copy of itself
 (zeroed), whose steps give its impulse responses.
 
+The measured-data FIR (TouchstoneElement) splits its taps at a fixed frame
+length L: near taps (lags below L) are summed per output sample, far taps
+(lags of L and beyond) once per frame of L samples by partitioned FFT
+convolution. Frames sit at fixed sample positions, which keeps its outputs
+independent of the block split; rewind takes back the spectra a trial
+block completed.
+
 Includes the L-section matching synthesis (synth_lmatch) and its
 discrete-time realization alongside the delay-line, crossbar-switch, and
 measured-data elements.
@@ -446,10 +453,24 @@ class TouchstoneElement(ScatteringElement):
     truncated to ir_len samples. The fraction of impulse-response energy
     lost to truncation is reported per entry in energy_loss and warned
     about above 0.1%.
+
+    The FIR runs in fixed frames of L samples, the largest power of two
+    within block_limit(lanes); frame m covers samples [m*L, (m+1)*L).
+    Taps at lags below L (near) are a matmul per output sample over its
+    history window. Taps at lags of L and beyond (far) read, for every
+    output of frame m, only samples before m*L, so each frame's far part
+    is computed once, when its first sample is stepped, by uniformly
+    partitioned overlap-save convolution (Stockham 1966): with H_p the
+    2L-point spectrum of the taps at lags [p*L, (p+1)*L) and S_j that of
+    the samples [(j-1)*L, (j+1)*L), frame m's far part is the last L
+    samples of irfft(sum over p >= 1 of H_p * S_(m-p)). Every far value is
+    a fixed function of its frame index and of history already stepped,
+    so any split of the stream into blocks gives bit-identical outputs,
+    and a non-finite sample spreads only forward, into later frames.
     """
 
     n_ports = 2
-    _state = ("_t",)
+    _state = ("_t", "_chunks", "_frames")
 
     def __init__(self, data: TouchstoneData, sample_rate: float, ir_len: int):
         super().__init__()
@@ -484,30 +505,74 @@ class TouchstoneElement(ScatteringElement):
                 "increase ir_len"
             )
         # _taps[j] holds the reversed taps of S_j1 and S_j2 interleaved, so
-        # one matmul with an oldest-to-newest (ir_len, 2) history window
-        # gives both outputs.
+        # one matmul with an oldest-to-newest (n, 2) history window gives
+        # both outputs; its last 2 * near columns are the near taps.
         self._taps = self.h[:, :, ::-1].transpose(0, 2, 1).reshape(2, 2 * ir_len).copy()
+        # Far partition spectra by frame length, made at the first reset
+        # that needs them and shared with copies (zeroed, a line alias).
+        self._partitions: dict[int, np.ndarray] = {}
         self.reset()
 
     def reset(self, lanes: int = 1) -> None:
         super().reset(lanes)
+        # Frames of the largest power of two samples within a block: on 12
+        # lanes 128, whose 256-point transforms take a third of the time of
+        # the 340-point ones of 170-sample frames.
+        frame = 1 << (block_limit(lanes).bit_length() - 1)
+        self._frame = frame
+        self._near = min(frame, self.ir_len)
+        self._h_far = self._far_partitions(frame)
         # Doubled time-major ring: sample t sits in rows t % size and
-        # t % size + size, so every window a block needs is one slice.
-        self._size = self.ir_len - 1 + block_limit(lanes)
+        # t % size + size, so every window or chunk a block needs is one
+        # slice. It holds a block beyond the near window and, with far
+        # taps, beyond the two frames of the newest chunk.
+        reach = self._near - 1 if self._h_far is None else 2 * frame
+        self._size = reach + block_limit(lanes)
         self._hist = np.zeros((2 * self._size, 2, lanes))
         self._t = 0
-        # Taps at lags of block_limit(lanes) and beyond read only samples
-        # before the block, however the stream is split. Their product is
-        # kept with the (start, length) of its block, so a block stepped
-        # again after a rewind recomputes only the nearer taps.
-        self._far_cols = 2 * max(0, self.ir_len - block_limit(lanes))
-        self._far = (-1, 0, None)
+        # Chunk spectra S_j by chunk index, the last P - 1 of them, and far
+        # parts (frame, 2, lanes) by frame index, those of the last block.
+        self._chunks: dict[int, np.ndarray] = {}
+        self._frames: dict[int, np.ndarray] = {}
+
+    def _far_partitions(self, frame: int) -> np.ndarray | None:
+        """Spectra of the far partitions p = 1 .. P-1 for this frame length,
+        shape (frame + 1, 2, 2 * (P - 1)) with columns (p, i) for S_ji; None
+        if every tap is near."""
+        if self.ir_len <= frame:
+            return None
+        if frame not in self._partitions:
+            count = -(-self.ir_len // frame) - 1
+            h = np.zeros((2, 2, (count + 1) * frame))
+            h[:, :, : self.ir_len] = self.h
+            parts = h[:, :, frame:].reshape(2, 2, count, frame)
+            spectra = np.fft.rfft(parts, 2 * frame, axis=-1)
+            self._partitions[frame] = spectra.transpose(3, 0, 2, 1).reshape(frame + 1, 2, 2 * count)
+        return self._partitions[frame]
+
+    def _far_frame(self, m: int) -> np.ndarray:
+        """Far part of frame m, (frame, 2, lanes), from the chunk spectra
+        S_(m-1) .. S_(m-P+1); chunks before the stream are zero. Reads
+        samples (m-2)*frame .. m*frame - 1 from the ring."""
+        far = self._frames.get(m)
+        if far is not None:
+            return far
+        frame = self._frame
+        count = min(m, self._h_far.shape[2] // 2)
+        if count == 0:
+            return np.zeros((frame, 2, self.lanes))
+        i = ((m - 2) * frame) % self._size
+        chunks = {j: s for j, s in self._chunks.items() if j >= m - count}
+        chunks[m - 1] = np.fft.rfft(self._hist[i : i + 2 * frame], axis=0)
+        self._chunks = chunks
+        stacked = np.concatenate([chunks[m - p] for p in range(1, count + 1)], axis=1)
+        return np.fft.irfft(self._h_far[:, :, : 2 * count] @ stacked, 2 * frame, axis=0)[frame:]
 
     def _process(self, x: np.ndarray) -> np.ndarray:
         lanes, b = x.shape[1:]
-        size, hist = self._size, self._hist
+        size, hist, t = self._size, self._hist, self._t
         rows = x.transpose(2, 0, 1)
-        i = self._t % size
+        i = t % size
         if i + b <= size:
             hist[i : i + b] = rows
             hist[i + size : i + size + b] = rows
@@ -515,23 +580,27 @@ class TouchstoneElement(ScatteringElement):
             slots = (i + np.arange(b)) % size
             hist[slots] = rows
             hist[slots + size] = rows
-        # window[j] holds samples t+j-ir_len+1 .. t+j, oldest first: the
-        # history output j of the block convolves with.
+        # window[j] holds samples t+j-near+1 .. t+j, oldest first: the
+        # history output j of the block convolves with the near taps.
+        near = self._near
         row = hist.strides[0]
         window = np.ndarray(
-            (b, self.ir_len, 2, lanes),
+            (b, near, 2, lanes),
             dtype=hist.dtype,
             buffer=hist,
-            offset=((self._t - self.ir_len + 1) % size) * row,
+            offset=((t - near + 1) % size) * row,
             strides=(row,) + hist.strides,
         )
-        window = window.reshape(b, 2 * self.ir_len, lanes)
-        far = self._far_cols
-        out = self._taps[:, far:] @ window[:, far:]
-        if far:
-            if self._far[:2] != (self._t, b):
-                self._far = (self._t, b, self._taps[:, :far] @ window[:, :far])
-            out += self._far[2]
+        out = self._taps[:, -2 * near :] @ window.reshape(b, 2 * near, lanes)
+        if self._h_far is not None:
+            # Add each frame's far part over the samples of the block in it.
+            frame, frames, s = self._frame, {}, t
+            while s < t + b:
+                m, stop = s // frame, min(t + b, (s // frame + 1) * frame)
+                frames[m] = far = self._far_frame(m)
+                out[s - t : stop - t] += far[s - m * frame : stop - m * frame]
+                s = stop
+            self._frames = frames
         self._t += b
         return out.transpose(1, 2, 0)
 
@@ -716,6 +785,11 @@ class MatchingElement(ScatteringElement):
             num_11, num_22 = num_ind, num_cap
         # S11, S21 = S12, S22.
         self._biquads = [_bilinear_biquad(num, den, k) for num in (num_11, num_thru, num_22)]
+        # Coefficients per filter state (S11, S21, S12, S22), normalised by
+        # a0 as lfilter does, for the one-sample update.
+        b, a = (np.array([self._biquads[i][n] for i in (0, 1, 1, 2)]) for n in (0, 1))
+        self._b = (b / a[:, :1]).T[:, :, None]
+        self._a = (a / a[:, :1]).T[:, :, None]
         self.reset()
 
     def reset(self, lanes: int = 1) -> None:
@@ -727,6 +801,15 @@ class MatchingElement(ScatteringElement):
         # out1 = S11 + S12, out2 = S21 + S22; both ports pass the through
         # biquad in one call.
         x, shape = _as_block(incident)
+        if x.shape[2] == 1:
+            # One sample: lfilter's transposed direct form II update, in its
+            # order of operations, on all four filter states at once.
+            x = x[[0, 0, 1, 1], :, 0]
+            (b0, b1, b2), (_, a1, a2) = self._b, self._a
+            z = self._z
+            y = z[:, :, 0] + b0 * x
+            self._z = np.stack([z[:, :, 1] + x * b1 - y * a1, x * b2 - y * a2], axis=-1)
+            return np.stack([y[0] + y[2], y[1] + y[3]]).reshape(shape)
         (b11, a11), (b_thru, a_thru), (b22, a22) = self._biquads
         z = np.empty_like(self._z)
         y11, z[0] = sig.lfilter(b11, a11, x[0], zi=self._z[0])

@@ -108,6 +108,27 @@ class TestLoadConfig:
         )
         assert load_config(matched).warnings == ()
 
+    @pytest.mark.parametrize("tau,flagged", [(280e-9, False), (300e-9, True)])
+    def test_schedule_warning_for_measured_line(self, tmp_path, tau, flagged):
+        # A measured line's delay is its S21 group delay at the band centre:
+        # the matched 280 ns line fits period/4 = 281 ns, one 20 ns longer
+        # does not.
+        freqs = np.linspace(140e6, 170e6, 31)
+        s = np.zeros((31, 2, 2), dtype=complex)
+        s[:, 0, 1] = s[:, 1, 0] = 0.6 * np.exp(-2j * np.pi * freqs * tau)
+        (tmp_path / "line.s2p").write_text(write_touchstone(TouchstoneData(freqs, s)))
+        line = {"touchstone": "line.s2p", "ir_len": 1536}
+        path = write_config(
+            tmp_path, line_a=line, line_b=line, schedule={"period": 1.124e-6},
+            matching={"series_l": 33e-9, "shunt_c": 18e-12},
+        )
+        warnings = load_config(path).warnings
+        if flagged:
+            assert len(warnings) == 2
+            assert warnings[0].startswith("line_a: side offset 281.000 ns differs from line delay 300.000 ns")
+        else:
+            assert warnings == ()
+
     def test_schedule_warning_describes_applied_offset(self, tmp_path):
         # side_offset 0 runs both crossbars in phase: the advisory must
         # report that offset, not the quarter period it replaced.

@@ -1,5 +1,8 @@
 import cmath
+import dataclasses
+import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +10,8 @@ from conftest import phasor
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sdlsim import engine
+from sdlsim.cli import load_config
 from sdlsim.elements import (
     LINE_A,
     LINE_B,
@@ -17,6 +22,8 @@ from sdlsim.elements import (
     DelayLineSpec,
     SwitchSpec,
     TouchstoneElement,
+    TouchstoneLineRef,
+    block_limit,
     conduction_weight,
 )
 from sdlsim.touchstone import TouchstoneData
@@ -313,6 +320,98 @@ class TestTouchstoneElement:
         shifted_in = np.concatenate([np.zeros(37), x])
         shifted = run_element(el, {0: shifted_in}, n)
         np.testing.assert_allclose(shifted[:, 37:], base[:, : n - 37], atol=1e-12)
+
+
+def direct_fir(h: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Outputs (2, lanes, n) of the FIR h (2, 2, ir_len) over the last n of
+    inputs x (2, lanes, ir_len - 1 + n), each a np.convolve sum."""
+    n = x.shape[2] - h.shape[2] + 1
+    out = np.zeros((2, x.shape[1], n))
+    for j, i, lane in itertools.product(range(2), range(2), range(x.shape[1])):
+        out[j, lane] += np.convolve(x[i, lane], h[j, i], "valid")
+    return out
+
+
+class DirectFIR(TouchstoneElement):
+    """The element's FIR summed directly over its input history: the
+    reference for the framed near/far computation."""
+
+    def reset(self, lanes: int = 1) -> None:
+        super().reset(lanes)
+        self._x = np.zeros((2, lanes, self.ir_len - 1))
+
+    def step(self, incident: np.ndarray) -> np.ndarray:
+        self._x = np.concatenate([self._x, incident], axis=2)
+        return direct_fir(self.h, self._x[:, :, -(self.ir_len - 1 + incident.shape[2]) :])
+
+
+class TestTouchstoneFrames:
+    """The near taps per sample and the far taps per frame by FFT give the
+    direct FIR, and a trial block taken back leaves no frame behind."""
+
+    @pytest.mark.parametrize("lanes", [1, 3, 12])
+    def test_matches_direct_convolution(self, lanes):
+        # At 1 lane ir_len 1536 lies within one 2,048-sample frame, so only
+        # near taps run; at 3 and 12 lanes most lags are far. Blocks of
+        # block_limit(lanes) samples after odd-sized ones straddle frame edges.
+        el = TouchstoneElement(asymmetric_touchstone(), FS, ir_len=1536)
+        el.reset(lanes)
+        n = 5000
+        x = np.random.default_rng(11).standard_normal((2, lanes, n))
+        out, start = [], 0
+        for size in itertools.cycle((1, 37, block_limit(lanes), 100)):
+            if start >= n:
+                break
+            out.append(el.step(x[:, :, start : start + size]))
+            start += size
+        padded = np.concatenate([np.zeros((2, lanes, el.ir_len - 1)), x], axis=2)
+        error = np.max(np.abs(np.concatenate(out, axis=2) - direct_fir(el.h, padded)))
+        assert error <= 1e-12 * np.max(np.abs(x))
+
+    def test_rewind_across_frame_edge(self):
+        # Frames are at most block_limit(12) = 170 samples long, so ir_len
+        # 1024 spans at least 6 of them, and a 170-sample trial block from
+        # sample 700 crosses a frame edge: the chunk and frame it completes
+        # must go with rewind, or the samples after the block show them.
+        lanes, size = 12, block_limit(12)
+        el = TouchstoneElement(asymmetric_touchstone(), FS, ir_len=1024)
+        rng = np.random.default_rng(6)
+        history, trial, block, tail = (
+            rng.standard_normal((2, lanes, n)) for n in (700, size, size, 1500)
+        )
+        el.reset(lanes)
+        el.step(history)
+        mark = el.mark()
+        el.step(trial)
+        el.rewind(mark)
+        again = np.concatenate([el.step(block), el.step(tail)], axis=2)
+        el.reset(lanes)
+        el.step(history)
+        assert np.array_equal(again, np.concatenate([el.step(block), el.step(tail)], axis=2))
+
+    def test_nan_stimulus_faults_where_direct_fir_does(self, monkeypatch):
+        # A NaN enters lane 5 of a bare network of Touchstone lines at
+        # sample 300. For ir_len samples the direct FIR carries it into
+        # every later output of that lane; the far FFT of a frame may spread
+        # it only forward, so both fault at the same sample.
+        paper = load_config(Path(__file__).resolve().parent.parent / "configs" / "paper.yaml")
+        ref = TouchstoneLineRef(asymmetric_touchstone(), ir_len=1536)
+        config = dataclasses.replace(paper, line_a=ref, line_b=ref)
+        lanes, n = 12, 1000
+        ext = np.random.default_rng(8).standard_normal((4, lanes, n)) * 0.1
+        ext[0, 5, 300] = np.nan
+        outputs = []
+        for line in (TouchstoneElement, DirectFIR):
+            monkeypatch.setattr(engine, "TouchstoneElement", line)
+            net = engine.build_circulator(config)
+            net.reset(lanes)
+            outputs.append(net.advance(ext))
+        faults = [np.flatnonzero(~np.isfinite(out).all(axis=(0, 1)))[0] for out in outputs]
+        assert faults[0] == faults[1] >= 300
+        framed, direct = outputs
+        assert np.array_equal(np.isfinite(framed), np.isfinite(direct))
+        ok = np.isfinite(direct)
+        assert np.max(np.abs(framed[ok] - direct[ok])) <= 1e-12 * np.nanmax(np.abs(ext))
 
 
 def stepped_response(element, freqs, settle, window=1000):

@@ -5,7 +5,7 @@ Runs the full analysis stack on configs/paper.yaml: a 51-point S-parameter
 sweep with circulator metrics, the single-tone output spectra, and the
 isolation-vs-switching-frequency study, writing the same CSV/SVG artifacts
 the command-line tool produces and printing a compact report. It prints:
-worst forward loss 5.68 dB with all of 150-160 MHz (10.000 MHz) above
+worst forward loss 5.80 dB with all of 150-160 MHz (10.000 MHz) above
 27 dB isolation; port 2/3/4 main-tone levels 5.69 / 25.76 / 28.73 dB
 below the drive; best isolation 28.84 dB at f_mod 892.857 kHz, 1.592 kHz
 from the quarter-wave rule.

@@ -82,10 +82,13 @@ class CirculatorMetrics:
     Losses and isolations are positive dB; directivity is the contrast
     iso - il on each adjacent port pair. Bandwidth is the widest contiguous
     frequency interval where all four reverse paths stay above the
-    isolation threshold while all four forward paths carry signal.
+    isolation threshold while all four forward paths carry signal. il_db
+    holds each forward path's smallest loss in that band, worst_il_db the
+    largest loss of any forward path anywhere in it.
     """
 
     il_db: dict[str, float]
+    worst_il_db: float
     iso_db: dict[str, float]
     directivity_db: dict[str, float]
     rl_db: dict[int, float]
@@ -356,6 +359,7 @@ def metrics(grid: SParamGrid, iso_threshold_db: float) -> CirculatorMetrics:
     center = float((freqs[lo] + freqs[hi]) / 2.0)
 
     il = {k: float(np.min(level_db[band, j, i])) for k, (j, i) in FORWARD_PATHS.items()}
+    worst_il = max(float(np.max(level_db[band, j, i])) for j, i in FORWARD_PATHS.values())
     iso = {k: float(np.min(level_db[band, j, i])) for k, (j, i) in REVERSE_PATHS.items()}
     rl = {p: float(np.min(level_db[band, p - 1, p - 1])) for p in range(1, 5)}
     directivity = {
@@ -367,6 +371,7 @@ def metrics(grid: SParamGrid, iso_threshold_db: float) -> CirculatorMetrics:
 
     return CirculatorMetrics(
         il_db=il,
+        worst_il_db=worst_il,
         iso_db=iso,
         directivity_db=directivity,
         rl_db=rl,

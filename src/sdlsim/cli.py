@@ -536,7 +536,7 @@ def _cmd_sweep(config: CirculatorConfig, out: Path, overrides: dict) -> list[Pat
 
     print(
         f"bandwidth {m.bandwidth / 1e6:.3f} MHz at {m.iso_threshold_db:g} dB isolation,"
-        f" worst forward loss {max(m.il_db.values()):.2f} dB"
+        f" worst forward loss {m.worst_il_db:.2f} dB"
     )
     return [sweep_csv, metrics_csv, svg]
 

@@ -12,6 +12,14 @@ For the network's in-block loops (engine.CirculatorNetwork) an element can
 take back a trial block (mark/rewind) and hand out a zeroed copy of itself
 (zeroed), whose steps give its impulse responses.
 
+The delay line's band filter (DelayLineElement) is a Butterworth
+band-pass designed in numpy and run in Burrus's block (lifted) form, in
+fixed frames of MAX_BLOCK samples at fixed sample positions: one matrix
+product per frame a block touches maps [frame inputs; state at the frame
+start] to [frame outputs; state after the frame]. The slots of samples not
+yet stepped hold zeros and the matrix reads no later input, so outputs are
+the same however the stream is split into blocks.
+
 The measured-data FIR (TouchstoneElement) splits its taps at a fixed frame
 length L: near taps (lags below L) are summed per output sample, far taps
 (lags of L and beyond) once per frame of L samples by partitioned FFT
@@ -21,20 +29,19 @@ block completed.
 
 Includes the L-section matching synthesis (synth_lmatch) and its
 discrete-time realization alongside the delay-line, crossbar-switch, and
-measured-data elements.
+measured-data elements. The matching element filters blocks with
+scipy.signal.lfilter, imported when one is built: the only use of scipy,
+so networks without matching never load it.
 """
 
 from __future__ import annotations
 
 import cmath
-import contextlib
 import copy
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import signal as sig
 
 from .touchstone import TouchstoneData
 
@@ -44,7 +51,8 @@ from .touchstone import TouchstoneData
 # buffers hold block_limit(lanes) samples beyond the longest delay, and
 # longer blocks are split. The floor of 64 samples keeps a 204-lane block's
 # working set near 1 MB; one lane gets 2,048-sample blocks, so each settled
-# span of a single-lane run is one call.
+# span of a single-lane run is one call. MAX_BLOCK is also the frame length
+# of the delay line's band filter.
 MAX_BLOCK = 64
 BLOCK_LANE_SAMPLES = 2048
 
@@ -197,28 +205,112 @@ class SwitchSpec:
             raise ValueError("gamma_off must lie in [-1, 1]")
 
 
-@contextlib.contextmanager
-def _refused(category: type[Warning], message: str):
-    """Raise ValueError(message) where scipy warns with category: the
-    design it warns about cannot be trusted."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", category)
-        try:
-            yield
-        except category as warning:
-            raise ValueError(f"{message} ({warning})") from None
+def _butter_bandpass(order: int, f1: float, f2: float, fs: float) -> np.ndarray:
+    """Digital Butterworth band-pass from f1 to f2 Hz as second-order
+    sections (b0, b1, b2, 1, a1, a2) with monic numerators (the caller
+    sets the gain in the first): the analog prototype's poles scaled to
+    the pre-warped band, split into band-pass pairs and mapped by the
+    bilinear transform. Each section pairs its poles with the zeros at
+    z = +1 and z = -1 nearest them, and sections are ordered with the poles
+    closest to the unit circle last, as scipy.signal.butter orders them."""
+    if not 0.0 < f1 < f2 < fs / 2.0:
+        raise ValueError(f"band edges {f1:g} and {f2:g} Hz must lie between 0 and fs/2")
+    t1, t2 = math.tan(math.pi * f1 / fs), math.tan(math.pi * f2 / fs)
+    lowpass = -np.exp(1j * math.pi * np.arange(1 - order, order, 2) / (2 * order)) * (t2 - t1) / 2.0
+    root = np.sqrt(lowpass * lowpass - t1 * t2)
+    s = np.concatenate([lowpass + root, lowpass - root])
+    z = (1.0 + s) / (1.0 - s)
+    # One pole of each conjugate pair, then the real poles.
+    real = np.abs(z.imag) <= 100 * np.finfo(float).eps * np.abs(z)
+    poles = list(z[~real & (z.imag > 0)]) + list(z[real].real)
+    zeros = {1.0: order, -1.0: order}
+    sections = []
+    while poles:
+        p1 = poles.pop(int(np.argmin([abs(1.0 - abs(p)) for p in poles])))
+        if isinstance(p1, complex):
+            p2 = p1.conjugate()
+        else:
+            reals = [i for i, p in enumerate(poles) if not isinstance(p, complex)]
+            p2 = poles.pop(min(reals, key=lambda i: abs(1.0 - abs(poles[i]))))
+        pair = []
+        for _ in range(2):
+            near = min((zr for zr, n in zeros.items() if n), key=lambda zr: abs(zr - p1))
+            zeros[near] -= 1
+            pair.append(near)
+        sections.append([1.0, -(pair[0] + pair[1]), pair[0] * pair[1],
+                         1.0, -(p1 + p2).real, (p1 * p2).real])
+    return np.array(sections[::-1])
 
 
-def _filter_group_delay_samples(sos: np.ndarray, f_center: float, fs: float) -> float:
-    total = 0.0
-    for section in sos:
-        # A section whose denominator all but vanishes at f_center has no
-        # reliable group delay there, and the tap compensation rests on it.
-        with _refused(UserWarning, "band filter group delay at f_center is ill-conditioned; "
-                      "widen bandwidth or reduce band_order"):
-            _, gd = sig.group_delay((section[:3], section[3:]), w=[f_center], fs=fs)
-        total += gd[0]
-    return total
+def _sos_response(sos: np.ndarray, omega: np.ndarray) -> np.ndarray:
+    """Complex response of the section cascade at omega (rad/sample)."""
+    zi = np.exp(-1j * np.asarray(omega, dtype=np.float64))[..., None]
+    num = sos[:, 0] + zi * (sos[:, 1] + zi * sos[:, 2])
+    den = sos[:, 3] + zi * (sos[:, 4] + zi * sos[:, 5])
+    return np.prod(num / den, axis=-1)
+
+
+def _section_group_delays(sos: np.ndarray, omega: float) -> np.ndarray:
+    """Group delay (samples) of each section at omega, by the polynomial
+    form of d(arg H)/d(omega): with c = b * reversed(a), the delay is
+    Re(sum k c_k z^k / sum c_k z^k) - 2 at z = exp(-j omega). A section
+    whose denominator all but vanishes there (below 10 * 2e-16) has no
+    reliable group delay, and the tap compensation rests on it."""
+    z = cmath.exp(-1j * omega)
+    c = np.array([np.convolve(section[:3], section[:2:-1]) for section in sos])
+    num = np.array([np.polyval((row * np.arange(5))[::-1], z) for row in c])
+    den = np.array([np.polyval(row[::-1], z) for row in c])
+    gd = np.real(num / den) - 2.0
+    if not np.all(np.isfinite(gd)) or np.any(np.abs(den) < 10 * 2e-16):
+        raise ValueError("band filter group delay at f_center is ill-conditioned; "
+                         "widen bandwidth or reduce band_order")
+    return gd
+
+
+def _lifted(sos: np.ndarray, frame: int) -> np.ndarray:
+    """Burrus's block (lifted) form of the section cascade over a frame of
+    frame samples: the (frame + ns) square matrix that maps [frame inputs;
+    state at frame start] to [frame outputs; state after the frame], for
+    the ns = 2 * sections states of sosfilt's transposed direct form II.
+    With the cascade's state space (A, B, C, D), output j reads C A^j of
+    the state and h[j - i] of input i (h[0] = D, h[k] = C A^(k-1) B), and
+    the state after reads A^frame and A^(frame-1-i) B. Zero above the
+    diagonal: no output reads a later input."""
+    ns = 2 * len(sos)
+    # Rows over [state; input]: the running section input v, then each
+    # section's output y = b0 v + z0 and its next state.
+    v = np.zeros(ns + 1)
+    v[ns] = 1.0
+    step = np.zeros((ns, ns + 1))
+    for k, (b0, b1, b2, _, a1, a2) in enumerate(sos):
+        y = b0 * v
+        y[2 * k] += 1.0
+        step[2 * k] = b1 * v - a1 * y
+        step[2 * k, 2 * k + 1] += 1.0
+        step[2 * k + 1] = b2 * v - a2 * y
+        v = y
+    # powers[k] = A^k for k = 0 .. frame, doubling the known range each
+    # pass, in extended precision where the platform has it (x86): each
+    # entry of the matrix then carries little more than its own rounding,
+    # and the products come out closer to exact arithmetic than sosfilt's
+    # recursion (1.4e-15 against 5.4e-15 of the peak on paper.yaml's line).
+    a, b, c, d = (q.astype(np.longdouble) for q in (step[:, :ns], step[:, ns], v[:ns], v[ns]))
+    powers = np.empty((frame + 1, ns, ns), dtype=np.longdouble)
+    powers[0] = np.eye(ns)
+    n = 1
+    while n <= frame:
+        m = min(n, frame + 1 - n)
+        powers[n : n + m] = powers[:m] @ (powers[n - 1] @ a)
+        n += m
+    ca, ab = c @ powers, powers @ b
+    h = np.concatenate([[d], ca[: frame - 1] @ b])
+    lag = np.arange(frame)[:, None] - np.arange(frame)
+    lifted = np.zeros((frame + ns, frame + ns))
+    lifted[:frame, :frame] = np.where(lag >= 0, h[lag], 0.0)
+    lifted[:frame, frame:] = ca[:frame]
+    lifted[frame:, :frame] = ab[frame - 1 :: -1].T
+    lifted[frame:, frame:] = powers[frame]
+    return lifted
 
 
 class DelayLineElement(ScatteringElement):
@@ -234,7 +326,7 @@ class DelayLineElement(ScatteringElement):
     """
 
     n_ports = 2
-    _state = ("_t", "_zi")
+    _state = ("_t", "_frame")
 
     def __init__(self, spec: DelayLineSpec, sample_rate: float):
         super().__init__()
@@ -252,16 +344,16 @@ class DelayLineElement(ScatteringElement):
 
         banded = spec.bandwidth is not None and spec.band_order > 0
         if banded:
-            f1 = spec.f_center - spec.bandwidth / 2.0
-            f2 = spec.f_center + spec.bandwidth / 2.0
-            sos = sig.butter(spec.band_order, [f1, f2], btype="bandpass", fs=sample_rate, output="sos")
-            _, h = sig.sosfreqz(sos, worN=[spec.f_center], fs=sample_rate)
-            sos[0, :3] /= np.abs(h[0])  # exact unit gain at center
+            half = spec.bandwidth / 2.0
+            sos = _butter_bandpass(spec.band_order, spec.f_center - half, spec.f_center + half, sample_rate)
+            w_center = 2.0 * math.pi * spec.f_center / sample_rate
+            sos[0, :3] /= abs(_sos_response(sos, w_center))  # exact unit gain at center
             self.sos = sos
-            self._sos_rows = sos.tolist()
-            self.filter_delay_samples = round(_filter_group_delay_samples(sos, spec.f_center, sample_rate))
+            self.filter_delay_samples = round(float(np.sum(_section_group_delays(sos, w_center))))
+            self._lifted = _lifted(sos, MAX_BLOCK)
         else:
             self.sos = None
+            self._lifted = None
             self.filter_delay_samples = 0
 
         self.compensated_delay_samples = self.delay_samples - self.filter_delay_samples
@@ -294,7 +386,9 @@ class DelayLineElement(ScatteringElement):
         # Time-major ring of filtered samples: row t % len holds sample t.
         self._ring = np.zeros((self.buf_len - 1 + block_limit(lanes), 2, lanes))
         self._t = 0
-        self._zi = None if self.sos is None else np.zeros((self.sos.shape[0], 2 * lanes, 2))
+        # The band filter's frame: the inputs of the frame under way, zero
+        # from the next sample on, over the state at its start.
+        self._frame = None if self.sos is None else np.zeros((len(self._lifted), 2 * lanes))
 
     def _ring_rows(self, start: int, b: int) -> np.ndarray:
         """Rows of samples start..start+b-1, read in at most two slices."""
@@ -304,28 +398,40 @@ class DelayLineElement(ScatteringElement):
             return ring[i : i + b]
         return np.concatenate([ring[i:], ring[: i + b - len(ring)]])
 
+    def _filter(self, u: np.ndarray) -> np.ndarray:
+        """Band-filter time-major samples u, shape (b, 2 * lanes), from
+        sample _t on: one lifted product per frame the block touches.
+        Frames start at multiples of MAX_BLOCK; the slots of samples not yet
+        stepped are zero, and the lifted matrix is zero above its diagonal,
+        so each output is the same product however the stream is split."""
+        frame, v, t, n = MAX_BLOCK, self._frame, self._t, len(u)
+        # Cut at frame edges, and at each column's first non-finite sample:
+        # in a product with the samples before it, 0 * nan would reach their
+        # outputs. From that sample on the column is non-finite anyway.
+        cuts = set(range(-t % frame, n, frame)) | {0, n}
+        bad = ~np.isfinite(u)
+        if bad.any():
+            cuts.update(np.argmax(bad[:, bad.any(axis=0)], axis=0).tolist())
+        cuts = sorted(cuts)
+        out = np.empty_like(u)
+        for lo, hi in zip(cuts, cuts[1:]):
+            pos = (t + lo) % frame
+            v[pos : pos + hi - lo] = u[lo:hi]
+            y = self._lifted @ v
+            out[lo:hi] = y[pos : pos + hi - lo]
+            if (t + hi) % frame == 0:
+                v[:frame] = 0.0
+                v[frame:] = y[frame:]
+        return out
+
     def _process(self, x: np.ndarray) -> np.ndarray:
         lanes, b = x.shape[1:]
-        if self.sos is None:
-            f = x
-        elif b > 1:
-            f, self._zi = sig.sosfilt(self.sos, x.reshape(2 * lanes, b), zi=self._zi)
-            f = f.reshape(2, lanes, b)
-        else:
-            # One sample: the transposed direct form II update sosfilt
-            # performs, without its per-call overhead.
-            f = x.reshape(2 * lanes)
-            z = self._zi
-            for k, (b0, b1, b2, _, a1, a2) in enumerate(self._sos_rows):
-                y = b0 * f + z[k, :, 0]
-                z[k, :, 0] = b1 * f - a1 * y + z[k, :, 1]
-                z[k, :, 1] = b2 * f - a2 * y
-                f = y
-            f = f.reshape(2, lanes, 1)
+        rows = x.transpose(2, 0, 1)
+        if self.sos is not None:
+            rows = self._filter(rows.reshape(b, 2 * lanes)).reshape(b, 2, lanes)
         ring = self._ring
         i = self._t % len(ring)
         k = min(b, len(ring) - i)
-        rows = f.transpose(2, 0, 1)
         ring[i : i + k] = rows[:k]
         ring[: b - k] = rows[k:]
         # Time-major sums; a tap reading port 2's stream for port 1's output
@@ -346,8 +452,8 @@ class DelayLineElement(ScatteringElement):
         filter times the tap sum; ch = 0 taps fill the diagonal, ch = 1 taps
         the off-diagonal."""
         f = np.asarray(frequencies, dtype=np.float64)
-        band = 1.0 if self.sos is None else sig.sosfreqz(self.sos, worN=f, fs=self.sample_rate)[1]
         omega = 2.0 * math.pi * f / self.sample_rate
+        band = 1.0 if self.sos is None else _sos_response(self.sos, omega)
         s = np.zeros((len(f), 2, 2), dtype=complex)
         for delay, ch, gain in self.taps:
             h = gain * band * np.exp(-1j * omega * delay)
@@ -729,30 +835,34 @@ def input_impedance(spec: MatchSpec, z_term: complex, frequency: float) -> compl
     return zl + 1.0 / y
 
 
-def _strip_leading_zeros(coeffs: list[float]) -> list[float]:
-    out = list(coeffs)
-    while len(out) > 1 and out[0] == 0.0:
-        out.pop(0)
-    return out
-
-
 def _bilinear_biquad(num_s: list[float], den_s: list[float], k: float) -> tuple[np.ndarray, np.ndarray]:
-    # scipy's bilinear uses s = 2*fs*(1 - z^-1)/(1 + z^-1); passing fs = k/2
-    # substitutes the pre-warped constant k. Degenerate (lower-order) sections
-    # are transformed at their true degree so no cancelled z = -1 pole pair
-    # enters the recursion, then padded back to biquad length.
-    den = _strip_leading_zeros(den_s)
+    """Bilinear transform s = k*(1 - z^-1)/(1 + z^-1) of num_s/den_s (s
+    polynomials, highest power first) to (b, a) in z^-1, normalised to
+    a[0] = 1 and padded to biquad length. A section of lower degree (zero
+    leading denominator coefficients) is transformed at its true degree,
+    so no cancelled z = -1 pole pair enters the recursion."""
+    den = list(den_s)
+    while len(den) > 1 and den[0] == 0.0:
+        den.pop(0)
     num = list(num_s)[-len(den) :]
     if not any(num):
         return np.zeros(3), np.array([1.0, 0.0, 0.0])
-    # scipy drops numerator coefficients below 1e-14 with this warning,
-    # which delays the response by a sample.
-    with _refused(sig.BadCoefficients, "L-section response vanishes at this sample rate; "
-                  "series_l and shunt_c are far too large"):
-        b, a = sig.bilinear(num, den, fs=k / 2.0)
-    b = np.concatenate([b, np.zeros(3 - len(b))])
-    a = np.concatenate([a, np.zeros(3 - len(a))])
-    return b, a
+    m = len(den) - 1
+    # s^i becomes k^i (1 - z^-1)^i (1 + z^-1)^(m - i) over (1 + z^-1)^m.
+    basis = []
+    for i in range(m + 1):
+        term = np.array([k**i])
+        for root in [-1.0] * i + [1.0] * (m - i):
+            term = np.convolve(term, [1.0, root])
+        basis.append(term)
+    b, a = (sum(c * basis[m - j] for j, c in enumerate(poly)) for poly in (num, den))
+    b, a = b / a[0], a / a[0]
+    # A leading coefficient this small is a response that all but vanishes
+    # at the sample rate; dropping it would delay the section a sample.
+    if abs(b[0]) <= 1e-14:
+        raise ValueError("L-section response vanishes at this sample rate; "
+                         "series_l and shunt_c are far too large")
+    return np.pad(b, (0, 2 - m)), np.pad(a, (0, 2 - m))
 
 
 class MatchingElement(ScatteringElement):
@@ -760,6 +870,8 @@ class MatchingElement(ScatteringElement):
 
     Three biquads realize S11, S21 = S12 and S22 of the analytic section via
     the bilinear transform, pre-warped so the response at spec.f0 is exact.
+    Blocks run through scipy.signal.lfilter, imported here at construction
+    so that networks without matching never load scipy.
     """
 
     n_ports = 2
@@ -767,6 +879,9 @@ class MatchingElement(ScatteringElement):
 
     def __init__(self, spec: MatchSpec, sample_rate: float):
         super().__init__()
+        from scipy.signal import lfilter
+
+        self._lfilter = lfilter
         self.spec = spec
         self.sample_rate = sample_rate
         w0 = 2.0 * math.pi * spec.f0
@@ -812,8 +927,8 @@ class MatchingElement(ScatteringElement):
             return np.stack([y[0] + y[2], y[1] + y[3]]).reshape(shape)
         (b11, a11), (b_thru, a_thru), (b22, a22) = self._biquads
         z = np.empty_like(self._z)
-        y11, z[0] = sig.lfilter(b11, a11, x[0], zi=self._z[0])
-        thru, z[1:3] = sig.lfilter(b_thru, a_thru, x, zi=self._z[1:3])
-        y22, z[3] = sig.lfilter(b22, a22, x[1], zi=self._z[3])
+        y11, z[0] = self._lfilter(b11, a11, x[0], zi=self._z[0])
+        thru, z[1:3] = self._lfilter(b_thru, a_thru, x, zi=self._z[1:3])
+        y22, z[3] = self._lfilter(b22, a22, x[1], zi=self._z[3])
         self._z = z
         return np.stack([y11 + thru[1], thru[0] + y22]).reshape(shape)

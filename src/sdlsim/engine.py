@@ -24,8 +24,10 @@ Such settled spans run as whole blocks, each element processing the block
 at once. Block length is budgeted in lane-samples (elements.block_limit):
 2,048 samples on one lane, down to a floor of 64 from 32 lanes up, so a
 single-lane run takes each settled span (about a quarter period) in one
-block. A sample where either crossbar reflects closes the 2-sample
-crossbar-line loop and runs at B = 1, through the same block code.
+block. From 32 lanes up, blocks also end at multiples of 64 samples,
+where the elements' fixed frames start (see elements). A sample where
+either crossbar reflects closes the 2-sample crossbar-line loop and runs
+at B = 1, through the same block code.
 
 A matched network keeps one loop inside every block: a match's line-side
 output reaches its line a sample later, and the line's reflection comes
@@ -42,7 +44,6 @@ calls; on matched ones they agree with per-sample stepping to rounding
 
 from __future__ import annotations
 
-import copy
 import functools
 import math
 import numbers
@@ -53,6 +54,7 @@ import numpy as np
 from .elements import (
     LINE_A,
     LINE_B,
+    MAX_BLOCK,
     CrossbarElement,
     DelayLineElement,
     DelayLineSpec,
@@ -274,10 +276,16 @@ class CirculatorNetwork:
 
     def _span(self, limit: int) -> int:
         """Length of the next block: one sample, or up to block_limit(lanes)
-        samples whose line ports do not reflect after the first."""
+        samples whose line ports do not reflect after the first. Blocks at
+        the MAX_BLOCK floor (32 lanes and more) also end at the next
+        multiple of MAX_BLOCK, where the elements' fixed frames start, so
+        each such block costs the band filter one frame product, not two."""
         if limit == 1:
             return 1
-        return min(limit, self._limit, 1 + self._ctl.quiet_from(self._n + 1))
+        b = min(limit, self._limit, 1 + self._ctl.quiet_from(self._n + 1))
+        if self._limit == MAX_BLOCK:
+            b = min(b, MAX_BLOCK - self._n % MAX_BLOCK)
+        return b
 
     def _prepare(self) -> None:
         """The incident and emitted waves of every slot over one block of
@@ -285,6 +293,14 @@ class CirculatorNetwork:
         the closed-loop response of the match-line loops over such a block."""
         size = self._n_slots * self.lanes * self._limit
         self._buffers = (np.empty(size), np.empty(size))
+        # A block's element outputs and their temporaries (up to 0.4 MB
+        # each at 204 lanes) exceed glibc's initial 128 KB mmap threshold:
+        # each block would map them afresh, or trim the heap and fault its
+        # pages in again (paper sweep: 160,000 minor faults, 0.3 s of system
+        # time). Freeing one array of four buffers' size raises glibc's
+        # dynamic threshold above them; other allocators ignore it.
+        scratch = np.empty(4 * size)
+        del scratch
         if len(self._loop_src):
             n = self._limit
             self._n_fft = 1 << (2 * n - 1).bit_length()
@@ -523,16 +539,22 @@ class CirculatorConfig:
             raise ConfigError("; ".join(problems))
 
 
+def _twin(element: ScatteringElement) -> ScatteringElement:
+    """A second element on the same design, which is read-only: only the
+    state differs, and reset gives the twin its own."""
+    twin = element.zeroed(element.lanes)
+    twin.warnings = list(element.warnings)
+    return twin
+
+
 def build_circulator(config: CirculatorConfig) -> CirculatorNetwork:
-    """Assemble the canonical network from a circulator configuration."""
+    """Assemble the canonical network from a circulator configuration.
+    A line description used for both lines (a YAML alias) and a matching
+    spec repeated over positions are designed once and shared."""
     fs = config.sample_rate
     line_a = _line_element(config.line_a, fs, "line_a")
     if config.line_b is config.line_a:
-        # One description for both lines (a YAML alias): design it once.
-        # The design is read-only; the network's reset gives each line its
-        # own state.
-        line_b = copy.copy(line_a)
-        line_b.warnings = list(line_a.warnings)
+        line_b = _twin(line_a)
     else:
         line_b = _line_element(config.line_b, fs, "line_b")
     matching = config.matching
@@ -541,7 +563,14 @@ def build_circulator(config: CirculatorConfig) -> CirculatorNetwork:
         specs = list(matching) if isinstance(matching, (list, tuple)) else [matching] * 4
         if len(specs) != 4:
             raise ConfigError("matching must give one spec or exactly four")
-        matches = [_design(f"matching[{i}]", MatchingElement, s, fs) for i, s in enumerate(specs)]
+        designs: dict[MatchSpec, MatchingElement] = {}
+        matches = []
+        for i, spec in enumerate(specs):
+            if spec in designs:
+                matches.append(_twin(designs[spec]))
+            else:
+                designs[spec] = _design(f"matching[{i}]", MatchingElement, spec, fs)
+                matches.append(designs[spec])
     return CirculatorNetwork(config.switch, line_a, line_b, config.schedule, fs, matches=matches)
 
 

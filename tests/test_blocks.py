@@ -7,6 +7,11 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import os
+import platform
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -181,6 +186,54 @@ def test_many_lanes_keep_the_block_floor():
     net.advance(np.zeros((4, 204, 300)))
     assert block_limit(204) == MAX_BLOCK == 64
     assert sizes == [64, 64, 64, 64, 44]
+
+
+def test_floor_blocks_end_at_frame_edges():
+    # From 32 lanes up a block stays within one MAX_BLOCK frame of the
+    # elements, ending at its edge, at the run's end or before a sample
+    # where a line port reflects: the band filter then makes one frame
+    # product per block.
+    net = network("paper")
+    net.reset(204)
+    reflects = np.zeros(N_SAMPLES + 1, dtype=bool)
+    for side in ("left", "right"):
+        reflects |= net.left.coefficients(trace_for(net.schedule, side, N_SAMPLES + 1))[2] != 0.0
+    sizes = count_blocks(net)
+    net.advance(np.zeros((4, 204, N_SAMPLES)))
+    starts = np.cumsum([0] + sizes[:-1])
+    for n, b in zip(starts.tolist(), sizes):
+        assert n // MAX_BLOCK == (n + b - 1) // MAX_BLOCK
+        assert (n + b) % MAX_BLOCK == 0 or n + b == N_SAMPLES or reflects[n + b]
+    assert sizes.count(MAX_BLOCK) >= N_SAMPLES // MAX_BLOCK - 10
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's dynamic mmap threshold")
+def test_settled_blocks_fault_in_no_fresh_memory():
+    # In a fresh interpreter (without scipy, whose import happens to raise
+    # glibc's mmap threshold), 204-lane blocks past the first line-ring
+    # fill reuse memory instead of mapping their temporaries anew: without
+    # the engine's one large scratch array they fault in about 270 pages
+    # per block.
+    code = f"""
+        import resource
+        import numpy as np
+        from sdlsim.cli import load_config
+        from sdlsim.engine import build_circulator
+        net = build_circulator(load_config({str(CONFIG_DIR / "paper.yaml")!r}))
+        net.reset(204)
+        x = np.random.default_rng(0).standard_normal((4, 204, 64))
+        for _ in range(60):
+            net.advance(x)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        for _ in range(50):
+            net.advance(x)
+        print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    """
+    env = dict(os.environ, PYTHONPATH=str(CONFIG_DIR.parent / "src"), OPENBLAS_NUM_THREADS="1")
+    result = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(code)], capture_output=True, text=True, env=env, check=True
+    )
+    assert int(result.stdout) < 1000
 
 
 @pytest.mark.parametrize("name", MATCHED)

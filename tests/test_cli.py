@@ -553,6 +553,27 @@ class TestCommands:
         metric_rows = data_rows(out / "metrics.csv")
         assert ["iso_threshold_db", "5"] in metric_rows
 
+    def test_sweep_prints_worst_forward_loss(self, tmp_path, capsys):
+        # The printed loss is the largest of any forward path at any point
+        # of the metric band (here the whole grid), not the largest of the
+        # per-path best losses that metrics.csv lists as il_*_db.
+        cfg = write_config(tmp_path)
+        out = tmp_path / "out"
+        args = ["sweep", "--config", str(cfg), "--out", str(out), "--threshold-db", "5",
+                "--freq-start", "150e6", "--freq-stop", "160e6", "--freq-points", "3"]
+        assert main(args) == 0
+        printed = capsys.readouterr().out.split("worst forward loss ")[1].split(" dB")[0]
+        rows = data_rows(out / "sweep.csv")
+        col = {name: i for i, name in enumerate(rows[0])}
+        losses = [
+            -20.0 * math.log10(abs(complex(float(r[col[f"s{p}_re"]]), float(r[col[f"s{p}_im"]]))))
+            for p in ("21", "32", "43", "14")
+            for r in rows[1:]
+        ]
+        assert printed == f"{max(losses):.2f}"
+        best = [float(v) for k, v in data_rows(out / "metrics.csv")[1:] if k.startswith("il_")]
+        assert max(losses) > max(best) + 0.05
+
     def test_spectrum_rows(self, tmp_path):
         cfg = write_config(tmp_path)
         out = tmp_path / "out"

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from conftest import phasor
 
-from sdlsim.elements import DelayLineSpec, MatchSpec, SwitchSpec, TouchstoneLineRef
+from sdlsim import engine
+from sdlsim.elements import DelayLineSpec, MatchingElement, MatchSpec, SwitchSpec, TouchstoneLineRef
 from sdlsim.engine import (
     BurstInjection,
     CirculatorConfig,
@@ -68,6 +69,27 @@ class TestStructure:
         net = build_circulator(make_config(matching=MatchSpec(0.0, 0.0)))
         assert sum(1 for k in net.elements if k.startswith("match_")) == 4
         assert net.k_link == K_LINK_MATCHED == 4
+
+    def test_repeated_match_spec_designed_once(self, monkeypatch):
+        # Four positions, two distinct specs: two designs, each shared by
+        # the positions that repeat it, every match with its own state.
+        designed = []
+        monkeypatch.setattr(
+            engine, "MatchingElement", lambda *args: designed.append(args) or MatchingElement(*args)
+        )
+        one, other = MatchSpec(33e-9, 18e-12), MatchSpec(20e-9, 10e-12)
+        net = build_circulator(make_config(matching=(one, other, one, one)))
+        assert [spec for spec, _ in designed] == [one, other]
+        m = net.matches
+        assert m[0]._biquads is m[2]._biquads is m[3]._biquads
+        assert m[1]._biquads is not m[0]._biquads
+        assert len({id(x._z) for x in m}) == 4
+        x = np.random.default_rng(2).standard_normal((2, 1, 50))
+        expected = MatchingElement(one, FS).step(x)
+        assert np.array_equal(m[0].step(x), expected)
+        # Stepping one position leaves the others at zero state.
+        assert not np.any(m[2]._z) and not np.any(m[3]._z)
+        assert np.array_equal(m[2].step(x), expected)
 
     def test_touchstone_line_accepted(self):
         freqs = np.linspace(100e6, 210e6, 23)

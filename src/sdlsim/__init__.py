@@ -32,15 +32,13 @@ from .elements import (
     synth_lmatch,
 )
 from .engine import (
-    BurstInjection,
     CirculatorConfig,
     CirculatorNetwork,
     RunRecord,
     build_circulator,
-    event_walk_oracle,
     run,
 )
-from .errors import ConfigError, OracleDeclined, QuantizationError, SimulationFault
+from .errors import ConfigError, QuantizationError, SimulationFault
 from .schedule import (
     ControlSchedule,
     ScheduleReport,
@@ -63,7 +61,6 @@ __all__ = [
     "AnalysisWarning",
     "build_circulator",
     "build_schedule",
-    "BurstInjection",
     "CirculatorConfig",
     "CirculatorMetrics",
     "CirculatorNetwork",
@@ -71,7 +68,6 @@ __all__ = [
     "ControlSchedule",
     "dbm_to_amplitude",
     "DelayLineSpec",
-    "event_walk_oracle",
     "expanded_controls",
     "group_delay",
     "line_sweep",
@@ -81,7 +77,6 @@ __all__ = [
     "metrics",
     "modfreq_sweep",
     "ModFreqPoint",
-    "OracleDeclined",
     "parse_touchstone",
     "PortSpectrum",
     "QuantizationError",

@@ -11,7 +11,8 @@ drive_dbm, settle_periods, measure_periods and spectrum_window_periods.
 The windows are whole numbers of schedule periods, bounded when the config
 is made, so that every intermodulation line lands on the analysis grid. A
 convergence monitor compares output power between consecutive periods
-inside the window and flags runs that are still settling.
+inside the window and flags runs that are still settling. Each analysis
+also reports the warnings of the network's elements.
 
 Every analysis of the switched network is a thin parameterisation of one
 drive-and-measure kernel (_measure): the stimulus of each block is built in
@@ -19,13 +20,18 @@ closed form, the network advances the whole block (see engine: settled
 spans run as blocks, switch transitions sample by sample), and each lane's
 outputs and drive are projected onto its detection frequencies over its own
 window. Lanes (one per frequency, drive port and schedule) are independent
-runs sharing each block. In the harmonic-transfer view of a periodically
-switched network the same-frequency S-parameter is the k = 0 term of the
-projection onto the commutation lattice f0 + k*f_mod and the spectrum's
-sidebands are the k != 0 terms, so sweep and modsweep detect one frequency
-per lane and spectrum_probe the lattice. A bare delay line is linear and
-time-invariant: line_sweep drives no lanes but evaluates the element's
-exact response (element.response).
+runs sharing each block. Under the cosine drive a steady lane's per-period
+sums follow exact recurrences from one period to the next, so stepping
+stops once every lane is steady (after 6 periods on configs/paper.yaml, of
+a sweep's 14 and a spectrum's 26) and the rest of each window is
+extrapolated; a lane that never settles steps its whole window. In the
+harmonic-transfer view of a periodically switched network the
+same-frequency S-parameter is the k = 0 term of the projection onto the
+commutation lattice f0 + k*f_mod and the spectrum's sidebands are the
+k != 0 terms, so sweep and modsweep detect one frequency per lane and
+spectrum_probe the lattice. A bare delay line is linear and time-invariant:
+line_sweep drives no lanes but evaluates the element's exact response
+(element.response).
 """
 
 from __future__ import annotations
@@ -51,6 +57,13 @@ PORT_PAIRS = {"12": ("21", "12"), "23": ("32", "23"), "34": ("43", "34"), "41": 
 SIDEBAND_ORDERS = 5
 
 _DRIFT_LIMIT_DB = 0.1
+
+# _measure calls a lane steady once the cosine drive's steady-state
+# recurrences hold on its last periods within this fraction of the drive.
+# Checking them takes _CHECK_PERIODS periods; a lane with no more than that
+# steps its whole window.
+_STEADY_TOL = 1e-12
+_CHECK_PERIODS = 4
 
 
 class AnalysisWarning(UserWarning):
@@ -153,27 +166,43 @@ def loss_db(value: complex) -> float:
 
 
 def _tone(omega: np.ndarray, amplitude: float):
-    """Closed-form drive: lane k carries amplitude*cos(omega[k]*n)."""
-    omega = np.asarray(omega, dtype=float)
+    """Closed-form drive: lane k carries amplitude*cos(omega[k]*n). The
+    cosine is evaluated once per distinct frequency."""
+    omega, row = np.unique(np.asarray(omega, dtype=float), return_inverse=True)
 
     def drive(n0: int, b: int) -> np.ndarray:
         n = np.arange(n0, n0 + b, dtype=np.float64)
-        return amplitude * np.cos(np.outer(omega, n))
+        return (amplitude * np.cos(np.outer(omega, n)))[row]
 
     return drive
 
 
-def _measure(step, ports, drive, detect, start, stop, period):
+def _measure(step, ports, drive, omega, amplitude, detect, start, stop, period):
     """The drive-and-measure kernel: drive each lane, project onto its
     detection frequencies over its window.
 
-    Lane k is driven on port ports[k] with drive(n0, b)[k] over samples
-    n0..n0+b-1, one block of at most block_limit(lanes) samples at a time
-    (the budget the network and elements split by, so a drive block never
-    cuts a settled span short), until the last window ends. step is
-    CirculatorNetwork.advance. Over lane k's window start[k] <= n < stop[k],
-    whole periods of period[k] samples, its outputs and drive are projected
-    onto exp(-j*detect[k, m]*n) (detect in rad/sample, shape (lanes, M)).
+    Lane k is driven on port ports[k] with drive(n0, b)[k] =
+    amplitude*cos(omega[k]*n) over samples n0..n0+b-1, one block of at most
+    block_limit(lanes) samples at a time (the budget the network and
+    elements split by, so a drive block never cuts a settled span short).
+    step is CirculatorNetwork.advance. Over lane k's window start[k] <= n <
+    stop[k], whole periods of period[k] samples from n = 0, its outputs and
+    drive are projected onto exp(-j*detect[k, m]*n) (detect in rad/sample,
+    shape (lanes, M)).
+
+    Stepping stops once every lane is steady or past its window. In steady
+    state the network (periodic in P = period[k]) answers the cosine drive
+    with Re(y z^(n/P)), z = exp(j*omega[k]*P), per period, so each output
+    sample obeys x[n + P] = 2 cos(omega P) x[n] - x[n - P]. Each lane keeps
+    the sums c_t of every period t it projects (outputs and drive) and its
+    output energy E_t, which then obey
+        c_(t+1) = (2 cos(omega P) c_t - c_(t-1) / u) / u,  u = exp(j*detect*P),
+        E_(t+1) = (1 + 2 cos(2 omega P)) (E_t - E_(t-1)) + E_(t-2).
+    A lane with more than _CHECK_PERIODS periods projects from n = 0 and is
+    steady once both hold on its last periods within _STEADY_TOL of the
+    drive (amplitude*P for c, amplitude**2*P for E); its later periods are
+    then taken from the recurrences, not from further steps. Other lanes
+    project their window only and step all of it.
 
     Returns the output sums (4, lanes, M), the drive sums (lanes, M) and
     each lane's output energy per measured period (periods, lanes); blocks
@@ -185,37 +214,70 @@ def _measure(step, ports, drive, detect, start, stop, period):
     start, stop, period = (
         np.broadcast_to(np.asarray(v, dtype=np.int64), (lanes,)) for v in (start, stop, period)
     )
+    periods, first = stop // period, start // period
+    # A lane whose check could still save a period is projected from n = 0.
+    lo = np.where(periods > _CHECK_PERIODS, 0, start)
     edges = {0, int(stop.max())}
-    for lo, hi, p in set(zip(start.tolist(), stop.tolist(), period.tolist())):
-        edges.update(range(lo, hi, p))
+    for a, hi, p in set(zip(lo.tolist(), stop.tolist(), period.tolist())):
+        edges.update(range(a, hi, p))
     edges = sorted(edges)
-    energy = np.zeros((int(((stop - start) // period).max()), lanes))
-    first_start, last_start, first_stop = int(start.min()), int(start.max()), int(stop.min())
+    rows, row = np.unique(detect, axis=0, return_inverse=True)  # one weight per distinct row
+    row = row.reshape(-1)
+    # Each lane's projected sums per period (outputs, then drive), its output
+    # energy per period, and the recurrences' coefficients.
+    sums = np.zeros((int(periods.max()), lanes, 5, detect.shape[1]), dtype=complex)
+    e_sums = np.zeros(sums.shape[:2])
+    u = np.exp(1j * detect * period[:, None])
+    coef_a = (2.0 * np.cos(omega * period))[:, None] / u
+    coef_b = -1.0 / (u * u)
+    coef_g = 1.0 + 2.0 * np.cos(2.0 * omega * period)
+    steady_at = np.full(lanes, -1)  # the last period a steady lane stepped
+    first_stop = int(stop.min())
     limit = block_limit(lanes)
-    acc_out = np.zeros((4, lanes, detect.shape[1]), dtype=complex)
-    acc_in = np.zeros((lanes, detect.shape[1]), dtype=complex)
-    for lo, hi in zip(edges, edges[1:]):
-        for n0 in range(lo, hi, limit):
-            b = min(limit, hi - n0)
-            d = drive(n0, b)
-            ext = np.zeros((4, lanes, b))
-            ext[ports, lane_ix] = d
-            out = step(ext)
-            bad = np.flatnonzero(~np.isfinite(out).all(axis=(0, 1)))
-            if len(bad):
-                raise SimulationFault(n0 + int(bad[0]))
-            if n0 + b <= first_start:
-                continue  # no lane measures yet
-            n = np.arange(n0, n0 + b, dtype=np.float64)
-            weight = np.exp(-1j * (detect[:, :, None] * n))
-            if n0 < last_start or n0 + b > first_stop:
-                weight *= ((n >= start[:, None]) & (n < stop[:, None]))[:, None]
-            acc_out += np.einsum("plb,lmb->plm", out, weight)
-            acc_in += np.einsum("lb,lmb->lm", d, weight)
-            act = np.flatnonzero((n0 >= start) & (n0 < stop))
-            e = np.einsum("plb,plb->l", out, out)
-            energy[(n0 - start[act]) // period[act], act] += e[act]
-    return acc_out, acc_in, energy
+    blocks = ((n0, min(limit, hi - n0)) for a, hi in zip(edges, edges[1:]) for n0 in range(a, hi, limit))
+    for n0, b in blocks:
+        d = drive(n0, b)
+        ext = np.zeros((4, lanes, b))
+        ext[ports, lane_ix] = d
+        out = step(ext)
+        bad = np.flatnonzero(~np.isfinite(out).all(axis=(0, 1)))
+        if len(bad):
+            raise SimulationFault(n0 + int(bad[0]))
+        rec = np.flatnonzero((n0 >= lo) & (n0 < stop) & (steady_at < 0))
+        if len(rec) == 0:
+            continue  # no lane projects this block
+        n = np.arange(n0, n0 + b, dtype=np.float64)
+        weight = np.exp(-1j * (rows[:, :, None] * n))[row[rec]]
+        if n0 + b > first_stop:
+            weight *= (n < stop[rec, None])[:, None]
+        t = n0 // period[rec]
+        out, d = out[:, rec], d[rec]
+        sums[t, rec, :4] += np.einsum("plb,lmb->lpm", out, weight)
+        sums[t, rec, 4] += np.einsum("lb,lmb->lm", d, weight)
+        e_sums[t, rec] += np.einsum("plb,plb->l", out, out)
+        end = n0 + b
+        due = rec[(end % period[rec] == 0) & (end // period[rec] >= _CHECK_PERIODS) & (end < stop[rec])]
+        if len(due):
+            t = end // period[due] - 1
+            c3 = sums[t[:, None] + np.arange(-2, 1), due[:, None]]
+            res_c = c3[:, 2] - coef_a[due, None] * c3[:, 1] - coef_b[due, None] * c3[:, 0]
+            e4 = e_sums[t[:, None] + np.arange(-3, 1), due[:, None]]
+            res_e = e4[:, 3] - coef_g[due] * (e4[:, 2] - e4[:, 1]) - e4[:, 0]
+            scale = _STEADY_TOL * amplitude * period[due]
+            ok = (np.abs(res_c).max(axis=(1, 2)) <= scale) & (np.abs(res_e) <= scale * amplitude)
+            steady_at[due[ok]] = t[ok]
+        if np.all((steady_at >= 0) | (end >= stop)):
+            break
+    for t0 in np.unique(steady_at[steady_at >= 0]):
+        ix = np.flatnonzero(steady_at == t0)
+        for t in range(t0 + 1, sums.shape[0]):
+            sums[t, ix] = coef_a[ix, None] * sums[t - 1, ix] + coef_b[ix, None] * sums[t - 2, ix]
+            e_sums[t, ix] = coef_g[ix] * (e_sums[t - 1, ix] - e_sums[t - 2, ix]) + e_sums[t - 3, ix]
+    t = np.arange(sums.shape[0])[:, None]
+    total = np.where(((t >= first) & (t < periods))[:, :, None, None], sums, 0.0).sum(axis=0)
+    t = first + np.arange(int((periods - first).max()))[:, None]
+    energy = np.where(t < periods, e_sums[np.minimum(t, sums.shape[0] - 1), lane_ix], 0.0)
+    return total[:, :4].transpose(1, 0, 2), total[:, 4], energy
 
 
 def _drift_notes(energy: np.ndarray, where: list[str]) -> list[str]:
@@ -231,14 +293,25 @@ def _drift_notes(energy: np.ndarray, where: list[str]) -> list[str]:
     ]
 
 
+def _element_notes(net) -> list[str]:
+    """The network's element warnings, each naming the elements that
+    raised it, so a twin's warning is listed once."""
+    names: dict[str, list[str]] = {}
+    for name, element in net.elements.items():
+        for warning in element.warnings:
+            names.setdefault(warning, []).append(name)
+    return [f"{', '.join(n)}: {warning}" for warning, n in names.items()]
+
+
 def _four_port(config: CirculatorConfig, points):
     """Same-frequency S-matrices of the circulator at each point
     (frequency, schedule), one lane per point and drive port, all stepped
     together; lanes get their own schedules only when a point's schedule
     is not the network's. Each lane settles for config.settle_periods and
     measures over config.measure_periods of its own schedule. Returns s
-    (points, 4, 4) and the lanes' measured energy per period (periods,
-    4 * points); lane 4k + i drives port i + 1 at point k.
+    (points, 4, 4), the lanes' measured energy per period (periods,
+    4 * points) and the network's element warnings; lane 4k + i drives port
+    i + 1 at point k.
     """
     net = build_circulator(config)
     schedules = [sched for _, sched in points for _ in range(4)]
@@ -250,11 +323,11 @@ def _four_port(config: CirculatorConfig, points):
     a0 = dbm_to_amplitude(config.drive_dbm)
     settle, measure = config.settle_periods, config.measure_periods
     acc_out, acc_in, energy = _measure(
-        net.advance, np.tile(np.arange(4), len(points)), _tone(omega, a0),
+        net.advance, np.tile(np.arange(4), len(points)), _tone(omega, a0), omega, a0,
         omega[:, None], settle * period, (settle + measure) * period, period,
     )
     s = (acc_out[:, :, 0] / acc_in[:, 0]).reshape(4, len(points), 4).transpose(1, 0, 2)
-    return s, energy
+    return s, energy, _element_notes(net)
 
 
 def _check_frequencies(frequencies, sample_rate: float) -> list[float]:
@@ -284,9 +357,9 @@ def sparams_sweep(config: CirculatorConfig, frequencies) -> SParamGrid:
     phasors over config.measure_periods.
     """
     freqs = _check_frequencies(frequencies, config.sample_rate)
-    s, energy = _four_port(config, [(f, config.schedule) for f in freqs])
+    s, energy, notes = _four_port(config, [(f, config.schedule) for f in freqs])
     where = [f"{f / 1e6:.4f} MHz, drive port {p}" for f in freqs for p in range(1, 5)]
-    return SParamGrid(frequencies=tuple(freqs), s=s, warnings=tuple(_drift_notes(energy, where)))
+    return SParamGrid(frequencies=tuple(freqs), s=s, warnings=tuple(notes + _drift_notes(energy, where)))
 
 
 def group_delay(grid: SParamGrid, path: tuple[int, int] = (2, 1)):
@@ -411,8 +484,8 @@ def spectrum_probe(config: CirculatorConfig, f0: float) -> SpectrumReport:
     line_f = np.array([f0 + k * f_mod for k in orders])
     net.reset(lanes=1)
     acc_out, acc_in, energy = _measure(
-        net.advance, [0], tone, 2.0 * math.pi * line_f[None] / fs,
-        n_settle, n_total, period,
+        net.advance, [0], tone, np.array([2.0 * math.pi * f0 / fs]), a0,
+        2.0 * math.pi * line_f[None] / fs, n_settle, n_total, period,
     )
     c_ports = (2.0 / n_window) * acc_out[:, 0]
     c_in = (2.0 / n_window) * acc_in[0]
@@ -434,7 +507,7 @@ def spectrum_probe(config: CirculatorConfig, f0: float) -> SpectrumReport:
         il_db=input_main - ports[1].main_dbm,
         iso3_db=input_main - ports[2].main_dbm,
         iso4_db=input_main - ports[3].main_dbm,
-        warnings=tuple(_drift_notes(energy, [f"{f0 / 1e6:.4f} MHz, drive port 1"])),
+        warnings=tuple(_element_notes(net) + _drift_notes(energy, [f"{f0 / 1e6:.4f} MHz, drive port 1"])),
     )
 
 
@@ -464,7 +537,7 @@ def modfreq_sweep(config: CirculatorConfig, f_mod_values, f0: float) -> list[Mod
         valid.append((ix, fm, sched))
 
     if valid:
-        s, energy = _four_port(config, [(f0, sched) for _, _, sched in valid])
+        s, energy, notes = _four_port(config, [(f0, sched) for _, _, sched in valid])
         for m, (ix, fm, sched) in enumerate(valid):
             where = [f"f_mod {sched.f_mod / 1e3:.3f} kHz, drive port {p}" for p in range(1, 5)]
             results[ix] = ModFreqPoint(
@@ -472,7 +545,7 @@ def modfreq_sweep(config: CirculatorConfig, f_mod_values, f0: float) -> list[Mod
                 max(loss_db(s[m, j, i]) for j, i in FORWARD_PATHS.values()),
                 min(loss_db(s[m, j, i]) for j, i in REVERSE_PATHS.values()),
                 f_mod_achieved=sched.f_mod,
-                warnings=tuple(_drift_notes(energy[:, 4 * m : 4 * m + 4], where)),
+                warnings=tuple(notes + _drift_notes(energy[:, 4 * m : 4 * m + 4], where)),
             )
 
     return [results[ix] for ix in sorted(results)]

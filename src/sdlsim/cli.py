@@ -608,11 +608,12 @@ def _cmd_modsweep(config: CirculatorConfig, out: Path, overrides: dict) -> list[
     for pt in points:
         if pt.note:
             print(f"warning: f_mod {pt.f_mod:.6g} Hz skipped: {pt.note}", file=sys.stderr)
-        for note in pt.warnings:
-            print(f"warning: {note}", file=sys.stderr)
         lines.append(
             ",".join([_fmt(pt.f_mod), _fmt(pt.f_mod_achieved), _fmt(pt.il_db), _fmt(pt.iso_db)])
         )
+    # Every point carries the shared network's element warnings.
+    for note in dict.fromkeys(note for pt in points for note in pt.warnings):
+        print(f"warning: {note}", file=sys.stderr)
     csv = out / "modsweep.csv"
     _write_text(csv, lines)
 

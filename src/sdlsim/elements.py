@@ -336,11 +336,6 @@ class DelayLineElement(ScatteringElement):
         self.sample_rate = sample_rate
         self.delay_samples = round(spec.tau * sample_rate)
         self.rounding_error_s = abs(self.delay_samples / sample_rate - spec.tau)
-        if self.rounding_error_s * sample_rate > 0.5:
-            self.warnings.append(
-                f"delay quantization error {self.rounding_error_s * 1e12:.1f} ps "
-                "exceeds half a sample"
-            )
 
         banded = spec.bandwidth is not None and spec.band_order > 0
         if banded:

@@ -21,7 +21,3 @@ class SimulationFault(RuntimeError):
     def __init__(self, sample_index: int):
         super().__init__(f"non-finite wave amplitude at sample {sample_index}")
         self.sample_index = sample_index
-
-
-class OracleDeclined(Exception):
-    """The event-walk oracle cannot predict this case exactly."""

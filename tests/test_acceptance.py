@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 import conftest
+from event_walk import BurstInjection, OracleDeclined, event_walk_oracle
 
 from sdlsim.analysis import (
     AnalysisWarning,
@@ -29,8 +30,7 @@ from sdlsim.analysis import (
 )
 from sdlsim.cli import load_config
 from sdlsim.elements import DelayLineSpec, SwitchSpec, TouchstoneLineRef
-from sdlsim.engine import BurstInjection, CirculatorConfig, build_circulator, event_walk_oracle, run
-from sdlsim.errors import OracleDeclined
+from sdlsim.engine import CirculatorConfig, build_circulator, run
 from sdlsim.schedule import build_schedule
 from sdlsim.signals import SampleBuffer, make_burst
 from sdlsim.touchstone import TouchstoneData, parse_touchstone, write_touchstone

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from sdlsim import analysis
 from sdlsim.analysis import (
     AnalysisWarning,
     SParamGrid,
@@ -17,7 +18,7 @@ from sdlsim.analysis import (
 )
 from sdlsim.cli import load_config
 from sdlsim.elements import DelayLineSpec, SwitchSpec
-from sdlsim.engine import MAX_PERIODS, CirculatorConfig
+from sdlsim.engine import MAX_PERIODS, CirculatorConfig, build_circulator
 from sdlsim.errors import ConfigError
 from sdlsim.schedule import build_schedule
 from sdlsim.signals import dbm_to_amplitude
@@ -350,3 +351,118 @@ class TestLineSweep:
         delays = [d for _, d in group_delay(grid, (2, 1))]
         assert all(abs(d - 280e-9) < 5e-9 for d in delays)
         assert np.max(np.abs(grid.s)) <= 1 + 1e-6
+
+
+def counted_steps(monkeypatch):
+    """Route every step _measure makes through a counter of the samples it
+    advances; returns the list the counts are appended to."""
+    counts = []
+    measure = analysis._measure
+
+    def counting_measure(step, *args):
+        def counting(ext):
+            counts.append(ext.shape[2])
+            return step(ext)
+
+        return measure(counting, *args)
+
+    monkeypatch.setattr(analysis, "_measure", counting_measure)
+    return counts
+
+
+def reference_s(cfg, f0s, schedules):
+    """S-matrices at each (frequency, schedule) point, stepping every lane's
+    whole settle and measure window in one advance call and projecting its
+    window at once."""
+    net = build_circulator(cfg)
+    lanes = [(f, sched) for f, sched in zip(f0s, schedules) for _ in range(4)]
+    net.set_lane_schedules([sched for _, sched in lanes])
+    net.reset(lanes=len(lanes))
+    period = np.array([sched.period_samples for _, sched in lanes])
+    stop = (cfg.settle_periods + cfg.measure_periods) * period
+    n = np.arange(stop.max())
+    omega = 2.0 * math.pi * np.array([f for f, _ in lanes]) / FS
+    drive = dbm_to_amplitude(cfg.drive_dbm) * np.cos(np.outer(omega, n))
+    ext = np.zeros((4, len(lanes), len(n)))
+    ext[np.tile(np.arange(4), len(f0s)), np.arange(len(lanes))] = drive
+    out = net.advance(ext)
+    window = (n >= cfg.settle_periods * period[:, None]) & (n < stop[:, None])
+    weight = np.exp(-1j * omega[:, None] * n) * window
+    s = np.einsum("pln,ln->pl", out, weight) / np.einsum("ln,ln->l", drive, weight)
+    return s.reshape(4, len(f0s), 4).transpose(1, 0, 2)
+
+
+def test_drive_bit_identical_per_lane():
+    # The cosine is evaluated once per distinct frequency and indexed out.
+    omega = 2.0 * math.pi * np.array([155e6, 150e6, 155e6, 160e6, 150e6]) / FS
+    n = np.arange(4096, 4160, dtype=np.float64)
+    expected = 0.3 * np.cos(np.outer(omega, n))
+    np.testing.assert_array_equal(analysis._tone(omega, 0.3)(4096, 64), expected)
+
+
+class TestSteadyStop:
+    """_measure stops stepping once every lane is steady and takes the rest
+    of each lane's periods from the cosine drive's recurrences."""
+
+    paper = load_config(CONFIG_DIR / "paper.yaml")
+
+    def test_paper_sweep_matches_whole_window(self):
+        freqs = [150e6, 151.3e6, 155e6, 158.7e6, 160e6]
+        grid = sparams_sweep(self.paper, freqs)
+        ref = reference_s(self.paper, freqs, [self.paper.schedule] * len(freqs))
+        assert np.abs(grid.s - ref).max() <= 1e-12
+
+    def test_paper_modsweep_matches_whole_window(self):
+        scheds = [build_schedule(p / FS, 2e-9, 0.5, FS) for p in (4488, 4560, 4600)]
+        points = modfreq_sweep(self.paper, [s.f_mod for s in scheds], 155e6)
+        ref = np.abs(reference_s(self.paper, [155e6] * 3, scheds))
+        fwd = [ref[:, j, i] for j, i in analysis.FORWARD_PATHS.values()]
+        rev = [ref[:, j, i] for j, i in analysis.REVERSE_PATHS.values()]
+        got_il = [10 ** (-pt.il_db / 20) for pt in points]
+        got_iso = [10 ** (-pt.iso_db / 20) for pt in points]
+        assert np.abs(np.array(got_il) - np.min(fwd, axis=0)).max() <= 1e-12
+        assert np.abs(np.array(got_iso) - np.max(rev, axis=0)).max() <= 1e-12
+
+    def test_paper_sweep_steps_at_most_seven_periods(self, monkeypatch):
+        counts = counted_steps(monkeypatch)
+        grid = sparams_sweep(self.paper, np.linspace(*self.paper.band))
+        assert sum(counts) <= 7 * self.paper.schedule.period_samples
+        assert grid.warnings == ()
+
+    def test_short_windows_step_whole(self, monkeypatch):
+        # 2 + 1 periods leave no period to save: every lane steps its window.
+        counts = counted_steps(monkeypatch)
+        cfg = dataclasses.replace(self.paper, settle_periods=2, measure_periods=1)
+        modfreq_sweep(cfg, [FS / 4480, FS / 4496, FS / 4560], 155e6)
+        assert sum(counts) == 3 * 4560
+
+    def test_unsteady_lane_steps_whole_window(self):
+        # Lane 0 returns its drive (steady from the first sample); lane 1
+        # returns it with a gain still growing at the window's end.
+        counts = []
+        period, settle, measure, a0 = 64, 2, 4, 0.5
+        stop = (settle + measure) * period
+
+        def step(ext):
+            gain = np.ones(ext.shape[1:])
+            gain[1:] += (sum(counts) + np.arange(ext.shape[2])) / stop
+            counts.append(ext.shape[2])
+            return ext * gain
+
+        omega = np.array([0.3, 0.3])
+        acc_out, acc_in, energy = analysis._measure(
+            step, [0, 0], analysis._tone(omega, a0), omega, a0, omega[:, None],
+            settle * period, stop, period,
+        )
+        assert sum(counts) == stop
+        assert abs(acc_out[0, 0, 0] / acc_in[0, 0] - 1.0) <= 1e-12
+        notes = analysis._drift_notes(energy, ["steady lane", "growing lane"])
+        assert len(notes) == 1 and "not settled" in notes[0] and "growing lane" in notes[0]
+
+        # The steady lane alone stops after the periods its check needs.
+        counts.clear()
+        analysis._measure(
+            step, [0], analysis._tone(omega[:1], a0), omega[:1], a0, omega[:1, None],
+            settle * period, stop, period,
+        )
+        assert sum(counts) == analysis._CHECK_PERIODS * period

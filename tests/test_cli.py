@@ -593,6 +593,24 @@ class TestCommands:
         assert main(args) == 0
         assert "warning: not settled: output power drifts" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["sweep", "spectrum", "modsweep"])
+    def test_element_warnings_on_stderr(self, tmp_path, capsys, command):
+        # A 280 ns line cut to 512 taps (128 ns) loses most of its energy.
+        # Both lines are one YAML alias, so the twin's warning prints once.
+        freqs = np.linspace(100e6, 210e6, 111)
+        s = np.zeros((111, 2, 2), dtype=complex)
+        s[:, 0, 1] = s[:, 1, 0] = 0.6 * np.exp(-2j * np.pi * freqs * 280e-9)
+        (tmp_path / "line.s2p").write_text(write_touchstone(TouchstoneData(freqs, s)))
+        line = {"touchstone": "line.s2p", "ir_len": 512}
+        cfg = write_config(tmp_path, line_a=line, line_b=line)
+        args = [command, "--config", str(cfg), "--out", str(tmp_path / "out")]
+        if command == "modsweep":
+            args += ["--fmod", "877193,891266"]
+        assert main(args) == 0
+        err = capsys.readouterr().err
+        assert err.count("truncation loses") == 1
+        assert "warning: line_a, line_b: impulse response truncation loses" in err
+
     def test_spectrum_on_ideal_config(self, tmp_path, capsys):
         # Ports 3 and 4 of the ideal network carry exactly nothing: their
         # lines read -inf dBm and the isolation inf, not a clamped floor.

@@ -143,6 +143,15 @@ class TestDelayLine:
         assert el.rounding_error_s == pytest.approx(0.1e-9, abs=1e-12)
         assert el.warnings == []
 
+    @pytest.mark.parametrize("samples", [1.5, 2.5, 1120.5, 1121.5, 4095.5])
+    def test_half_sample_delay_is_no_quantization_warning(self, samples):
+        # round() leaves at most half a sample; at exact half-sample delays
+        # the error computed in floating point lands either side of 0.5 and
+        # is no reason to warn.
+        el = DelayLineElement(DelayLineSpec(tau=samples / FS, **FLAT), FS)
+        assert el.rounding_error_s * FS == pytest.approx(0.5, abs=1e-9)
+        assert el.warnings == []
+
     def test_reciprocity(self):
         spec = DelayLineSpec(il_db=2.0, port_return_db=math.inf, echoes=())
         rng = np.random.default_rng(3)

@@ -4,19 +4,18 @@ import math
 import numpy as np
 import pytest
 from conftest import phasor
+from event_walk import BurstInjection, OracleDeclined, event_walk_oracle
 
 from sdlsim import engine
 from sdlsim.elements import DelayLineSpec, MatchingElement, MatchSpec, SwitchSpec, TouchstoneLineRef
 from sdlsim.engine import (
-    BurstInjection,
     CirculatorConfig,
     K_LINK_BARE,
     K_LINK_MATCHED,
     build_circulator,
-    event_walk_oracle,
     run,
 )
-from sdlsim.errors import ConfigError, OracleDeclined, SimulationFault
+from sdlsim.errors import ConfigError, SimulationFault
 from sdlsim.schedule import build_schedule
 from sdlsim.signals import SampleBuffer, make_burst
 from sdlsim.touchstone import TouchstoneData

@@ -46,7 +46,8 @@ from .elements import block_limit
 from .engine import CirculatorConfig, _line_element, build_circulator
 from .errors import ConfigError, QuantizationError, SimulationFault
 from .schedule import ControlSchedule, build_schedule
-from .signals import amplitude_to_dbm, dbm_to_amplitude, make_tone
+# make_tone is not called here; benchmark/child.py --trace 1 rebinds analysis.make_tone.
+from .signals import amplitude_to_dbm, dbm_to_amplitude, make_tone  # noqa: F401
 
 FORWARD_PATHS = {"21": (1, 0), "32": (2, 1), "43": (3, 2), "14": (0, 3)}
 REVERSE_PATHS = {"12": (0, 1), "23": (1, 2), "34": (2, 3), "41": (3, 0)}
@@ -165,26 +166,15 @@ def loss_db(value: complex) -> float:
     return -20.0 * math.log10(mag) if mag > 0 else math.inf
 
 
-def _tone(omega: np.ndarray, amplitude: float):
-    """Closed-form drive: lane k carries amplitude*cos(omega[k]*n). The
-    cosine is evaluated once per distinct frequency."""
-    omega, row = np.unique(np.asarray(omega, dtype=float), return_inverse=True)
-
-    def drive(n0: int, b: int) -> np.ndarray:
-        n = np.arange(n0, n0 + b, dtype=np.float64)
-        return (amplitude * np.cos(np.outer(omega, n)))[row]
-
-    return drive
-
-
-def _measure(step, ports, drive, omega, amplitude, detect, start, stop, period):
+def _measure(step, ports, omega, amplitude, detect, start, stop, period):
     """The drive-and-measure kernel: drive each lane, project onto its
     detection frequencies over its window.
 
-    Lane k is driven on port ports[k] with drive(n0, b)[k] =
-    amplitude*cos(omega[k]*n) over samples n0..n0+b-1, one block of at most
-    block_limit(lanes) samples at a time (the budget the network and
-    elements split by, so a drive block never cuts a settled span short).
+    Lane k is driven on port ports[k] with amplitude*cos(omega[k]*n), built
+    here for each block of at most block_limit(lanes) samples (the budget
+    the network and elements split by, so a drive block never cuts a
+    settled span short), the cosine once per distinct frequency. Built
+    here, it is the drive the recurrences below assume.
     step is CirculatorNetwork.advance. Over lane k's window start[k] <= n <
     stop[k], whole periods of period[k] samples from n = 0, its outputs and
     drive are projected onto exp(-j*detect[k, m]*n) (detect in rad/sample,
@@ -221,6 +211,7 @@ def _measure(step, ports, drive, omega, amplitude, detect, start, stop, period):
     for a, hi, p in set(zip(lo.tolist(), stop.tolist(), period.tolist())):
         edges.update(range(a, hi, p))
     edges = sorted(edges)
+    tones, tone_row = np.unique(np.asarray(omega, dtype=float), return_inverse=True)
     rows, row = np.unique(detect, axis=0, return_inverse=True)  # one weight per distinct row
     row = row.reshape(-1)
     # Each lane's projected sums per period (outputs, then drive), its output
@@ -236,7 +227,8 @@ def _measure(step, ports, drive, omega, amplitude, detect, start, stop, period):
     limit = block_limit(lanes)
     blocks = ((n0, min(limit, hi - n0)) for a, hi in zip(edges, edges[1:]) for n0 in range(a, hi, limit))
     for n0, b in blocks:
-        d = drive(n0, b)
+        n = np.arange(n0, n0 + b, dtype=np.float64)
+        d = (amplitude * np.cos(np.outer(tones, n)))[tone_row]
         ext = np.zeros((4, lanes, b))
         ext[ports, lane_ix] = d
         out = step(ext)
@@ -246,7 +238,6 @@ def _measure(step, ports, drive, omega, amplitude, detect, start, stop, period):
         rec = np.flatnonzero((n0 >= lo) & (n0 < stop) & (steady_at < 0))
         if len(rec) == 0:
             continue  # no lane projects this block
-        n = np.arange(n0, n0 + b, dtype=np.float64)
         weight = np.exp(-1j * (rows[:, :, None] * n))[row[rec]]
         if n0 + b > first_stop:
             weight *= (n < stop[rec, None])[:, None]
@@ -293,14 +284,19 @@ def _drift_notes(energy: np.ndarray, where: list[str]) -> list[str]:
     ]
 
 
-def _element_notes(net) -> list[str]:
-    """The network's element warnings, each naming the elements that
-    raised it, so a twin's warning is listed once."""
+def grouped_notes(notes) -> list[str]:
+    """One line per distinct message of the (name, message) pairs, naming
+    every source that raised it ("line_a, line_b: ..."), in first-seen
+    order, so a twin's warning is listed once."""
     names: dict[str, list[str]] = {}
-    for name, element in net.elements.items():
-        for warning in element.warnings:
-            names.setdefault(warning, []).append(name)
-    return [f"{', '.join(n)}: {warning}" for warning, n in names.items()]
+    for name, message in notes:
+        names.setdefault(message, []).append(name)
+    return [f"{', '.join(n)}: {message}" for message, n in names.items()]
+
+
+def _element_notes(net) -> list[str]:
+    """The network's element warnings, grouped by message."""
+    return grouped_notes((name, w) for name, el in net.elements.items() for w in el.warnings)
 
 
 def _four_port(config: CirculatorConfig, points):
@@ -323,7 +319,7 @@ def _four_port(config: CirculatorConfig, points):
     a0 = dbm_to_amplitude(config.drive_dbm)
     settle, measure = config.settle_periods, config.measure_periods
     acc_out, acc_in, energy = _measure(
-        net.advance, np.tile(np.arange(4), len(points)), _tone(omega, a0), omega, a0,
+        net.advance, np.tile(np.arange(4), len(points)), omega, a0,
         omega[:, None], settle * period, (settle + measure) * period, period,
     )
     s = (acc_out[:, :, 0] / acc_in[:, 0]).reshape(4, len(points), 4).transpose(1, 0, 2)
@@ -475,16 +471,13 @@ def spectrum_probe(config: CirculatorConfig, f0: float) -> SpectrumReport:
     n_total = n_settle + n_window
     a0 = dbm_to_amplitude(config.drive_dbm)
 
-    def tone(n0: int, b: int) -> np.ndarray:
-        return make_tone(f0, a0, 0.0, b, fs, start_index=n0).samples[None]
-
     # The commutation lattice f0 + k*f_mod: k = 0 is the same-frequency
     # transfer, k != 0 the sidebands.
     orders = [k for k in range(-SIDEBAND_ORDERS, SIDEBAND_ORDERS + 1) if 0.0 < f0 + k * f_mod < fs / 2.0]
     line_f = np.array([f0 + k * f_mod for k in orders])
     net.reset(lanes=1)
     acc_out, acc_in, energy = _measure(
-        net.advance, [0], tone, np.array([2.0 * math.pi * f0 / fs]), a0,
+        net.advance, [0], np.array([2.0 * math.pi * f0 / fs]), a0,
         2.0 * math.pi * line_f[None] / fs, n_settle, n_total, period,
     )
     c_ports = (2.0 / n_window) * acc_out[:, 0]

@@ -13,9 +13,14 @@ schedule   expanded four-column control waveforms for one period ->
            schedule.csv, schedule.svg
 run        single time-domain burst through the circulator -> run.csv
 
-Every output file begins with a comment header carrying the tool version
-and a digest of the configuration that produced it, and contains nothing
-time- or host-dependent: rerunning a command on the same config yields
+Commands compute, execute writes. Each command is a function of the
+config and the flag overrides that returns its artifacts (file name to CSV
+rows or to a Chart), its notes and its summary, and does no I/O. execute
+alone writes every artifact under the same three header lines (tool
+version, a digest of the configuration, the command; "# " in CSV,
+"<!-- -->" in SVG), prints the notes as warnings on stderr and the summary
+on stdout, and returns the paths. Files contain nothing time- or
+host-dependent: rerunning a command on the same config yields
 byte-identical files. SVG output is hand-assembled plain text (no plotting
 dependency) and is presentation-only; all numbers live in the CSVs.
 
@@ -44,6 +49,7 @@ from .analysis import (
     FORWARD_PATHS,
     REVERSE_PATHS,
     group_delay,
+    grouped_notes,
     line_sweep,
     loss_db,
     metrics,
@@ -340,12 +346,10 @@ def load_config(path) -> CirculatorConfig:
         matching=matching,
         digest=digest,
         # Physics warnings, not errors: commutation offset vs actual link delay.
-        warnings=tuple(
-            f"{name}: {msg}" for name, tau in delays
-            for msg in validate_schedule(
-                schedule, tau, _crossbar_latency(matching, fs)
-            ).messages
-        ),
+        warnings=tuple(grouped_notes(
+            (name, msg) for name, tau in delays
+            for msg in validate_schedule(schedule, tau, _crossbar_latency(matching, fs)).messages
+        )),
         **analysis,
     )
 
@@ -354,12 +358,13 @@ def _fmt(x) -> str:
     return f"{float(x):.12g}"
 
 
-def _write_text(path: Path, lines: list[str]) -> None:
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def _csv_header(config: CirculatorConfig, command: str) -> list[str]:
-    return [f"# sdlsim {__version__}", f"# config {config.digest}", f"# command {command}"]
+def _header(config: CirculatorConfig, command: str, form: str) -> list[str]:
+    """The three lines every artifact begins with, each put in the comment
+    form ("# {}" for CSV, "<!-- {} -->" for SVG)."""
+    return [
+        form.format(line)
+        for line in (f"sdlsim {__version__}", f"config {config.digest}", f"command {command}")
+    ]
 
 
 def _grid_rows(grid, delays=None) -> list[str]:
@@ -380,12 +385,14 @@ def _grid_rows(grid, delays=None) -> list[str]:
     return rows
 
 
-def _svg_header(config: CirculatorConfig, command: str) -> list[str]:
-    return [
-        f"<!-- sdlsim {__version__} -->",
-        f"<!-- config {config.digest} -->",
-        f"<!-- command {command} -->",
-    ]
+@dataclasses.dataclass(frozen=True)
+class Chart:
+    """A line chart: title, axis labels and (label, xs, ys) series."""
+
+    title: str
+    xlabel: str
+    ylabel: str
+    series: list[tuple[str, list[float], list[float]]]
 
 
 def _segments(xs, ys):
@@ -402,16 +409,10 @@ def _segments(xs, ys):
     return out
 
 
-def write_svg(
-    path: Path,
-    config: CirculatorConfig,
-    command: str,
-    title: str,
-    xlabel: str,
-    ylabel: str,
-    series: list[tuple[str, list[float], list[float]]],
-) -> None:
-    """Minimal deterministic line chart. Data of record lives in the CSVs."""
+def render_svg(chart: Chart) -> list[str]:
+    """Minimal deterministic line chart, as lines of SVG. Data of record
+    lives in the CSVs."""
+    series = chart.series
     width, height = _SVG_SIZE
     left, right, top, bottom = 72, 18, 30, 46
     pw, ph = width - left - right, height - top - bottom
@@ -430,33 +431,22 @@ def write_svg(
     def sy(y):
         return top + ph - (y - y_lo) / (y_hi - y_lo) * ph
 
-    out = _svg_header(config, command)
-    out.append(
+    out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}"'
-        f' viewBox="0 0 {width} {height}" font-family="monospace" font-size="11">'
-    )
-    out.append(f'<rect width="{width}" height="{height}" fill="#ffffff"/>')
-    out.append(
-        f'<rect x="{left}" y="{top}" width="{pw}" height="{ph}" fill="none" stroke="#444444"/>'
-    )
+        f' viewBox="0 0 {width} {height}" font-family="monospace" font-size="11">',
+        f'<rect width="{width}" height="{height}" fill="#ffffff"/>',
+        f'<rect x="{left}" y="{top}" width="{pw}" height="{ph}" fill="none" stroke="#444444"/>',
+    ]
     for i in range(5):
         fx = x_lo + i * (x_hi - x_lo) / 4
         fy = y_lo + i * (y_hi - y_lo) / 4
         px, py = sx(fx), sy(fy)
-        out.append(
-            f'<line x1="{px:.2f}" y1="{top}" x2="{px:.2f}" y2="{top + ph}"'
-            f' stroke="#dddddd"/>'
-        )
-        out.append(
-            f'<line x1="{left}" y1="{py:.2f}" x2="{left + pw}" y2="{py:.2f}"'
-            f' stroke="#dddddd"/>'
-        )
-        out.append(
-            f'<text x="{px:.2f}" y="{top + ph + 16}" text-anchor="middle">{fx:.6g}</text>'
-        )
-        out.append(
-            f'<text x="{left - 6}" y="{py + 4:.2f}" text-anchor="end">{fy:.6g}</text>'
-        )
+        out += [
+            f'<line x1="{px:.2f}" y1="{top}" x2="{px:.2f}" y2="{top + ph}" stroke="#dddddd"/>',
+            f'<line x1="{left}" y1="{py:.2f}" x2="{left + pw}" y2="{py:.2f}" stroke="#dddddd"/>',
+            f'<text x="{px:.2f}" y="{top + ph + 16}" text-anchor="middle">{fx:.6g}</text>',
+            f'<text x="{left - 6}" y="{py + 4:.2f}" text-anchor="end">{fy:.6g}</text>',
+        ]
     for k, (label, xs, ys) in enumerate(series):
         color = _PALETTE[k % len(_PALETTE)]
         for seg in _segments(xs, ys):
@@ -466,20 +456,14 @@ def write_svg(
             f'<text x="{left + pw - 6}" y="{top + 16 + 14 * k}" text-anchor="end"'
             f' fill="{color}">{escape(str(label))}</text>'
         )
-    out.append(
-        f'<text x="{(left + width - right) / 2:.1f}" y="{top - 10}"'
-        f' text-anchor="middle">{escape(title)}</text>'
-    )
-    out.append(
-        f'<text x="{(left + width - right) / 2:.1f}" y="{height - 8}"'
-        f' text-anchor="middle">{escape(xlabel)}</text>'
-    )
-    out.append(
-        f'<text x="14" y="{(top + height - bottom) / 2:.1f}" text-anchor="middle"'
-        f' transform="rotate(-90 14 {(top + height - bottom) / 2:.1f})">{escape(ylabel)}</text>'
-    )
-    out.append("</svg>")
-    _write_text(path, out)
+    mid_x, mid_y = (left + width - right) / 2, (top + height - bottom) / 2
+    return out + [
+        f'<text x="{mid_x:.1f}" y="{top - 10}" text-anchor="middle">{escape(chart.title)}</text>',
+        f'<text x="{mid_x:.1f}" y="{height - 8}" text-anchor="middle">{escape(chart.xlabel)}</text>',
+        f'<text x="14" y="{mid_y:.1f}" text-anchor="middle"'
+        f' transform="rotate(-90 14 {mid_y:.1f})">{escape(chart.ylabel)}</text>',
+        "</svg>",
+    ]
 
 
 def _band_frequencies(config: CirculatorConfig, overrides: dict) -> np.ndarray:
@@ -495,88 +479,61 @@ def _band_frequencies(config: CirculatorConfig, overrides: dict) -> np.ndarray:
     return np.linspace(start, stop, int(points))
 
 
-def _cmd_sweep(config: CirculatorConfig, out: Path, overrides: dict) -> list[Path]:
+def _cmd_sweep(config: CirculatorConfig, overrides: dict):
     freqs = _band_frequencies(config, overrides)
     grid = sparams_sweep(config, freqs)
-    for note in grid.warnings:
-        print(f"warning: {note}", file=sys.stderr)
     threshold = overrides.get("threshold_db")
-    threshold = config.iso_threshold_db if threshold is None else threshold
-    m = metrics(grid, threshold)
-
-    sweep_csv = out / "sweep.csv"
-    _write_text(sweep_csv, _csv_header(config, "sweep") + _grid_rows(grid))
-
-    mlines = _csv_header(config, "sweep") + ["key,value"]
-    mlines.append(f"center_frequency_hz,{_fmt(m.center_frequency)}")
-    mlines.append(f"bandwidth_hz,{_fmt(m.bandwidth)}")
-    mlines.append(f"fractional_bandwidth,{_fmt(m.fbw)}")
-    mlines.append(f"iso_threshold_db,{_fmt(m.iso_threshold_db)}")
-    for key in sorted(m.il_db):
-        mlines.append(f"il_{key}_db,{_fmt(m.il_db[key])}")
-    for key in sorted(m.iso_db):
-        mlines.append(f"iso_{key}_db,{_fmt(m.iso_db[key])}")
-    for key in sorted(m.directivity_db):
-        mlines.append(f"directivity_{key}_db,{_fmt(m.directivity_db[key])}")
-    for port in sorted(m.rl_db):
-        mlines.append(f"rl_port{port}_db,{_fmt(m.rl_db[port])}")
-    for flag in m.flags:
-        mlines.append(f"flag,{flag}")
-    metrics_csv = out / "metrics.csv"
-    _write_text(metrics_csv, mlines)
+    m = metrics(grid, config.iso_threshold_db if threshold is None else threshold)
+    table = [
+        ("center_frequency_hz", m.center_frequency),
+        ("bandwidth_hz", m.bandwidth),
+        ("fractional_bandwidth", m.fbw),
+        ("iso_threshold_db", m.iso_threshold_db),
+    ]
+    for prefix, values in (
+        ("il_", m.il_db), ("iso_", m.iso_db), ("directivity_", m.directivity_db), ("rl_port", m.rl_db)
+    ):
+        table += [(f"{prefix}{key}_db", values[key]) for key in sorted(values)]
+    rows = ["key,value"] + [f"{key},{_fmt(v)}" for key, v in table] + [f"flag,{f}" for f in m.flags]
 
     fmhz = [f / 1e6 for f in grid.frequencies]
-    series = []
-    for key, (j, i) in sorted(FORWARD_PATHS.items()):
-        series.append((f"S{key} fwd", fmhz, [-loss_db(grid.s[k, j, i]) for k in range(len(fmhz))]))
-    for key, (j, i) in sorted(REVERSE_PATHS.items()):
-        series.append((f"S{key} rev", fmhz, [-loss_db(grid.s[k, j, i]) for k in range(len(fmhz))]))
-    svg = out / "sweep.svg"
-    write_svg(svg, config, "sweep", "transmission over the analysis band", "frequency / MHz", "|S| / dB", series)
-
-    print(
+    series = [
+        (f"S{key} {tag}", fmhz, [-loss_db(s) for s in grid.s[:, j, i]])
+        for paths, tag in ((FORWARD_PATHS, "fwd"), (REVERSE_PATHS, "rev"))
+        for key, (j, i) in sorted(paths.items())
+    ]
+    chart = Chart("transmission over the analysis band", "frequency / MHz", "|S| / dB", series)
+    summary = (
         f"bandwidth {m.bandwidth / 1e6:.3f} MHz at {m.iso_threshold_db:g} dB isolation,"
         f" worst forward loss {m.worst_il_db:.2f} dB"
     )
-    return [sweep_csv, metrics_csv, svg]
+    return {"sweep.csv": _grid_rows(grid), "metrics.csv": rows, "sweep.svg": chart}, grid.warnings, [summary]
 
 
-def _cmd_spectrum(config: CirculatorConfig, out: Path, overrides: dict) -> list[Path]:
+def _cmd_spectrum(config: CirculatorConfig, overrides: dict):
     freqs = _band_frequencies(config, overrides)
     f0 = 0.5 * (freqs[0] + freqs[-1])
     rep = spectrum_probe(config, f0)
-    for note in rep.warnings:
-        print(f"warning: {note}", file=sys.stderr)
-    lines = _csv_header(config, "spectrum")
-    lines.append(f"# f0_hz {_fmt(rep.f0)}")
-    lines.append(f"# f_mod_hz {_fmt(rep.f_mod)}")
-    lines.append(f"# input_main_dbm {_fmt(rep.input_main_dbm)}")
-    lines.append(f"# il_db {_fmt(rep.il_db)}")
-    lines.append(f"# iso3_db {_fmt(rep.iso3_db)}")
-    lines.append(f"# iso4_db {_fmt(rep.iso4_db)}")
-    lines.append("port,order,frequency_hz,power_dbm")
-    for port in rep.ports:
-        for line in port.lines:
-            lines.append(f"{port.port},{line.order},{_fmt(line.frequency)},{_fmt(line.power_dbm)}")
-    csv = out / "spectrum.csv"
-    _write_text(csv, lines)
-
-    series = []
-    for port in rep.ports:
-        xs = [line.order for line in port.lines]
-        ys = [line.power_dbm for line in port.lines]
-        series.append((f"port {port.port}", xs, ys))
-    svg = out / "spectrum.svg"
-    write_svg(
-        svg, config, "spectrum",
-        f"output spectra around {f0 / 1e6:.3f} MHz drive",
-        "sideband order k (f0 + k fmod)", "power / dBm", series,
+    table = (
+        ("f0_hz", rep.f0), ("f_mod_hz", rep.f_mod), ("input_main_dbm", rep.input_main_dbm),
+        ("il_db", rep.il_db), ("iso3_db", rep.iso3_db), ("iso4_db", rep.iso4_db),
     )
-    print(
+    rows = [f"# {key} {_fmt(v)}" for key, v in table] + ["port,order,frequency_hz,power_dbm"]
+    rows += [
+        f"{port.port},{line.order},{_fmt(line.frequency)},{_fmt(line.power_dbm)}"
+        for port in rep.ports for line in port.lines
+    ]
+    chart = Chart(
+        f"output spectra around {f0 / 1e6:.3f} MHz drive",
+        "sideband order k (f0 + k fmod)", "power / dBm",
+        [(f"port {port.port}", [ln.order for ln in port.lines], [ln.power_dbm for ln in port.lines])
+         for port in rep.ports],
+    )
+    summary = (
         f"main-tone loss {rep.il_db:.2f} dB, leakage below drive:"
         f" port3 {rep.iso3_db:.2f} dB, port4 {rep.iso4_db:.2f} dB"
     )
-    return [csv, svg]
+    return {"spectrum.csv": rows, "spectrum.svg": chart}, rep.warnings, [summary]
 
 
 def _default_fmod_grid(config: CirculatorConfig) -> list[float]:
@@ -596,95 +553,80 @@ def _quarter_wave_rule(config: CirculatorConfig) -> float | None:
     return 1.0 / (4.0 * (config.line_a.tau + _crossbar_latency(config.matching, config.sample_rate)))
 
 
-def _cmd_modsweep(config: CirculatorConfig, out: Path, overrides: dict) -> list[Path]:
+def _cmd_modsweep(config: CirculatorConfig, overrides: dict):
     values = overrides.get("fmod")
     if values is None:
         values = list(config.fmod_values) or _default_fmod_grid(config)
+    elif not values:
+        raise ConfigError("--fmod lists no switching frequency")
     freqs = _band_frequencies(config, overrides)
     f0 = 0.5 * (freqs[0] + freqs[-1])
     points = modfreq_sweep(config, values, f0)
-    lines = _csv_header(config, "modsweep")
-    lines.append("f_mod_hz,f_mod_achieved_hz,il_db,iso_db")
-    for pt in points:
-        if pt.note:
-            print(f"warning: f_mod {pt.f_mod:.6g} Hz skipped: {pt.note}", file=sys.stderr)
-        lines.append(
-            ",".join([_fmt(pt.f_mod), _fmt(pt.f_mod_achieved), _fmt(pt.il_db), _fmt(pt.iso_db)])
-        )
+    rows = ["f_mod_hz,f_mod_achieved_hz,il_db,iso_db"] + [
+        ",".join([_fmt(pt.f_mod), _fmt(pt.f_mod_achieved), _fmt(pt.il_db), _fmt(pt.iso_db)])
+        for pt in points
+    ]
+    notes = [f"f_mod {pt.f_mod:.6g} Hz skipped: {pt.note}" for pt in points if pt.note]
     # Every point carries the shared network's element warnings.
-    for note in dict.fromkeys(note for pt in points for note in pt.warnings):
-        print(f"warning: {note}", file=sys.stderr)
-    csv = out / "modsweep.csv"
-    _write_text(csv, lines)
+    notes += dict.fromkeys(note for pt in points for note in pt.warnings)
 
     ok = [pt for pt in points if pt.note is None]
     xs = [pt.f_mod_achieved / 1e3 for pt in ok]
-    svg = out / "modsweep.svg"
-    write_svg(
-        svg, config, "modsweep",
-        f"isolation vs switching frequency at {f0 / 1e6:.3f} MHz",
-        "switching frequency / kHz", "dB",
+    chart = Chart(
+        f"isolation vs switching frequency at {f0 / 1e6:.3f} MHz", "switching frequency / kHz", "dB",
         [("worst isolation", xs, [pt.iso_db for pt in ok]),
          ("worst insertion loss", xs, [pt.il_db for pt in ok])],
     )
+    summary = []
     rule = _quarter_wave_rule(config)
     if rule is not None:
-        print(
+        summary.append(
             f"quarter-wave rule: f_mod = {rule / 1e3:.3f} kHz"
             f" (period {config.sample_rate / rule:.1f} samples)"
         )
     if ok:
         best = max(ok, key=lambda pt: pt.iso_db)
         gap = "" if rule is None else f", {abs(best.f_mod_achieved - rule) / 1e3:.3f} kHz from the rule"
-        print(
+        summary.append(
             f"best isolation {best.iso_db:.2f} dB at f_mod {best.f_mod_achieved / 1e3:.3f} kHz{gap}"
         )
-    return [csv, svg]
+    return {"modsweep.csv": rows, "modsweep.svg": chart}, notes, summary
 
 
-def _cmd_linecheck(config: CirculatorConfig, out: Path, overrides: dict) -> list[Path]:
+def _cmd_linecheck(config: CirculatorConfig, overrides: dict):
     freqs = _band_frequencies(config, overrides)
-    written = []
+    artifacts, notes, summary = {}, [], []
     svg_series, delay_series = [], []
     for tag, line in (("a", config.line_a), ("b", config.line_b)):
         grid = line_sweep(line, config.sample_rate, freqs)
-        for note in grid.warnings:
-            print(f"warning: line_{tag}: {note}", file=sys.stderr)
         with _warnings.catch_warnings(record=True) as caught:
             _warnings.simplefilter("always", AnalysisWarning)
             delays = [d for _, d in group_delay(grid, path=(2, 1))]
-        for w in caught:
-            print(f"warning: line_{tag}: {w.message}", file=sys.stderr)
-        csv = out / f"linecheck_{tag}.csv"
-        _write_text(csv, _csv_header(config, "linecheck") + _grid_rows(grid, delays))
-        written.append(csv)
+        notes += [f"line_{tag}: {note}" for note in [*grid.warnings, *(w.message for w in caught)]]
+        artifacts[f"linecheck_{tag}.csv"] = _grid_rows(grid, delays)
         fmhz = [f / 1e6 for f in grid.frequencies]
-        svg_series.append(
-            (f"line {tag} S21", fmhz, [-loss_db(grid.s[k, 1, 0]) for k in range(len(fmhz))])
-        )
+        svg_series.append((f"line {tag} S21", fmhz, [-loss_db(s) for s in grid.s[:, 1, 0]]))
         delay_series.append((f"line {tag}", fmhz, [d * 1e9 for d in delays]))
         mid = len(delays) // 2
-        print(f"line_{tag}: group delay {delays[mid] * 1e9:.2f} ns at {fmhz[mid]:.3f} MHz")
-    svg = out / "linecheck.svg"
-    write_svg(svg, config, "linecheck", "delay line transmission", "frequency / MHz", "|S21| / dB", svg_series)
-    dsvg = out / "linecheck_delay.svg"
-    write_svg(dsvg, config, "linecheck", "delay line group delay", "frequency / MHz", "delay / ns", delay_series)
-    return written + [svg, dsvg]
+        summary.append(f"line_{tag}: group delay {delays[mid] * 1e9:.2f} ns at {fmhz[mid]:.3f} MHz")
+    artifacts["linecheck.svg"] = Chart(
+        "delay line transmission", "frequency / MHz", "|S21| / dB", svg_series
+    )
+    artifacts["linecheck_delay.svg"] = Chart(
+        "delay line group delay", "frequency / MHz", "delay / ns", delay_series
+    )
+    return artifacts, notes, summary
 
 
-def _cmd_schedule(config: CirculatorConfig, out: Path, overrides: dict) -> list[Path]:
+def _cmd_schedule(config: CirculatorConfig, overrides: dict):
     n = config.schedule.period_samples
     t, controls = expanded_controls(config.schedule, n)
-    lines = _csv_header(config, "schedule")
-    lines.append(f"# period_samples {n}")
-    lines.append(f"# f_mod_hz {_fmt(config.sample_rate / n)}")
-    lines.append("time_s,left_bar,left_cross,right_bar,right_cross")
-    for k in range(n):
-        lines.append(
-            ",".join([_fmt(t[k])] + [_fmt(controls[k, c]) for c in range(4)])
-        )
-    csv = out / "schedule.csv"
-    _write_text(csv, lines)
+    rows = [
+        f"# period_samples {n}",
+        f"# f_mod_hz {_fmt(config.sample_rate / n)}",
+        "time_s,left_bar,left_cross,right_bar,right_cross",
+    ]
+    rows += [",".join([_fmt(t[k])] + [_fmt(controls[k, c]) for c in range(4)]) for k in range(n)]
 
     tus = [tk * 1e9 for tk in t]
     names = ("left bar", "left cross", "right bar", "right cross")
@@ -692,48 +634,36 @@ def _cmd_schedule(config: CirculatorConfig, out: Path, overrides: dict) -> list[
     series = [
         (names[c], tus, [controls[k, c] + 1.5 * (3 - c) for k in range(n)]) for c in range(4)
     ]
-    svg = out / "schedule.svg"
-    write_svg(svg, config, "schedule", "crossbar control waveforms, one period", "time / ns", "control (offset)", series)
-    print(f"one period = {n} samples ({n / config.sample_rate * 1e6:.4f} us)")
-    return [csv, svg]
+    chart = Chart("crossbar control waveforms, one period", "time / ns", "control (offset)", series)
+    summary = f"one period = {n} samples ({n / config.sample_rate * 1e6:.4f} us)"
+    return {"schedule.csv": rows, "schedule.svg": chart}, (), [summary]
 
 
-def _cmd_run(config: CirculatorConfig, out: Path, overrides: dict) -> list[Path]:
+def _cmd_run(config: CirculatorConfig, overrides: dict):
     freqs = _band_frequencies(config, overrides)
     f0 = 0.5 * (freqs[0] + freqs[-1])
     period_s = config.schedule.period_samples / config.sample_rate
-    stim = make_burst(
-        f0,
-        dbm_to_amplitude(config.drive_dbm),
-        t_start=0.0,
-        t_rise=10e-9,
-        t_hold=period_s,
-        sample_rate=config.sample_rate,
-    )
+    stim = make_burst(f0, dbm_to_amplitude(config.drive_dbm), t_start=0.0, t_rise=10e-9,
+                      t_hold=period_s, sample_rate=config.sample_rate)
     n = len(stim) + config.schedule.period_samples
     network = build_circulator(config)
     record = run_network(network, [stim, None, None, None], n)
 
-    lines = _csv_header(config, "run")
-    lines.append(f"# burst_center_hz {_fmt(f0)}")
     header = ["sample", "time_s"]
     for p in range(1, 5):
         header += [f"p{p}_in", f"p{p}_out"]
-    lines.append(",".join(header))
+    rows = [f"# burst_center_hz {_fmt(f0)}", ",".join(header)]
     dt = 1.0 / config.sample_rate
     for k in range(n):
         row = [str(k), _fmt(k * dt)]
         for p in range(4):
             row += [_fmt(record.port_in[p].samples[k]), _fmt(record.port_out[p].samples[k])]
-        lines.append(",".join(row))
-    csv = out / "run.csv"
-    _write_text(csv, lines)
-
-    print(
+        rows.append(",".join(row))
+    summary = (
         f"burst energy in {record.input_energy():.6g}, out {record.output_energy():.6g}"
         f" over {n} samples"
     )
-    return [csv]
+    return {"run.csv": rows}, (), [summary]
 
 
 _COMMANDS = {
@@ -747,12 +677,28 @@ _COMMANDS = {
 
 
 def execute(command: str, config: CirculatorConfig, out_dir, **overrides) -> list[Path]:
-    """Run one command against a loaded config, returning the files written."""
+    """Run one command against a loaded config: write each of its artifacts
+    to out_dir under the three header lines, print its notes on stderr and
+    its summary on stdout, and return the files written, in order."""
     if command not in _COMMANDS:
         raise ConfigError(f"unknown command {command!r}")
+    artifacts, notes, summary = _COMMANDS[command](config, overrides)
+    for note in notes:
+        print(f"warning: {note}", file=sys.stderr)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    return _COMMANDS[command](config, out, overrides)
+    written = []
+    for name, body in artifacts.items():
+        if isinstance(body, Chart):
+            lines = _header(config, command, "<!-- {} -->") + render_svg(body)
+        else:
+            lines = _header(config, command, "# {}") + body
+        path = out / name
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        written.append(path)
+    for line in summary:
+        print(line)
+    return written
 
 
 class _Parser(argparse.ArgumentParser):

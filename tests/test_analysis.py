@@ -397,7 +397,16 @@ def test_drive_bit_identical_per_lane():
     omega = 2.0 * math.pi * np.array([155e6, 150e6, 155e6, 160e6, 150e6]) / FS
     n = np.arange(4096, 4160, dtype=np.float64)
     expected = 0.3 * np.cos(np.outer(omega, n))
-    np.testing.assert_array_equal(analysis._tone(omega, 0.3)(4096, 64), expected)
+    blocks = []
+
+    def step(ext):
+        blocks.append(ext[0].copy())
+        return ext
+
+    # One period of 4160 samples projected from 4096: a block starts there.
+    analysis._measure(step, [0] * 5, omega, 0.3, omega[:, None], 4096, 4160, 4160)
+    drive = np.concatenate(blocks, axis=1)[:, 4096:]
+    np.testing.assert_array_equal(drive, expected)
 
 
 class TestSteadyStop:
@@ -451,7 +460,7 @@ class TestSteadyStop:
 
         omega = np.array([0.3, 0.3])
         acc_out, acc_in, energy = analysis._measure(
-            step, [0, 0], analysis._tone(omega, a0), omega, a0, omega[:, None],
+            step, [0, 0], omega, a0, omega[:, None],
             settle * period, stop, period,
         )
         assert sum(counts) == stop
@@ -462,7 +471,7 @@ class TestSteadyStop:
         # The steady lane alone stops after the periods its check needs.
         counts.clear()
         analysis._measure(
-            step, [0], analysis._tone(omega[:1], a0), omega[:1], a0, omega[:1, None],
+            step, [0], omega[:1], a0, omega[:1, None],
             settle * period, stop, period,
         )
         assert sum(counts) == analysis._CHECK_PERIODS * period

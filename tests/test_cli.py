@@ -15,6 +15,7 @@ import yaml
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from sdlsim import __version__, cli
 from sdlsim.analysis import modfreq_sweep
 from sdlsim.cli import MAX_POINTS, execute, load_config, main
 from sdlsim.elements import DelayLineSpec, MatchSpec, SwitchSpec, TouchstoneLineRef
@@ -100,7 +101,7 @@ class TestLoadConfig:
         switch = {"il_on_db": 0.8, "iso_off_db": 32.0, "t_transition": 0.0}
         bare = write_config(tmp_path, "bare.yaml", switch=switch, schedule={"period": 1.124e-6})
         warnings = load_config(bare).warnings
-        assert len(warnings) == 2
+        assert len(warnings) == 1 and warnings[0].startswith("line_a, line_b: side offset")
         assert "by +1.000 ns (+0.36%), +0.500 ns with the 0.500 ns crossbar latency" in warnings[0]
         matched = write_config(
             tmp_path, "matched.yaml", switch=switch, schedule={"period": 1.124e-6},
@@ -124,8 +125,8 @@ class TestLoadConfig:
         )
         warnings = load_config(path).warnings
         if flagged:
-            assert len(warnings) == 2
-            assert warnings[0].startswith("line_a: side offset 281.000 ns differs from line delay 300.000 ns")
+            assert len(warnings) == 1
+            assert warnings[0].startswith("line_a, line_b: side offset 281.000 ns differs from line delay 300.000 ns")
         else:
             assert warnings == ()
 
@@ -134,7 +135,7 @@ class TestLoadConfig:
         # report that offset, not the quarter period it replaced.
         cfg = load_config(edited_paper(tmp_path, (("schedule", "side_offset"), 0.0)))
         assert cfg.schedule.offset_samples == 0
-        assert len(cfg.warnings) == 2
+        assert len(cfg.warnings) == 1
         assert "side offset 0.000 ns differs from line delay 280.000 ns by -280.000 ns" in cfg.warnings[0]
         assert not any("285.000" in w for w in cfg.warnings)
 
@@ -677,6 +678,9 @@ class TestCommands:
             ("sweep", ["--threshold-db", "nan"]),
             ("sweep", ["--threshold-db", "-inf"]),
             ("spectrum", ["--freq-start", "nan"]),
+            # An empty --fmod list would write a modsweep of no points.
+            ("modsweep", ["--fmod", ","]),
+            ("modsweep", ["--fmod", ""]),
         ],
     )
     def test_non_finite_flag_exits_1(self, tmp_path, capsys, command, flags):
@@ -754,3 +758,45 @@ class TestCommands:
         cfg = load_config(write_config(tmp_path))
         with pytest.raises(ConfigError, match="unknown command"):
             execute("fnord", cfg, tmp_path / "o")
+
+
+class TestWriter:
+    """Commands compute their artifacts; execute alone writes them."""
+
+    FILES = {
+        "sweep": ["sweep.csv", "metrics.csv", "sweep.svg"],
+        "spectrum": ["spectrum.csv", "spectrum.svg"],
+        "modsweep": ["modsweep.csv", "modsweep.svg"],
+        "linecheck": ["linecheck_a.csv", "linecheck_b.csv", "linecheck.svg", "linecheck_delay.svg"],
+        "schedule": ["schedule.csv", "schedule.svg"],
+        "run": ["run.csv"],
+    }
+
+    @pytest.mark.parametrize("command", sorted(FILES))
+    def test_files_written_with_header(self, tmp_path, capsys, command):
+        cfg = load_config(write_config(tmp_path))
+        out = tmp_path / "out"
+        overrides = {"fmod": [877193.0]} if command == "modsweep" else {}
+        written = execute(command, cfg, out, **overrides)
+        assert [p.name for p in written] == self.FILES[command]
+        assert sorted(out.iterdir()) == sorted(written)
+        for path in written:
+            head = [f"sdlsim {__version__}", f"config {cfg.digest}", f"command {command}"]
+            form = "<!-- {} -->" if path.suffix == ".svg" else "# {}"
+            assert path.read_text().splitlines()[:3] == [form.format(h) for h in head]
+
+    def test_failed_command_writes_nothing(self, tmp_path, monkeypatch):
+        line_sweep, calls = cli.line_sweep, []
+
+        def failing_second(*args):
+            calls.append(args)
+            if len(calls) == 2:
+                raise RuntimeError("line_b failed")
+            return line_sweep(*args)
+
+        monkeypatch.setattr(cli, "line_sweep", failing_second)
+        out = tmp_path / "out"
+        with pytest.raises(RuntimeError, match="line_b failed"):
+            execute("linecheck", load_config(write_config(tmp_path)), out)
+        assert len(calls) == 2
+        assert not list(out.glob("*"))

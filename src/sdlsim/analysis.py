@@ -10,8 +10,8 @@ Each analysis reads its settings from the CirculatorConfig it runs:
 drive_dbm, settle_periods, measure_periods and spectrum_window_periods.
 The windows are whole numbers of schedule periods, bounded when the config
 is made, so that every intermodulation line lands on the analysis grid. A
-convergence monitor compares output power between consecutive periods
-inside the window and flags runs that are still settling. Each analysis
+convergence monitor compares output power between consecutive stepped
+periods inside the window and flags runs that are still settling. Each analysis
 also reports the warnings of the network's elements.
 
 Every analysis of the switched network is a thin parameterisation of one
@@ -21,11 +21,11 @@ spans run as blocks, switch transitions sample by sample), and each lane's
 outputs and drive are projected onto its detection frequencies over its own
 window. Lanes (one per frequency, drive port and schedule) are independent
 runs sharing each block. Under the cosine drive a steady lane's per-period
-sums follow exact recurrences from one period to the next, so stepping
-stops once every lane is steady (after 6 periods on configs/paper.yaml, of
-a sweep's 14 and a spectrum's 26) and the rest of each window is
-extrapolated; a lane that never settles steps its whole window. In the
-harmonic-transfer view of a periodically switched network the
+sums follow one exact two-term recurrence, so stepping stops once every
+lane is steady (after 5 periods on configs/paper.yaml, of a sweep's 14 and
+a spectrum's 26) and the rest of each window is extrapolated; a lane that
+never settles, or whose window is 3 periods or fewer, steps all of it. In
+the harmonic-transfer view of a periodically switched network the
 same-frequency S-parameter is the k = 0 term of the projection onto the
 commutation lattice f0 + k*f_mod and the spectrum's sidebands are the
 k != 0 terms, so sweep and modsweep detect one frequency per lane and
@@ -59,12 +59,11 @@ SIDEBAND_ORDERS = 5
 
 _DRIFT_LIMIT_DB = 0.1
 
-# _measure calls a lane steady once the cosine drive's steady-state
-# recurrences hold on its last periods within this fraction of the drive.
-# Checking them takes _CHECK_PERIODS periods; a lane with no more than that
-# steps its whole window.
+# _measure calls a lane steady once its per-period projections obey the
+# cosine drive's two-term recurrence within this fraction of the drive. The
+# recurrence spans _CHECK_PERIODS periods; a window no longer steps whole.
 _STEADY_TOL = 1e-12
-_CHECK_PERIODS = 4
+_CHECK_PERIODS = 3
 
 
 class AnalysisWarning(UserWarning):
@@ -173,31 +172,29 @@ def _measure(step, ports, omega, amplitude, detect, start, stop, period):
     Lane k is driven on port ports[k] with amplitude*cos(omega[k]*n), built
     here for each block of at most block_limit(lanes) samples (the budget
     the network and elements split by, so a drive block never cuts a
-    settled span short), the cosine once per distinct frequency. Built
-    here, it is the drive the recurrences below assume.
-    step is CirculatorNetwork.advance. Over lane k's window start[k] <= n <
-    stop[k], whole periods of period[k] samples from n = 0, its outputs and
-    drive are projected onto exp(-j*detect[k, m]*n) (detect in rad/sample,
-    shape (lanes, M)).
+    settled span short), the cosine once per distinct frequency: the drive
+    the recurrence below assumes. step is CirculatorNetwork.advance. Over
+    lane k's window start[k] <= n < stop[k], whole periods of period[k]
+    samples from n = 0, its outputs and drive are projected onto
+    exp(-j*detect[k, m]*n) (detect in rad/sample, shape (lanes, M)).
 
     Stepping stops once every lane is steady or past its window. In steady
     state the network (periodic in P = period[k]) answers the cosine drive
     with Re(y z^(n/P)), z = exp(j*omega[k]*P), per period, so each output
-    sample obeys x[n + P] = 2 cos(omega P) x[n] - x[n - P]. Each lane keeps
-    the sums c_t of every period t it projects (outputs and drive) and its
-    output energy E_t, which then obey
-        c_(t+1) = (2 cos(omega P) c_t - c_(t-1) / u) / u,  u = exp(j*detect*P),
-        E_(t+1) = (1 + 2 cos(2 omega P)) (E_t - E_(t-1)) + E_(t-2).
+    sample obeys x[n + P] = 2 cos(omega P) x[n] - x[n - P] and the sums c_t
+    a lane projects over each period t (outputs and drive) obey
+        c_(t+1) = (2 cos(omega P) c_t - c_(t-1) / u) / u,  u = exp(j*detect*P).
     A lane with more than _CHECK_PERIODS periods projects from n = 0 and is
-    steady once both hold on its last periods within _STEADY_TOL of the
-    drive (amplitude*P for c, amplitude**2*P for E); its later periods are
-    then taken from the recurrences, not from further steps. Other lanes
+    steady once this holds on its last three periods within _STEADY_TOL of
+    the drive (amplitude*P); its later periods are then taken from the
+    recurrence, not stepped. Every result is built from these sums, so a
+    transient that keeps them on the recurrence changes none. Other lanes
     project their window only and step all of it.
 
     Returns the output sums (4, lanes, M), the drive sums (lanes, M) and
-    each lane's output energy per measured period (periods, lanes); blocks
-    never straddle a lane's period edge. Raises SimulationFault at the
-    first non-finite output sample.
+    each lane's output energy per measured period (periods, lanes), NaN for
+    a period not stepped; blocks end at each lane's period edges and stop.
+    Raises SimulationFault at the first non-finite output sample.
     """
     lanes = len(ports)
     lane_ix = np.arange(lanes)
@@ -207,7 +204,7 @@ def _measure(step, ports, omega, amplitude, detect, start, stop, period):
     periods, first = stop // period, start // period
     # A lane whose check could still save a period is projected from n = 0.
     lo = np.where(periods > _CHECK_PERIODS, 0, start)
-    edges = {0, int(stop.max())}
+    edges = {0, *stop.tolist()}
     for a, hi, p in set(zip(lo.tolist(), stop.tolist(), period.tolist())):
         edges.update(range(a, hi, p))
     edges = sorted(edges)
@@ -215,15 +212,13 @@ def _measure(step, ports, omega, amplitude, detect, start, stop, period):
     rows, row = np.unique(detect, axis=0, return_inverse=True)  # one weight per distinct row
     row = row.reshape(-1)
     # Each lane's projected sums per period (outputs, then drive), its output
-    # energy per period, and the recurrences' coefficients.
+    # energy per period, and the recurrence's coefficients.
     sums = np.zeros((int(periods.max()), lanes, 5, detect.shape[1]), dtype=complex)
     e_sums = np.zeros(sums.shape[:2])
     u = np.exp(1j * detect * period[:, None])
     coef_a = (2.0 * np.cos(omega * period))[:, None] / u
     coef_b = -1.0 / (u * u)
-    coef_g = 1.0 + 2.0 * np.cos(2.0 * omega * period)
     steady_at = np.full(lanes, -1)  # the last period a steady lane stepped
-    first_stop = int(stop.min())
     limit = block_limit(lanes)
     blocks = ((n0, min(limit, hi - n0)) for a, hi in zip(edges, edges[1:]) for n0 in range(a, hi, limit))
     for n0, b in blocks:
@@ -239,8 +234,6 @@ def _measure(step, ports, omega, amplitude, detect, start, stop, period):
         if len(rec) == 0:
             continue  # no lane projects this block
         weight = np.exp(-1j * (rows[:, :, None] * n))[row[rec]]
-        if n0 + b > first_stop:
-            weight *= (n < stop[rec, None])[:, None]
         t = n0 // period[rec]
         out, d = out[:, rec], d[rec]
         sums[t, rec, :4] += np.einsum("plb,lmb->lpm", out, weight)
@@ -251,11 +244,8 @@ def _measure(step, ports, omega, amplitude, detect, start, stop, period):
         if len(due):
             t = end // period[due] - 1
             c3 = sums[t[:, None] + np.arange(-2, 1), due[:, None]]
-            res_c = c3[:, 2] - coef_a[due, None] * c3[:, 1] - coef_b[due, None] * c3[:, 0]
-            e4 = e_sums[t[:, None] + np.arange(-3, 1), due[:, None]]
-            res_e = e4[:, 3] - coef_g[due] * (e4[:, 2] - e4[:, 1]) - e4[:, 0]
-            scale = _STEADY_TOL * amplitude * period[due]
-            ok = (np.abs(res_c).max(axis=(1, 2)) <= scale) & (np.abs(res_e) <= scale * amplitude)
+            res = c3[:, 2] - coef_a[due, None] * c3[:, 1] - coef_b[due, None] * c3[:, 0]
+            ok = np.abs(res).max(axis=(1, 2)) <= _STEADY_TOL * amplitude * period[due]
             steady_at[due[ok]] = t[ok]
         if np.all((steady_at >= 0) | (end >= stop)):
             break
@@ -263,7 +253,7 @@ def _measure(step, ports, omega, amplitude, detect, start, stop, period):
         ix = np.flatnonzero(steady_at == t0)
         for t in range(t0 + 1, sums.shape[0]):
             sums[t, ix] = coef_a[ix, None] * sums[t - 1, ix] + coef_b[ix, None] * sums[t - 2, ix]
-            e_sums[t, ix] = coef_g[ix] * (e_sums[t - 1, ix] - e_sums[t - 2, ix]) + e_sums[t - 3, ix]
+        e_sums[t0 + 1 :, ix] = np.nan  # not stepped, steady by construction
     t = np.arange(sums.shape[0])[:, None]
     total = np.where(((t >= first) & (t < periods))[:, :, None, None], sums, 0.0).sum(axis=0)
     t = first + np.arange(int((periods - first).max()))[:, None]
@@ -544,13 +534,13 @@ def modfreq_sweep(config: CirculatorConfig, f_mod_values, f0: float) -> list[Mod
     return [results[ix] for ix in sorted(results)]
 
 
-def line_sweep(line, sample_rate: float, frequencies) -> SParamGrid:
+def line_sweep(line, sample_rate: float, frequencies, name: str = "line") -> SParamGrid:
     """Two-port response of the configured delay line alone, no switches.
 
-    `line` is a DelayLineSpec or a TouchstoneLineRef. The
-    element is linear and time-invariant, so its S-parameters are its exact
-    response as built (element.response), not a simulated measurement.
+    `line` (a DelayLineSpec or a TouchstoneLineRef, `name` in errors) is
+    linear and time-invariant, so its S-parameters are its exact response
+    as built (element.response), not a simulated measurement.
     """
     freqs = _check_frequencies(frequencies, sample_rate)
-    element = _line_element(line, sample_rate)
+    element = _line_element(line, sample_rate, name)
     return SParamGrid(frequencies=tuple(freqs), s=element.response(freqs), warnings=tuple(element.warnings))

@@ -17,12 +17,13 @@ Commands compute, execute writes. Each command is a function of the
 config and the flag overrides that returns its artifacts (file name to CSV
 rows or to a Chart), its notes and its summary, and does no I/O. execute
 alone writes every artifact under the same three header lines (tool
-version, a digest of the configuration, the command; "# " in CSV,
-"<!-- -->" in SVG), prints the notes as warnings on stderr and the summary
-on stdout, and returns the paths. Files contain nothing time- or
-host-dependent: rerunning a command on the same config yields
-byte-identical files. SVG output is hand-assembled plain text (no plotting
-dependency) and is presentation-only; all numbers live in the CSVs.
+version, a digest of the configuration, the command with the flags that
+were set; "# " in CSV, "<!-- -->" in SVG), prints the notes as warnings on
+stderr and the summary on stdout, and returns the paths. Files contain
+nothing time- or host-dependent: rerunning a command on the same config
+and flags yields byte-identical files. SVG output is hand-assembled plain
+text (no plotting dependency) and is presentation-only; all numbers live
+in the CSVs.
 
 Exit codes: 0 success, 1 configuration error (including bad command-line
 usage), 2 runtime failure.
@@ -358,13 +359,16 @@ def _fmt(x) -> str:
     return f"{float(x):.12g}"
 
 
-def _header(config: CirculatorConfig, command: str, form: str) -> list[str]:
+def _header(config: CirculatorConfig, command: str, overrides: dict, form: str) -> list[str]:
     """The three lines every artifact begins with, each put in the comment
-    form ("# {}" for CSV, "<!-- {} -->" for SVG)."""
-    return [
-        form.format(line)
-        for line in (f"sdlsim {__version__}", f"config {config.digest}", f"command {command}")
-    ]
+    form ("# {}" for CSV, "<!-- {} -->" for SVG). The third names the
+    command and each flag that was set, in command-line form."""
+    flags = (
+        f"--{key.replace('_', '-')} " + (",".join(map(_fmt, v)) if isinstance(v, list) else _fmt(v))
+        for key, v in overrides.items() if v is not None
+    )
+    lines = (f"sdlsim {__version__}", f"config {config.digest}", " ".join(["command", command, *flags]))
+    return [form.format(line) for line in lines]
 
 
 def _grid_rows(grid, delays=None) -> list[str]:
@@ -598,7 +602,7 @@ def _cmd_linecheck(config: CirculatorConfig, overrides: dict):
     artifacts, notes, summary = {}, [], []
     svg_series, delay_series = [], []
     for tag, line in (("a", config.line_a), ("b", config.line_b)):
-        grid = line_sweep(line, config.sample_rate, freqs)
+        grid = line_sweep(line, config.sample_rate, freqs, f"line_{tag}")
         with _warnings.catch_warnings(record=True) as caught:
             _warnings.simplefilter("always", AnalysisWarning)
             delays = [d for _, d in group_delay(grid, path=(2, 1))]
@@ -690,9 +694,9 @@ def execute(command: str, config: CirculatorConfig, out_dir, **overrides) -> lis
     written = []
     for name, body in artifacts.items():
         if isinstance(body, Chart):
-            lines = _header(config, command, "<!-- {} -->") + render_svg(body)
+            lines = _header(config, command, overrides, "<!-- {} -->") + render_svg(body)
         else:
-            lines = _header(config, command, "# {}") + body
+            lines = _header(config, command, overrides, "# {}") + body
         path = out / name
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         written.append(path)

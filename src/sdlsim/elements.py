@@ -43,6 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .signals import Z0
 from .touchstone import TouchstoneData
 
 
@@ -553,7 +554,8 @@ class TouchstoneElement(ScatteringElement):
     band-tapered, sampled onto an FFT grid, inverse transformed, and
     truncated to ir_len samples. The fraction of impulse-response energy
     lost to truncation is reported per entry in energy_loss and warned
-    about above 0.1%.
+    about above 0.1%. The data must be referenced to signals.Z0; other
+    reference impedances are rejected, not renormalised.
 
     The FIR runs in fixed frames of L samples, the largest power of two
     within block_limit(lanes); frame m covers samples [m*L, (m+1)*L).
@@ -577,6 +579,8 @@ class TouchstoneElement(ScatteringElement):
         super().__init__()
         if not 1 <= ir_len <= MAX_SPAN:
             raise ValueError(f"ir_len must lie in [1, {MAX_SPAN}]")
+        if data.reference_impedance != Z0:
+            raise ValueError(f"measured data referenced to {data.reference_impedance:g} ohm, not {Z0:g} ohm")
         self.sample_rate = sample_rate
         self.ir_len = ir_len
         f = data.frequencies
@@ -796,26 +800,23 @@ def synth_lmatch(z_load: complex, z0: float, f0: float) -> MatchSpec:
     raise ValueError(f"no series-L/shunt-C section matches load {z_load:g}")
 
 
-def lsection_sparams(spec: MatchSpec, frequency: np.ndarray | float) -> np.ndarray:
-    """Analytic two-port scattering response, shape (..., 2, 2)."""
-    s = 2j * math.pi * np.asarray(frequency, dtype=np.float64)
+def _lsection_polys(spec: MatchSpec) -> tuple[list[float], ...]:
+    """The section's S11, S21 = S12 and S22 as s-domain numerators over one
+    common denominator, returned last; coefficients highest power first."""
     lc = spec.series_l * spec.shunt_c
     k_sum = spec.series_l / spec.z0 + spec.shunt_c * spec.z0
     k_diff = spec.series_l / spec.z0 - spec.shunt_c * spec.z0
-    den = lc * s * s + k_sum * s + 2.0
-    s21 = 2.0 / den
-    s_cap_side = (k_diff * s - lc * s * s) / den
-    s_ind_side = (k_diff * s + lc * s * s) / den
-    out = np.empty(np.shape(s) + (2, 2), dtype=np.complex128)
-    if spec.orientation == L_TOWARD_LINE:
-        out[..., 0, 0] = s_cap_side
-        out[..., 1, 1] = s_ind_side
-    else:
-        out[..., 0, 0] = s_ind_side
-        out[..., 1, 1] = s_cap_side
-    out[..., 0, 1] = s21
-    out[..., 1, 0] = s21
-    return out
+    cap_side, ind_side = [-lc, k_diff, 0.0], [lc, k_diff, 0.0]
+    if spec.orientation == L_TOWARD_PORT:
+        cap_side, ind_side = ind_side, cap_side
+    return cap_side, [0.0, 0.0, 2.0], ind_side, [lc, k_sum, 2.0]
+
+
+def lsection_sparams(spec: MatchSpec, frequency: np.ndarray | float) -> np.ndarray:
+    """Analytic two-port scattering response, shape (..., 2, 2)."""
+    s = 2j * math.pi * np.asarray(frequency, dtype=np.float64)
+    s11, s21, s22, den = (np.polyval(p, s) for p in _lsection_polys(spec))
+    return np.stack([np.stack([s11, s21], -1), np.stack([s21, s22], -1)], -2) / den[..., None, None]
 
 
 def input_impedance(spec: MatchSpec, z_term: complex, frequency: float) -> complex:
@@ -882,19 +883,9 @@ class MatchingElement(ScatteringElement):
         w0 = 2.0 * math.pi * spec.f0
         k = w0 / math.tan(w0 / (2.0 * sample_rate)) if spec.f0 > 0 else 2.0 * sample_rate
 
-        lc = spec.series_l * spec.shunt_c
-        k_sum = spec.series_l / spec.z0 + spec.shunt_c * spec.z0
-        k_diff = spec.series_l / spec.z0 - spec.shunt_c * spec.z0
-        den = [lc, k_sum, 2.0]
-        num_cap = [-lc, k_diff, 0.0]
-        num_ind = [lc, k_diff, 0.0]
-        num_thru = [0.0, 0.0, 2.0]
-        if spec.orientation == L_TOWARD_LINE:
-            num_11, num_22 = num_cap, num_ind
-        else:
-            num_11, num_22 = num_ind, num_cap
         # S11, S21 = S12, S22.
-        self._biquads = [_bilinear_biquad(num, den, k) for num in (num_11, num_thru, num_22)]
+        *nums, den = _lsection_polys(spec)
+        self._biquads = [_bilinear_biquad(num, den, k) for num in nums]
         # Coefficients per filter state (S11, S21, S12, S22), normalised by
         # a0 as lfilter does, for the one-sample update.
         b, a = (np.array([self._biquads[i][n] for i in (0, 1, 1, 2)]) for n in (0, 1))

@@ -432,11 +432,15 @@ class TestSteadyStop:
         assert np.abs(np.array(got_il) - np.min(fwd, axis=0)).max() <= 1e-12
         assert np.abs(np.array(got_iso) - np.max(rev, axis=0)).max() <= 1e-12
 
-    def test_paper_sweep_steps_at_most_seven_periods(self, monkeypatch):
+    def test_paper_sweep_and_spectrum_step_at_most_five_periods(self, monkeypatch):
         counts = counted_steps(monkeypatch)
         grid = sparams_sweep(self.paper, np.linspace(*self.paper.band))
-        assert sum(counts) <= 7 * self.paper.schedule.period_samples
+        assert sum(counts) <= 5 * self.paper.schedule.period_samples
         assert grid.warnings == ()
+        counts.clear()
+        report = spectrum_probe(self.paper, 155e6)
+        assert sum(counts) <= 5 * self.paper.schedule.period_samples
+        assert report.warnings == ()
 
     def test_short_windows_step_whole(self, monkeypatch):
         # 2 + 1 periods leave no period to save: every lane steps its window.
@@ -475,3 +479,33 @@ class TestSteadyStop:
             settle * period, stop, period,
         )
         assert sum(counts) == analysis._CHECK_PERIODS * period
+
+    def test_lane_returning_its_drive_has_no_drift_note(self):
+        # Per-period energy of a cosine swings with the period's phase, but
+        # the lane is on its recurrence from the start: nothing drifts.
+        period, settle, measure = 16, 2, 4
+        omega = np.array([0.3])
+        acc_out, acc_in, energy = analysis._measure(
+            lambda ext: ext, [0], omega, 0.5, omega[:, None],
+            settle * period, (settle + measure) * period, period,
+        )
+        assert abs(acc_out[0, 0, 0] / acc_in[0, 0] - 1.0) <= 1e-12
+        assert analysis._drift_notes(energy, ["echo lane"]) == []
+
+    def test_blocks_end_at_every_lane_stop(self):
+        # Two lanes of different periods, neither ever steady (a growing
+        # gain): no lane's window may end inside a block, whatever the
+        # other lane still has to step.
+        edges = [0]
+
+        def step(ext):
+            n = edges[-1] + np.arange(ext.shape[2])
+            edges.append(edges[-1] + ext.shape[2])
+            return ext * (1.0 + n / 100.0)
+
+        period = np.array([48, 56])
+        stop = np.array([5, 3]) * period
+        omega = np.array([0.3, 0.7])
+        analysis._measure(step, [0, 1], omega, 0.5, omega[:, None], 2 * period, stop, period)
+        assert edges[-1] == stop.max()
+        assert set(stop.tolist()) <= set(edges)

@@ -410,6 +410,19 @@ class TestDesignErrors:
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
         assert "line_b: ir_len" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["linecheck", "sweep"])
+    def test_touchstone_not_50_ohm(self, tmp_path, capsys, command):
+        # Renormalising is not supported: 75 ohm data must not run as 50.
+        s = np.zeros((31, 2, 2), dtype=complex)
+        s[:, 0, 1] = s[:, 1, 0] = 0.6
+        data = TouchstoneData(np.linspace(140e6, 170e6, 31), s, reference_impedance=75.0)
+        (tmp_path / "line.s2p").write_text(write_touchstone(data))
+        path = write_config(tmp_path, line_a={"touchstone": "line.s2p", "ir_len": 512})
+        out = tmp_path / "o"
+        assert main([command, "--config", str(path), "--out", str(out)]) == 1
+        assert "line_a: measured data referenced to 75 ohm" in capsys.readouterr().err
+        assert not out.exists()
+
 
 PAPER = yaml.safe_load((CONFIG_DIR / "paper.yaml").read_text())
 _FREQS = np.linspace(140e6, 170e6, 31)
@@ -681,6 +694,8 @@ class TestCommands:
             # An empty --fmod list would write a modsweep of no points.
             ("modsweep", ["--fmod", ","]),
             ("modsweep", ["--fmod", ""]),
+            # A crossed band (start above stop) is a usage error too.
+            ("sweep", ["--freq-start", "160e6", "--freq-stop", "150e6"]),
         ],
     )
     def test_non_finite_flag_exits_1(self, tmp_path, capsys, command, flags):
@@ -780,10 +795,33 @@ class TestWriter:
         written = execute(command, cfg, out, **overrides)
         assert [p.name for p in written] == self.FILES[command]
         assert sorted(out.iterdir()) == sorted(written)
+        flags = " --fmod 877193" if command == "modsweep" else ""
         for path in written:
-            head = [f"sdlsim {__version__}", f"config {cfg.digest}", f"command {command}"]
+            head = [f"sdlsim {__version__}", f"config {cfg.digest}", f"command {command}{flags}"]
             form = "<!-- {} -->" if path.suffix == ".svg" else "# {}"
             assert path.read_text().splitlines()[:3] == [form.format(h) for h in head]
+
+    def test_header_records_flags(self, tmp_path):
+        # Two runs that differ only in their flags write different files,
+        # so their headers differ too; unset flags are not listed.
+        cfg = CONFIG_DIR / "ideal.yaml"
+        heads = {}
+        for flags in ([], ["--freq-points", "5"], ["--freq-points", "7", "--threshold-db", "5"]):
+            out = tmp_path / str(len(flags))
+            assert main(["sweep", "--config", str(cfg), "--out", str(out)] + flags) == 0
+            heads[" ".join(flags)] = [(out / name).read_text().splitlines()[2] for name in self.FILES["sweep"]]
+        assert heads == {
+            "": ["# command sweep", "# command sweep", "<!-- command sweep -->"],
+            "--freq-points 5": ["# command sweep --freq-points 5"] * 2 + ["<!-- command sweep --freq-points 5 -->"],
+            "--freq-points 7 --threshold-db 5": ["# command sweep --freq-points 7 --threshold-db 5"] * 2
+            + ["<!-- command sweep --freq-points 7 --threshold-db 5 -->"],
+        }
+        out = tmp_path / "modsweep"
+        args = ["modsweep", "--config", str(cfg), "--out", str(out), "--fmod", "877193,891266.5", "--freq-start", "1.5e8"]
+        assert main(args) == 0
+        assert (out / "modsweep.csv").read_text().splitlines()[2] == (
+            "# command modsweep --freq-start 150000000 --fmod 877193,891266.5"
+        )
 
     def test_failed_command_writes_nothing(self, tmp_path, monkeypatch):
         line_sweep, calls = cli.line_sweep, []

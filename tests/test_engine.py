@@ -7,9 +7,17 @@ from conftest import phasor
 from event_walk import BurstInjection, OracleDeclined, event_walk_oracle
 
 from sdlsim import engine
-from sdlsim.elements import DelayLineSpec, MatchingElement, MatchSpec, SwitchSpec, TouchstoneLineRef
+from sdlsim.elements import (
+    DelayLineElement,
+    DelayLineSpec,
+    MatchingElement,
+    MatchSpec,
+    SwitchSpec,
+    TouchstoneLineRef,
+)
 from sdlsim.engine import (
     CirculatorConfig,
+    CirculatorNetwork,
     K_LINK_BARE,
     K_LINK_MATCHED,
     build_circulator,
@@ -116,6 +124,54 @@ class TestStructure:
         # 1 H and 1 F: the bilinear through response is about 1e-20.
         with pytest.raises(ConfigError, match=r"matching\[0\]: L-section response vanishes"):
             build_circulator(make_config(matching=MatchSpec(1.0, 1.0)))
+
+
+class TestInputChecks:
+    """Each malformed network, schedule or stimulus is refused with the
+    error that names it."""
+
+    def parts(self, line_rate=FS):
+        cfg = make_config()
+        line = DelayLineElement(FLAT_IDEAL, line_rate)
+        return cfg.switch, line, DelayLineElement(FLAT_IDEAL, FS), cfg.schedule
+
+    def test_three_matches_rejected(self):
+        matches = [MatchingElement(MatchSpec(0.0, 0.0), FS) for _ in range(3)]
+        with pytest.raises(ConfigError, match="exactly 4 elements"):
+            CirculatorNetwork(*self.parts(), FS, matches=matches)
+
+    def test_line_at_another_rate_rejected(self):
+        with pytest.raises(ConfigError, match="element sample rate 2e\\+09 != network rate 4e\\+09"):
+            CirculatorNetwork(*self.parts(line_rate=2e9), FS)
+
+    def test_lane_schedule_at_another_rate_rejected(self):
+        net = build_circulator(make_config())
+        with pytest.raises(ConfigError, match="lane schedule sample rate"):
+            net.set_lane_schedules([net.schedule, build_schedule(IDEAL_PERIOD, 0.0, 0.5, 2e9)])
+
+    def test_advance_wrong_shape_rejected(self):
+        net = build_circulator(make_config())
+        net.reset(lanes=2)
+        with pytest.raises(ValueError, match="expected stimuli of shape"):
+            net.advance(np.zeros((4, 3, 8)))
+
+    def test_run_three_stimuli_rejected(self):
+        with pytest.raises(ValueError, match="one stimulus slot per external port"):
+            run(build_circulator(make_config()), [None, None, None], 100)
+
+    def test_run_stimulus_at_another_rate_rejected(self):
+        stim = SampleBuffer(2e9, np.zeros(10))
+        with pytest.raises(ConfigError, match="stimulus sample rate"):
+            run(build_circulator(make_config()), [stim, None, None, None], 100)
+
+    def test_unsupported_line_rejected(self):
+        with pytest.raises(ConfigError, match="line_a: unsupported line description str"):
+            build_circulator(dataclasses.replace(make_config(), line_a="line.s2p"))
+
+    def test_three_match_specs_rejected(self):
+        spec = MatchSpec(33e-9, 18e-12)
+        with pytest.raises(ConfigError, match="one spec or exactly four"):
+            build_circulator(make_config(matching=(spec, spec, spec)))
 
 
 class TestRun:

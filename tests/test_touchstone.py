@@ -89,6 +89,18 @@ class TestParse:
         with pytest.raises(ParseError, match="only S"):
             parse_touchstone("# HZ Y RI R 50\n1e8 0 0 1 0 1 0 0 0\n")
 
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("# HZ S RI R\n1e8 0 0 1 0 1 0 0 0\n", "line 1: R must be followed by an impedance"),
+            ("# HZ S RI R fifty\n1e8 0 0 1 0 1 0 0 0\n", "line 1: bad impedance 'fifty'"),
+            ("# HZ S RI R 50\n1e8 0 0 1 0 1 0 0 x\n", "line 2: non-numeric data value"),
+        ],
+    )
+    def test_malformed_values_rejected(self, text, message):
+        with pytest.raises(ParseError, match=message):
+            parse_touchstone(text)
+
     def test_multiple_option_lines_rejected(self):
         text = "# HZ S RI R 50\n# MHz S RI R 50\n1e8 0 0 1 0 1 0 0 0\n"
         with pytest.raises(ParseError, match="multiple option"):

@@ -29,7 +29,6 @@ from .elements import (
     SwitchSpec,
     TouchstoneElement,
     TouchstoneLineRef,
-    synth_lmatch,
 )
 from .engine import (
     CirculatorConfig,
@@ -91,7 +90,6 @@ __all__ = [
     "spectrum_probe",
     "SpectrumReport",
     "SwitchSpec",
-    "synth_lmatch",
     "TouchstoneData",
     "TouchstoneElement",
     "TouchstoneLineRef",

@@ -18,13 +18,13 @@ Every analysis of the switched network is a thin parameterisation of one
 drive-and-measure kernel (_measure): the stimulus of each block is built in
 closed form, the network advances the whole block (see engine: settled
 spans run as blocks, switch transitions sample by sample), and each lane's
-outputs and drive are projected onto its detection frequencies over its own
-window. Lanes (one per frequency, drive port and schedule) are independent
-runs sharing each block. Under the cosine drive a steady lane's per-period
-sums follow one exact two-term recurrence, so stepping stops once every
-lane is steady (after 5 periods on configs/paper.yaml, of a sweep's 14 and
-a spectrum's 26) and the rest of each window is extrapolated; a lane that
-never settles, or whose window is 3 periods or fewer, steps all of it. In
+outputs and drive are projected, per period from n = 0, onto its detection
+frequencies. Lanes (one per frequency, drive port and schedule) are
+independent runs sharing each block. Under the cosine drive a steady lane's
+per-period sums follow one exact two-term recurrence, so stepping stops once
+every lane is steady (after 5 periods on configs/paper.yaml, of a sweep's
+14 and a spectrum's 26) and the rest of each window is extrapolated; a lane
+that never settles, or whose window is 3 periods or fewer, steps all of it. In
 the harmonic-transfer view of a periodically switched network the
 same-frequency S-parameter is the k = 0 term of the projection onto the
 commutation lattice f0 + k*f_mod and the spectrum's sidebands are the
@@ -95,9 +95,11 @@ class CirculatorMetrics:
     Losses and isolations are positive dB; directivity is the contrast
     iso - il on each adjacent port pair. Bandwidth is the widest contiguous
     frequency interval where all four reverse paths stay above the
-    isolation threshold while all four forward paths carry signal. il_db
-    holds each forward path's smallest loss in that band, worst_il_db the
-    largest loss of any forward path anywhere in it.
+    isolation threshold while all four forward paths carry signal; when
+    that interval reaches the first or last grid point (at_grid_edge) the
+    grid, not the network, may end it. il_db holds each forward path's
+    smallest loss in that band, worst_il_db the largest loss of any forward
+    path anywhere in it.
     """
 
     il_db: dict[str, float]
@@ -110,6 +112,7 @@ class CirculatorMetrics:
     fbw: float
     iso_threshold_db: float
     flags: tuple[str, ...] = ()
+    at_grid_edge: bool = False
 
 
 @dataclass(frozen=True)
@@ -173,10 +176,11 @@ def _measure(step, ports, omega, amplitude, detect, start, stop, period):
     here for each block of at most block_limit(lanes) samples (the budget
     the network and elements split by, so a drive block never cuts a
     settled span short), the cosine once per distinct frequency: the drive
-    the recurrence below assumes. step is CirculatorNetwork.advance. Over
-    lane k's window start[k] <= n < stop[k], whole periods of period[k]
-    samples from n = 0, its outputs and drive are projected onto
-    exp(-j*detect[k, m]*n) (detect in rad/sample, shape (lanes, M)).
+    the recurrence below assumes. step is CirculatorNetwork.advance. Each
+    period of period[k] samples from n = 0 that lane k steps, its outputs
+    and drive are projected onto exp(-j*detect[k, m]*n) (detect in
+    rad/sample, shape (lanes, M)); blocks end at every lane's period edges
+    and stop. Its window, start[k] <= n < stop[k], is whole periods.
 
     Stepping stops once every lane is steady or past its window. In steady
     state the network (periodic in P = period[k]) answers the cosine drive
@@ -184,17 +188,17 @@ def _measure(step, ports, omega, amplitude, detect, start, stop, period):
     sample obeys x[n + P] = 2 cos(omega P) x[n] - x[n - P] and the sums c_t
     a lane projects over each period t (outputs and drive) obey
         c_(t+1) = (2 cos(omega P) c_t - c_(t-1) / u) / u,  u = exp(j*detect*P).
-    A lane with more than _CHECK_PERIODS periods projects from n = 0 and is
-    steady once this holds on its last three periods within _STEADY_TOL of
-    the drive (amplitude*P); its later periods are then taken from the
-    recurrence, not stepped. Every result is built from these sums, so a
-    transient that keeps them on the recurrence changes none. Other lanes
-    project their window only and step all of it.
+    A lane is steady once this holds on its last three periods within
+    _STEADY_TOL of the drive (amplitude*P); its later periods are then
+    taken from the recurrence, not stepped. Every result is built from
+    these sums, so a transient that keeps them on the recurrence changes
+    none. A window of _CHECK_PERIODS periods or fewer reaches no check
+    before its stop and steps whole.
 
-    Returns the output sums (4, lanes, M), the drive sums (lanes, M) and
-    each lane's output energy per measured period (periods, lanes), NaN for
-    a period not stepped; blocks end at each lane's period edges and stop.
-    Raises SimulationFault at the first non-finite output sample.
+    Returns the sums over each lane's window of its outputs (4, lanes, M)
+    and drive (lanes, M), and its output energy per measured period
+    (periods, lanes), NaN for a period not stepped. Raises SimulationFault
+    at the first non-finite output sample.
     """
     lanes = len(ports)
     lane_ix = np.arange(lanes)
@@ -202,12 +206,7 @@ def _measure(step, ports, omega, amplitude, detect, start, stop, period):
         np.broadcast_to(np.asarray(v, dtype=np.int64), (lanes,)) for v in (start, stop, period)
     )
     periods, first = stop // period, start // period
-    # A lane whose check could still save a period is projected from n = 0.
-    lo = np.where(periods > _CHECK_PERIODS, 0, start)
-    edges = {0, *stop.tolist()}
-    for a, hi, p in set(zip(lo.tolist(), stop.tolist(), period.tolist())):
-        edges.update(range(a, hi, p))
-    edges = sorted(edges)
+    edges = sorted({n for hi, p in set(zip(stop.tolist(), period.tolist())) for n in (*range(0, hi, p), hi)})
     tones, tone_row = np.unique(np.asarray(omega, dtype=float), return_inverse=True)
     rows, row = np.unique(detect, axis=0, return_inverse=True)  # one weight per distinct row
     row = row.reshape(-1)
@@ -230,9 +229,7 @@ def _measure(step, ports, omega, amplitude, detect, start, stop, period):
         bad = np.flatnonzero(~np.isfinite(out).all(axis=(0, 1)))
         if len(bad):
             raise SimulationFault(n0 + int(bad[0]))
-        rec = np.flatnonzero((n0 >= lo) & (n0 < stop) & (steady_at < 0))
-        if len(rec) == 0:
-            continue  # no lane projects this block
+        rec = np.flatnonzero((n0 < stop) & (steady_at < 0))
         weight = np.exp(-1j * (rows[:, :, None] * n))[row[rec]]
         t = n0 // period[rec]
         out, d = out[:, rec], d[rec]
@@ -374,17 +371,12 @@ def group_delay(grid: SParamGrid, path: tuple[int, int] = (2, 1)):
 
 
 def _longest_true_run(mask: np.ndarray) -> tuple[int, int] | None:
-    best = None
-    start = None
-    for k, ok in enumerate(mask):
-        if ok and start is None:
-            start = k
-        if start is not None and (not ok or k == len(mask) - 1):
-            end = k if ok else k - 1
-            if best is None or end - start > best[1] - best[0]:
-                best = (start, end)
-            start = None
-    return best
+    """First and last index of the first longest run of True in mask."""
+    edges = np.flatnonzero(np.diff(np.concatenate([[False], mask, [False]])))
+    if not len(edges):
+        return None
+    k = int(np.argmax(edges[1::2] - edges[::2]))
+    return int(edges[2 * k]), int(edges[2 * k + 1]) - 1
 
 
 def metrics(grid: SParamGrid, iso_threshold_db: float) -> CirculatorMetrics:
@@ -439,6 +431,7 @@ def metrics(grid: SParamGrid, iso_threshold_db: float) -> CirculatorMetrics:
         fbw=bandwidth / center,
         iso_threshold_db=float(iso_threshold_db),
         flags=tuple(flags),
+        at_grid_edge=run is not None and (lo == 0 or hi == len(freqs) - 1),
     )
 
 

@@ -64,9 +64,9 @@ from .engine import (
     K_LINK_BARE,
     K_LINK_MATCHED,
     CirculatorConfig,
+    analysis_problems,
     build_circulator,
     run as run_network,
-    window_problems,
 )
 from .errors import ConfigError
 from .schedule import build_schedule, expanded_controls, validate_schedule
@@ -311,7 +311,7 @@ def load_config(path) -> CirculatorConfig:
             problems.append(
                 f"analysis.band: start must be below stop, and points from 2 to {MAX_POINTS}"
             )
-    problems += window_problems(analysis)
+    problems += analysis_problems(analysis)
 
     lines = [(name, line) for name, line in (("line_a", line_a), ("line_b", line_b))
              if isinstance(line, DelayLineSpec)]
@@ -507,11 +507,16 @@ def _cmd_sweep(config: CirculatorConfig, overrides: dict):
         for key, (j, i) in sorted(paths.items())
     ]
     chart = Chart("transmission over the analysis band", "frequency / MHz", "|S| / dB", series)
-    summary = (
+    summary = [
         f"bandwidth {m.bandwidth / 1e6:.3f} MHz at {m.iso_threshold_db:g} dB isolation,"
         f" worst forward loss {m.worst_il_db:.2f} dB"
-    )
-    return {"sweep.csv": _grid_rows(grid), "metrics.csv": rows, "sweep.svg": chart}, grid.warnings, [summary]
+    ]
+    if m.at_grid_edge:
+        summary.append(
+            f"the band reaches the edge of the {fmhz[0]:.3f}-{fmhz[-1]:.3f} MHz grid,"
+            " so the bandwidth is a lower bound"
+        )
+    return {"sweep.csv": _grid_rows(grid), "metrics.csv": rows, "sweep.svg": chart}, grid.warnings, summary
 
 
 def _cmd_spectrum(config: CirculatorConfig, overrides: dict):
@@ -747,7 +752,8 @@ def _build_parser() -> _Parser:
         if name != "schedule":
             cmd.add_argument("--freq-start", type=_finite, help="band start in Hz")
             cmd.add_argument("--freq-stop", type=_finite, help="band stop in Hz")
-            cmd.add_argument("--freq-points", type=int, help="number of sweep points")
+            if name in ("sweep", "linecheck"):
+                cmd.add_argument("--freq-points", type=int, help="number of sweep points")
         if name == "modsweep":
             cmd.add_argument(
                 "--fmod", type=_finite_list, help="comma-separated switching frequencies in Hz"

@@ -27,9 +27,7 @@ convolution. Frames sit at fixed sample positions, which keeps its outputs
 independent of the block split; rewind takes back the spectra a trial
 block completed.
 
-Includes the L-section matching synthesis (synth_lmatch) and its
-discrete-time realization alongside the delay-line, crossbar-switch, and
-measured-data elements. The matching element filters blocks with
+The L-section matching element (MatchingElement) filters blocks with
 scipy.signal.lfilter, imported when one is built: the only use of scipy,
 so networks without matching never load it.
 """
@@ -167,8 +165,8 @@ class DelayLineSpec:
             raise ValueError("il_db and port_return_db must be >= 0")
         if self.bandwidth is not None and not 0 < self.bandwidth < self.f_center:
             raise ValueError("bandwidth must lie in (0, f_center)")
-        if self.band_order > MAX_BAND_ORDER:
-            raise ValueError(f"band_order must be at most {MAX_BAND_ORDER}")
+        if not 0 <= self.band_order <= MAX_BAND_ORDER:
+            raise ValueError(f"band_order must be from 0 to {MAX_BAND_ORDER}")
         for k, level in self.echoes:
             if k < 2:
                 raise ValueError(f"echo transit multiple must be an integer >= 2, got {k}")
@@ -733,7 +731,8 @@ class MatchSpec:
     Element port 1 faces the crossbar (source), port 2 faces the line
     (load). orientation says which side the series inductor sits on:
     L_TOWARD_LINE puts the inductor at port 2 with the capacitor shunting
-    port 1, L_TOWARD_PORT mirrors that.
+    port 1, L_TOWARD_PORT mirrors that. The discrete realization is
+    pre-warped to be exact at f0; f0 = 0 turns pre-warping off.
     """
 
     series_l: float
@@ -747,57 +746,10 @@ class MatchSpec:
             raise ValueError("component values must be >= 0")
         if self.z0 <= 0:
             raise ValueError("z0 must be positive")
+        if not self.f0 >= 0:
+            raise ValueError("f0 must be >= 0 (0: no pre-warping)")
         if self.orientation not in (L_TOWARD_LINE, L_TOWARD_PORT):
             raise ValueError(f"unknown orientation {self.orientation!r}")
-
-
-def synth_lmatch(z_load: complex, z0: float, f0: float) -> MatchSpec:
-    """Closed-form L-match of z_load to z0 at f0.
-
-    Loads below z0 get the series inductor toward the load with the load
-    reactance absorbed into the series branch; loads above z0 get the
-    mirrored section with the load susceptance absorbed into the shunt
-    branch. A load already at z0 returns the empty ladder.
-    """
-    z_load = complex(z_load)
-    if z_load.real <= 0:
-        raise ValueError("load must have positive real part")
-    w0 = 2.0 * math.pi * f0
-    if z_load == complex(z0, 0.0):
-        return MatchSpec(0.0, 0.0, L_TOWARD_LINE, z0, f0)
-
-    def series_first() -> tuple[float, float, str] | None:
-        # Load resistance stepped up: series L absorbs the load reactance.
-        if z_load.real > z0:
-            return None
-        q = math.sqrt(z0 / z_load.real - 1.0)
-        x_series = q * z_load.real - z_load.imag
-        if x_series < 0:
-            return None
-        return x_series, q / z0, L_TOWARD_LINE
-
-    def shunt_first() -> tuple[float, float, str] | None:
-        # Load conductance stepped up: shunt C absorbs the load susceptance.
-        y_load = 1.0 / z_load
-        r_p = 1.0 / y_load.real
-        if r_p < z0:
-            return None
-        q = math.sqrt(r_p / z0 - 1.0)
-        b_shunt = q * y_load.real - y_load.imag
-        if b_shunt < 0:
-            return None
-        return q * z0, b_shunt, L_TOWARD_PORT
-
-    # The primary branch follows the resistance comparison; strongly
-    # reactive loads on the wrong side of it resolve via the mirror. The
-    # two domains tile the whole Re > 0 half plane, so one always fits.
-    order = (series_first, shunt_first) if z_load.real <= z0 else (shunt_first, series_first)
-    for branch in order:
-        result = branch()
-        if result is not None:
-            x_series, b_shunt, orientation = result
-            return MatchSpec(x_series / w0, b_shunt / w0, orientation, z0, f0)
-    raise ValueError(f"no series-L/shunt-C section matches load {z_load:g}")
 
 
 def _lsection_polys(spec: MatchSpec) -> tuple[list[float], ...]:

@@ -18,16 +18,17 @@ is exposed as CirculatorNetwork.k_link and every timing oracle adds it.
 
 Time advances in blocks. External ports never reflect, and a crossbar's
 line ports reflect (gamma_off*min(w, 1-w)) only inside its switch
-transitions, so outside those windows the bare network is feed-forward:
-crossbar -> line -> crossbar within any span where no line port reflects.
-Such settled spans run as whole blocks, each element processing the block
-at once. Block length is budgeted in lane-samples (elements.block_limit):
-2,048 samples on one lane, down to a floor of 64 from 32 lanes up, so a
+transitions. A block may start at a sample where a line port reflects but
+holds no other (see _span), so past its first sample the bare network is
+feed-forward, and switch transitions run as one-sample blocks. Every
+block, whatever its length, runs one sequence: the crossbars' line-side
+outputs (at sample 0 with the waves they reflect), the elements behind
+the crossbars on those, and the crossbars' port-side outputs on theirs.
+Block length is budgeted in lane-samples (elements.block_limit): 2,048
+samples on one lane, down to a floor of 64 from 32 lanes up, so a
 single-lane run takes each settled span (about a quarter period) in one
 block. From 32 lanes up, blocks also end at multiples of 64 samples,
-where the elements' fixed frames start (see elements). A sample where
-either crossbar reflects closes the 2-sample crossbar-line loop and runs
-at B = 1, through the same block code.
+where the elements' fixed frames start (see elements).
 
 A matched network keeps one loop inside every block: a match's line-side
 output reaches its line a sample later, and the line's reflection comes
@@ -36,7 +37,8 @@ back a sample after that. The block closes these loops in closed form
 match-to-line links cut gives the waves f they would carry, the loops'
 closed response g over a block (made once per reset from impulse
 responses of zeroed element copies) gives the true waves u = g * f, and
-the elements, rewound, step the block again with u fed in. On bare
+the elements, rewound, step the block again with u fed in; a one-sample
+block has no loop wave to close and skips the trial pass. On bare
 networks outputs are bit-identical however a run is split into advance
 calls; on matched ones they agree with per-sample stepping to rounding
 (within 1e-12 of the stimulus peak).
@@ -82,18 +84,18 @@ class _LaneControl:
     """Crossbar coefficient tables, one row per schedule: a single row that
     every lane shares, or one row per lane (modulation-frequency sweeps).
 
-    coef[side, k, row, i] is (t_bar, t_cross, refl)[k] of the left (side 0)
+    coef[k, side, row, i] is (t_bar, t_cross, refl)[k] of the left (side 0)
     or right (side 1) crossbar at sample i of the row's period.
     """
 
     def __init__(self, crossbar: CrossbarElement, schedules: list[ControlSchedule]):
         self.rows = len(schedules)
         self.periods = np.array([s.period_samples for s in schedules], dtype=np.int64)
-        self.coef = np.zeros((2, 3, self.rows, int(self.periods.max())))
+        self.coef = np.zeros((3, 2, self.rows, int(self.periods.max())))
         for r, sched in enumerate(schedules):
             p = sched.period_samples
             for side, name in enumerate(("left", "right")):
-                self.coef[side, :, r, :p] = crossbar.coefficients(trace_for(sched, name, p))
+                self.coef[:, side, r, :p] = crossbar.coefficients(trace_for(sched, name, p))
         self._row_ix = np.arange(self.rows)[:, None]
 
     @functools.cached_property
@@ -102,7 +104,7 @@ class _LaneControl:
         either crossbar's line ports reflect (0 if they reflect at i)."""
         quiet = np.full(self.coef.shape[2:], np.iinfo(np.int64).max // 2)
         for r, p in enumerate(self.periods.tolist()):
-            hot = np.flatnonzero((self.coef[:, 2, r, :p] != 0.0).any(axis=0))
+            hot = np.flatnonzero((self.coef[2, :, r, :p] != 0.0).any(axis=0))
             if len(hot):
                 phase = np.arange(p)
                 ahead = np.concatenate([hot, hot[:1] + p])
@@ -110,7 +112,7 @@ class _LaneControl:
         return quiet
 
     def block(self, n: int, b: int) -> np.ndarray:
-        """Coefficients for samples n..n+b-1, shape (2, 3, rows, b)."""
+        """Coefficients for samples n..n+b-1, shape (3, 2, rows, b)."""
         idx = (n + np.arange(b)) % self.periods[:, None]
         return self.coef[:, :, self._row_ix, idx]
 
@@ -259,8 +261,6 @@ class CirculatorNetwork:
         if ext.ndim != 3 or ext.shape[:2] != (4, self.lanes):
             raise ValueError(f"expected stimuli of shape (4, {self.lanes}, B), got {ext.shape}")
         total = ext.shape[2]
-        if total == 1:
-            return self._block(ext)
         out = np.empty_like(ext)
         i = 0
         while i < total:
@@ -275,13 +275,11 @@ class CirculatorNetwork:
         return self.advance(np.asarray(ext_in, dtype=np.float64)[:, :, None])[:, :, 0]
 
     def _span(self, limit: int) -> int:
-        """Length of the next block: one sample, or up to block_limit(lanes)
-        samples whose line ports do not reflect after the first. Blocks at
-        the MAX_BLOCK floor (32 lanes and more) also end at the next
-        multiple of MAX_BLOCK, where the elements' fixed frames start, so
-        each such block costs the band filter one frame product, not two."""
-        if limit == 1:
-            return 1
+        """Length of the next block: up to block_limit(lanes) samples whose
+        line ports do not reflect after the first. Blocks at the MAX_BLOCK
+        floor (32 lanes and more) also end at the next multiple of
+        MAX_BLOCK, where the elements' fixed frames start, so each such
+        block costs the band filter one frame product, not two."""
         b = min(limit, self._limit, 1 + self._ctl.quiet_from(self._n + 1))
         if self._limit == MAX_BLOCK:
             b = min(b, MAX_BLOCK - self._n % MAX_BLOCK)
@@ -344,11 +342,9 @@ class CirculatorNetwork:
     def _forward(self, elements: dict, inc: np.ndarray, wave: np.ndarray) -> None:
         """Step the elements behind the crossbars over one block, in order,
         each on the waves its sources emitted earlier in the block; inputs
-        on loop-closing links are left as they are. A single sample has
-        only the waves carried in from the previous one."""
-        within = inc.shape[2] > 1
+        on loop-closing links are left as they are."""
         for name in self._others:
-            for s, d in self._feeds[name] if within else ():
+            for s, d in self._feeds[name]:
                 inc[d, :, 1:] = wave[s, :, :-1]
             slots = self._slots[name]
             wave[slots] = elements[name].step(inc[slots])
@@ -366,17 +362,15 @@ class CirculatorNetwork:
         # crossbars' line-side outputs need only the port-side stimulus and
         # the line waves they would reflect stay zero. The elements behind
         # the crossbars then run on those outputs, and the crossbars'
-        # port-side outputs on theirs. A single sample needs only the
-        # waves carried in from the previous one: one crossbar pass, and
-        # one pass of the other elements.
-        if b > 1:
-            for _, d in self._feed_xbar:
-                inc[d, :, 1:] = 0.0
-        self._crossbars(inc, wave, coef, "line" if b > 1 else None)
+        # port-side outputs on theirs.
+        for _, d in self._feed_xbar:
+            inc[d, :, 1:] = 0.0
+        self._crossbars(inc, wave, coef, "line")
         if b > 1 and len(self._loop_src):
             # A trial pass with the match-line loops cut gives the waves f
             # on the cut links; the loops closed give u = g * f there. The
-            # elements then step the block again with u fed in.
+            # elements then step the block again with u fed in. In a single
+            # sample the closed loops are the identity (g[0] = I).
             marks = [self.elements[name].mark() for name in self._others]
             inc[self._loop_dst, :, 1:] = 0.0
             self._forward(self.elements, inc, wave)
@@ -385,10 +379,9 @@ class CirculatorNetwork:
             for name, mark in zip(self._others, marks):
                 self.elements[name].rewind(mark)
         self._forward(self.elements, inc, wave)
-        if b > 1:
-            for s, d in self._feed_xbar:
-                inc[d, :, 1:] = wave[s, :, :-1]
-            self._crossbars(inc, wave, coef, "port")
+        for s, d in self._feed_xbar:
+            inc[d, :, 1:] = wave[s, :, :-1]
+        self._crossbars(inc, wave, coef, "port")
 
         self._carry = wave[self._link_src, :, -1]
         if self.track_link_energy:
@@ -399,15 +392,14 @@ class CirculatorNetwork:
         self._n += b
         return wave[self._ext_slots]
 
-    def _crossbars(self, inc: np.ndarray, wave: np.ndarray, coef: np.ndarray, side) -> None:
-        """Both crossbars' outputs on one side ("port", "line") or, for
-        side None, on both, into wave."""
-        rows = {"port": slice(0, LINE_A), "line": slice(LINE_A, LINE_B + 1), None: slice(0, 4)}[side]
-        for name, (t_bar, t_cross, refl) in zip(("left_crossbar", "right_crossbar"), coef):
-            first = self._slots[name].start
-            wave[first + rows.start : first + rows.stop] = CrossbarElement.step_with(
-                inc[first : first + 4], t_bar, t_cross, refl, side=side
-            )
+    def _crossbars(self, inc: np.ndarray, wave: np.ndarray, coef: np.ndarray, side: str) -> None:
+        """Both crossbars' outputs on one side ("port" or "line") into wave,
+        in one call: their slots are the first 2 x 4 rows, viewed as (2, 4,
+        lanes, b), and coef is _LaneControl.block's (3, 2, rows, b)."""
+        shape = (2, 4) + inc.shape[1:]
+        rows = slice(0, LINE_A) if side == "port" else slice(LINE_A, LINE_B + 1)
+        out = CrossbarElement.step_with(inc[:8].reshape(shape).swapaxes(0, 1), *coef, side=side)
+        wave[:8].reshape(shape)[:, rows] = out.swapaxes(0, 1)
 
 
 @dataclass
@@ -487,21 +479,27 @@ def _line_element(line_spec, sample_rate: float, name: str = "line") -> Scatteri
 
 
 DEFAULT_BAND = (150e6, 160e6, 51)
-# Analysis windows are whole numbers of schedule periods, each from its
-# floor to MAX_PERIODS. The spectrum window needs 16 periods so adjacent
-# commutation sidebands stay orthogonal.
 MAX_PERIODS = 1024
-WINDOW_FLOORS = {"settle_periods": 0, "measure_periods": 1, "spectrum_window_periods": 16}
+# (low, high, type) of each bounded analysis setting. Windows are whole
+# numbers of schedule periods up to MAX_PERIODS; the spectrum window needs
+# 16 so adjacent commutation sidebands stay orthogonal. The drive level's
+# bound keeps its amplitude, the amplitude's square and a period's energy
+# sums normal floats.
+ANALYSIS_BOUNDS = {
+    "settle_periods": (0, MAX_PERIODS, numbers.Integral),
+    "measure_periods": (1, MAX_PERIODS, numbers.Integral),
+    "spectrum_window_periods": (16, MAX_PERIODS, numbers.Integral),
+    "drive_dbm": (-300.0, 300.0, numbers.Real),
+}
 
 
-def window_problems(values) -> list[str]:
-    """A message for each window in values (a mapping with the keys of
-    WINDOW_FLOORS) out of its bounds; None, already reported, passes."""
+def analysis_problems(values) -> list[str]:
+    """A message for each setting in values (a mapping with the keys of
+    ANALYSIS_BOUNDS) out of its bounds; None, already reported, passes."""
     return [
-        f"analysis.{key} must be from {low} to {MAX_PERIODS}"
-        for key, low in WINDOW_FLOORS.items()
-        if values[key] is not None
-        and not (isinstance(values[key], numbers.Integral) and low <= values[key] <= MAX_PERIODS)
+        f"analysis.{key} must be from {low:g} to {high:g}"
+        for key, (low, high, kind) in ANALYSIS_BOUNDS.items()
+        if values[key] is not None and not (isinstance(values[key], kind) and low <= values[key] <= high)
     ]
 
 
@@ -510,7 +508,7 @@ class CirculatorConfig:
     """Run configuration, the unit every command and analysis consumes.
 
     cli.load_config reads one from YAML and validates all of it; a config
-    made in code has its analysis windows checked here. The analysis
+    made in code has its analysis windows and drive level checked here. The analysis
     settings (drive level, isolation threshold, windows in schedule
     periods, band, switching frequencies) have their defaults here and
     nowhere else.
@@ -534,7 +532,7 @@ class CirculatorConfig:
     warnings: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        problems = window_problems({key: getattr(self, key) for key in WINDOW_FLOORS})
+        problems = analysis_problems({key: getattr(self, key) for key in ANALYSIS_BOUNDS})
         if problems:
             raise ConfigError("; ".join(problems))
 

@@ -107,6 +107,20 @@ class TestMetrics:
         assert m.bandwidth == pytest.approx(freqs[10] - freqs[3])
         assert m.center_frequency == pytest.approx((freqs[3] + freqs[10]) / 2)
 
+    def test_band_at_grid_edge(self):
+        # A band that reaches the first or last grid point may go on past
+        # it; one inside the grid, or none at all, is not at the edge.
+        freqs = list(np.linspace(150e6, 160e6, 11))
+        s = synthetic_grid(freqs).s.copy()
+        assert metrics(SParamGrid(tuple(freqs), s), 25.0).at_grid_edge
+        for k in (2, 10):
+            for j, i in [(0, 1), (1, 2), (2, 3), (3, 0)]:
+                s[k, j, i] = 0.2
+        m = metrics(SParamGrid(tuple(freqs), s), 25.0)
+        assert m.bandwidth == pytest.approx(freqs[9] - freqs[3])
+        assert not m.at_grid_edge
+        assert not metrics(SParamGrid(tuple(freqs), s), 40.0).at_grid_edge
+
     def test_needs_four_ports(self):
         freqs = (150e6, 155e6)
         s = np.zeros((2, 2, 2), dtype=complex)
@@ -203,6 +217,8 @@ class TestSweep:
             ("settle_periods", MAX_PERIODS + 1),
             ("measure_periods", 0),
             ("spectrum_window_periods", MAX_PERIODS + 1),
+            ("drive_dbm", 1e6),
+            ("drive_dbm", -1e6),
         ],
     )
     def test_out_of_range_window_rejected(self, window, value):

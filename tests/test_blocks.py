@@ -263,6 +263,35 @@ def test_matched_settled_spans_run_as_blocks(name):
     assert max(sizes) == limit
 
 
+@pytest.mark.parametrize("name", ("paper", "matched"))
+def test_crossbars_step_in_two_calls_per_block(name, monkeypatch):
+    # One-sample and longer blocks run the same sequence: one crossbar call
+    # gives both crossbars' line-side outputs, one their port-side outputs.
+    ext, _ = whole_run(name)
+    calls = []
+    step_with = CrossbarElement.step_with
+
+    def counted_step_with(*args, **kwargs):
+        calls.append(kwargs.get("side"))
+        return step_with(*args, **kwargs)
+
+    monkeypatch.setattr(CrossbarElement, "step_with", staticmethod(counted_step_with))
+    net = network(name)
+    net.reset(ext.shape[1])
+    per_block: dict[bool, set] = {}
+    block = net._block
+
+    def counted(x):
+        first = len(calls)
+        out = block(x)
+        per_block.setdefault(x.shape[2] > 1, set()).add(tuple(calls[first:]))
+        return out
+
+    net._block = counted
+    net.advance(ext)
+    assert per_block == {False: {("line", "port")}, True: {("line", "port")}}
+
+
 def test_link_energy_independent_of_split():
     ext, _ = whole_run("paper")
     energies = []

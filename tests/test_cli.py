@@ -262,6 +262,11 @@ class TestLoadConfig:
              f"analysis.measure_periods must be from 1 to {MAX_PERIODS}"),
             ([(("analysis", "spectrum_window_periods"), MAX_PERIODS + 1)],
              f"analysis.spectrum_window_periods must be from 16 to {MAX_PERIODS}"),
+            ([(("analysis", "drive_dbm"), 1e6)], "analysis.drive_dbm must be from -300 to 300"),
+            ([(("analysis", "drive_dbm"), -1e6)], "analysis.drive_dbm must be from -300 to 300"),
+            ([(("line_a", "band_order"), -3)], "line_a: band_order must be from 0 to 64"),
+            ([(("matching",), {"series_l": 33e-9, "shunt_c": 18e-12, "f0": -5.0})],
+             "matching: f0 must be >= 0"),
         ],
     )
     def test_malformed_input_exits_1(self, tmp_path, capsys, edits, message):
@@ -588,6 +593,19 @@ class TestCommands:
         best = [float(v) for k, v in data_rows(out / "metrics.csv")[1:] if k.startswith("il_")]
         assert max(losses) > max(best) + 0.05
 
+    def test_sweep_says_when_the_grid_sets_the_bandwidth(self, tmp_path, capsys):
+        # Every point of paper.yaml's band isolates beyond 27 dB, so the
+        # band found is the whole grid and its width only a lower bound. At
+        # 40 dB no point qualifies, and the note is not printed.
+        args = ["sweep", "--config", str(CONFIG_DIR / "paper.yaml"), "--freq-points", "3"]
+        assert main(args + ["--out", str(tmp_path / "a")]) == 0
+        printed = capsys.readouterr().out
+        assert "bandwidth 10.000 MHz at 27 dB isolation" in printed
+        assert "the band reaches the edge of the 150.000-160.000 MHz grid" in printed
+        assert "flag" not in [row[0] for row in data_rows(tmp_path / "a" / "metrics.csv")]
+        assert main(args + ["--out", str(tmp_path / "b"), "--threshold-db", "40"]) == 0
+        assert "reaches the edge" not in capsys.readouterr().out
+
     def test_spectrum_rows(self, tmp_path):
         cfg = write_config(tmp_path)
         out = tmp_path / "out"
@@ -760,6 +778,15 @@ class TestCommands:
         code = main(["schedule", "--config", str(cfg), "--out", str(tmp_path / "o"), "--freq-points", "9"])
         assert code == 1
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["spectrum", "modsweep", "run"])
+    def test_freq_points_only_where_it_acts(self, tmp_path, capsys, command):
+        # These commands read only the band centre, which the point count
+        # never moves, so they do not take the flag.
+        cfg = write_config(tmp_path)
+        code = main([command, "--config", str(cfg), "--out", str(tmp_path / "o"), "--freq-points", "9"])
+        assert code == 1
+        assert "unrecognized arguments: --freq-points 9" in capsys.readouterr().err
 
     def test_runtime_error_exit_code(self, tmp_path, capsys):
         cfg = write_config(tmp_path)

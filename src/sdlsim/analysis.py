@@ -15,16 +15,22 @@ periods inside the window and flags runs that are still settling. Each analysis
 also reports the warnings of the network's elements.
 
 Every analysis of the switched network is a thin parameterisation of one
-drive-and-measure kernel (_measure): the stimulus of each block is built in
-closed form, the network advances the whole block (see engine: settled
+drive-and-measure kernel (_measure): the stimulus of each chunk is built in
+closed form, the network advances the whole chunk (see engine: settled
 spans run as blocks, switch transitions sample by sample), and each lane's
-outputs and drive are projected, per period from n = 0, onto its detection
-frequencies. Lanes (one per frequency, drive port and schedule) are
-independent runs sharing each block. Under the cosine drive a steady lane's
-per-period sums follow one exact two-term recurrence, so stepping stops once
-every lane is steady (after 5 periods on configs/paper.yaml, of a sweep's
-14 and a spectrum's 26) and the rest of each window is extrapolated; a lane
-that never settles, or whose window is 3 periods or fewer, steps all of it. In
+outputs and drive are projected, per period, onto its detection
+frequencies. Chunks are cut on the engine's block grid from n = 0 (its
+64-sample frames from 32 lanes up) and at every lane's period edges and
+stop, so the engine divides a chunk only where a line port reflects. Each
+period's sums count phase from the period's start, with weights tabled
+once per detection row and period; the window's total turns each period
+back to n = 0. Lanes (one per frequency, drive port and schedule) are
+independent runs sharing each chunk. Under the cosine drive a steady lane's
+period-relative sums follow one exact two-term recurrence, c_(t+1) =
+2 cos(omega P) c_t - c_(t-1), so stepping stops once every lane is steady
+(after 5 periods on configs/paper.yaml, of a sweep's 14 and a spectrum's
+26) and the rest of each window is extrapolated; a lane that never
+settles, or whose window is 3 periods or fewer, steps all of it. In
 the harmonic-transfer view of a periodically switched network the
 same-frequency S-parameter is the k = 0 term of the projection onto the
 commutation lattice f0 + k*f_mod and the spectrum's sidebands are the
@@ -173,75 +179,97 @@ def _measure(step, ports, omega, amplitude, detect, start, stop, period):
     detection frequencies over its window.
 
     Lane k is driven on port ports[k] with amplitude*cos(omega[k]*n), built
-    here for each block of at most block_limit(lanes) samples (the budget
-    the network and elements split by, so a drive block never cuts a
-    settled span short), the cosine once per distinct frequency: the drive
-    the recurrence below assumes. step is CirculatorNetwork.advance. Each
-    period of period[k] samples from n = 0 that lane k steps, its outputs
-    and drive are projected onto exp(-j*detect[k, m]*n) (detect in
-    rad/sample, shape (lanes, M)); blocks end at every lane's period edges
-    and stop. Its window, start[k] <= n < stop[k], is whole periods.
+    here for each chunk, the cosine once per distinct frequency: the drive
+    the recurrence below assumes. step is CirculatorNetwork.advance. Chunks
+    end at multiples of block_limit(lanes) from n = 0 (the engine's 64-sample
+    frames from 32 lanes up, so the engine never cuts a chunk at a frame
+    edge of its own) and at every lane's period edges and stop. Its window,
+    start[k] <= n < stop[k], is whole periods.
+
+    In each period t of P = period[k] samples from n = 0 that lane k steps,
+    its outputs and drive are projected onto exp(-j*detect[k, m]*i) (detect
+    in rad/sample, shape (lanes, M)), i counted from the period's start.
+    The real (cos, -sin) weights are tabled once per distinct detection row
+    and period (2 * M * P doubles: 3.7 MB on the paper sweep), so a chunk's
+    projection is one real matmul. The window's total turns period t back
+    by u^-t, u = exp(j*detect*P).
 
     Stepping stops once every lane is steady or past its window. In steady
-    state the network (periodic in P = period[k]) answers the cosine drive
-    with Re(y z^(n/P)), z = exp(j*omega[k]*P), per period, so each output
-    sample obeys x[n + P] = 2 cos(omega P) x[n] - x[n - P] and the sums c_t
-    a lane projects over each period t (outputs and drive) obey
-        c_(t+1) = (2 cos(omega P) c_t - c_(t-1) / u) / u,  u = exp(j*detect*P).
+    state the network (periodic in P) answers the cosine drive with
+    Re(y z^(n/P)), z = exp(j*omega[k]*P), per period, so each output sample
+    obeys x[n + P] = 2 cos(omega P) x[n] - x[n - P] and so do a lane's
+    period-relative sums c_t (outputs and drive):
+        c_(t+1) = 2 cos(omega P) c_t - c_(t-1).
     A lane is steady once this holds on its last three periods within
     _STEADY_TOL of the drive (amplitude*P); its later periods are then
     taken from the recurrence, not stepped. Every result is built from
     these sums, so a transient that keeps them on the recurrence changes
     none. A window of _CHECK_PERIODS periods or fewer reaches no check
-    before its stop and steps whole.
+    before its stop and steps whole. At detect = omega, u's phase is the
+    same double product omega*P the recurrence turns by, so the turn back
+    cancels the recurrence's phase rounding: the error stays near 1e-13 of
+    the drive however many periods are extrapolated.
 
     Returns the sums over each lane's window of its outputs (4, lanes, M)
     and drive (lanes, M), and its output energy per measured period
     (periods, lanes), NaN for a period not stepped. Raises SimulationFault
     at the first non-finite output sample.
     """
-    lanes = len(ports)
+    lanes, n_det = len(ports), detect.shape[1]
     lane_ix = np.arange(lanes)
     start, stop, period = (
         np.broadcast_to(np.asarray(v, dtype=np.int64), (lanes,)) for v in (start, stop, period)
     )
     periods, first = stop // period, start // period
-    edges = sorted({n for hi, p in set(zip(stop.tolist(), period.tolist())) for n in (*range(0, hi, p), hi)})
-    tones, tone_row = np.unique(np.asarray(omega, dtype=float), return_inverse=True)
-    rows, row = np.unique(detect, axis=0, return_inverse=True)  # one weight per distinct row
-    row = row.reshape(-1)
-    # Each lane's projected sums per period (outputs, then drive), its output
-    # energy per period, and the recurrence's coefficients.
-    sums = np.zeros((int(periods.max()), lanes, 5, detect.shape[1]), dtype=complex)
-    e_sums = np.zeros(sums.shape[:2])
-    u = np.exp(1j * detect * period[:, None])
-    coef_a = (2.0 * np.cos(omega * period))[:, None] / u
-    coef_b = -1.0 / (u * u)
-    steady_at = np.full(lanes, -1)  # the last period a steady lane stepped
     limit = block_limit(lanes)
-    blocks = ((n0, min(limit, hi - n0)) for a, hi in zip(edges, edges[1:]) for n0 in range(a, hi, limit))
-    for n0, b in blocks:
+    edges = sorted({n for hi, p in set(zip(stop.tolist(), period.tolist())) for n in (*range(0, hi, p), hi)})
+    chunks = (
+        (n0, min(hi, n0 - n0 % limit + limit) - n0)
+        for a, hi in zip(edges, edges[1:])
+        for n0 in (a, *range(a - a % limit + limit, hi, limit))
+    )
+    tones, tone_row = np.unique(np.asarray(omega, dtype=float), return_inverse=True)
+    # One weight table per distinct (detection row, period), its columns
+    # (cos, -sin) pairs, so a real projection viewed as complex is the sum
+    # with exp(-j*detect*i). windows[key, :, i, :b] are columns i .. i+b-1.
+    rows, row = np.unique(detect, axis=0, return_inverse=True)
+    keys, key = np.unique(np.stack([row.reshape(-1), period], axis=1), axis=0, return_inverse=True)
+    key = key.reshape(-1)
+    weights = np.zeros((len(keys), 2 * n_det, int(period.max()) + limit - 1))
+    for g, (r, p) in enumerate(keys.tolist()):
+        phase = np.outer(rows[r], np.arange(p))
+        weights[g, 0::2, :p] = np.cos(phase)
+        weights[g, 1::2, :p] = -np.sin(phase)
+    windows = np.lib.stride_tricks.sliding_window_view(weights, limit, axis=-1)
+    # Each lane's projected sums per period (outputs, then drive), its output
+    # energy per period, and the recurrence's coefficient.
+    sums = np.zeros((int(periods.max()), lanes, 5, n_det), dtype=complex)
+    e_sums = np.zeros(sums.shape[:2])
+    coef = 2.0 * np.cos(omega * period)
+    steady_at = np.full(lanes, -1)  # the last period a steady lane stepped
+    for n0, b in chunks:
         n = np.arange(n0, n0 + b, dtype=np.float64)
         d = (amplitude * np.cos(np.outer(tones, n)))[tone_row]
         ext = np.zeros((4, lanes, b))
         ext[ports, lane_ix] = d
         out = step(ext)
-        bad = np.flatnonzero(~np.isfinite(out).all(axis=(0, 1)))
-        if len(bad):
-            raise SimulationFault(n0 + int(bad[0]))
+        if not np.isfinite(out).all():
+            raise SimulationFault(n0 + int(np.argmin(np.isfinite(out).all(axis=(0, 1)))))
+        # Every lane is projected; the sums keep the lanes still recording.
+        x = np.empty((lanes, 5, b))
+        x[:, :4] = out.transpose(1, 0, 2)
+        x[:, 4] = d
+        t, i = np.divmod(n0, period)
+        proj = (x @ windows[key, :, i, :b].transpose(0, 2, 1)).view(complex)
         rec = np.flatnonzero((n0 < stop) & (steady_at < 0))
-        weight = np.exp(-1j * (rows[:, :, None] * n))[row[rec]]
-        t = n0 // period[rec]
-        out, d = out[:, rec], d[rec]
-        sums[t, rec, :4] += np.einsum("plb,lmb->lpm", out, weight)
-        sums[t, rec, 4] += np.einsum("lb,lmb->lm", d, weight)
-        e_sums[t, rec] += np.einsum("plb,plb->l", out, out)
+        sums[t[rec], rec] += proj[rec]
+        e_sums[t[rec], rec] += np.einsum("plb,plb->l", out, out)[rec]
         end = n0 + b
         due = rec[(end % period[rec] == 0) & (end // period[rec] >= _CHECK_PERIODS) & (end < stop[rec])]
         if len(due):
             t = end // period[due] - 1
             c3 = sums[t[:, None] + np.arange(-2, 1), due[:, None]]
-            res = c3[:, 2] - coef_a[due, None] * c3[:, 1] - coef_b[due, None] * c3[:, 0]
+            res = c3[:, 2] - coef[due, None, None] * c3[:, 1] + c3[:, 0]
             ok = np.abs(res).max(axis=(1, 2)) <= _STEADY_TOL * amplitude * period[due]
             steady_at[due[ok]] = t[ok]
         if np.all((steady_at >= 0) | (end >= stop)):
@@ -249,10 +277,15 @@ def _measure(step, ports, omega, amplitude, detect, start, stop, period):
     for t0 in np.unique(steady_at[steady_at >= 0]):
         ix = np.flatnonzero(steady_at == t0)
         for t in range(t0 + 1, sums.shape[0]):
-            sums[t, ix] = coef_a[ix, None] * sums[t - 1, ix] + coef_b[ix, None] * sums[t - 2, ix]
+            sums[t, ix] = coef[ix, None, None] * sums[t - 1, ix] - sums[t - 2, ix]
         e_sums[t0 + 1 :, ix] = np.nan  # not stepped, steady by construction
+    # Period t is turned back by u^-t: the running product of 1, 1/u, 1/u, ...
+    turn = np.ones((len(sums), lanes, n_det), dtype=complex)
+    turn[1:] = 1.0 / np.exp(1j * detect * period[:, None])
+    turn = np.cumprod(turn, axis=0)
     t = np.arange(sums.shape[0])[:, None]
-    total = np.where(((t >= first) & (t < periods))[:, :, None, None], sums, 0.0).sum(axis=0)
+    window = ((t >= first) & (t < periods))[:, :, None, None]
+    total = np.where(window, sums * turn[:, :, None], 0.0).sum(axis=0)
     t = first + np.arange(int((periods - first).max()))[:, None]
     energy = np.where(t < periods, e_sums[np.minimum(t, sums.shape[0] - 1), lane_ix], 0.0)
     return total[:, :4].transpose(1, 0, 2), total[:, 4], energy

@@ -430,10 +430,11 @@ class DelayLineElement(ScatteringElement):
         ring[: b - k] = rows[k:]
         # Time-major sums; a tap reading port 2's stream for port 1's output
         # reads both channels swapped.
-        out = np.zeros((b, 2, lanes))
+        out = None
         for delay, ch, gain in self.taps:
             src = self._ring_rows(self._t - delay, b)
-            out += gain * (src[:, ::-1] if ch else src)
+            term = gain * (src[:, ::-1] if ch else src)
+            out = term if out is None else np.add(out, term, out=out)
         self._t += b
         return out.transpose(1, 2, 0)
 
@@ -500,20 +501,35 @@ class CrossbarElement(ScatteringElement):
         return t_bar, t_cross, refl
 
     @staticmethod
-    def step_with(incident: np.ndarray, t_bar, t_cross, refl, side: str | None = None) -> np.ndarray:
+    def step_with(
+        incident: np.ndarray, t_bar, t_cross, refl, side: str | None = None, out: np.ndarray | None = None
+    ) -> np.ndarray:
         """Outputs for incident waves (4, ...) under the given coefficients,
-        which broadcast over the trailing axes. side "port" or "line"
-        returns only that side's two outputs."""
+        which broadcast over the trailing axes. side "port" or "line" gives
+        only that side's two outputs; refl None means the line ports do not
+        reflect (and their incident waves are not read for the line side).
+        The outputs are written into out, if given (a view will do), and
+        returned."""
         a_top, a_bot, a_la, a_lb = incident
-        rows = []
+        # Each side's two outputs mix the other side's two inputs.
+        pairs = []
         if side != "line":
-            rows += [t_bar * a_la + t_cross * a_lb, t_cross * a_la + t_bar * a_lb]
+            pairs.append((a_la, a_lb, None))
         if side != "port":
-            rows += [
-                t_bar * a_top + t_cross * a_bot + refl * a_la,
-                t_cross * a_top + t_bar * a_bot + refl * a_lb,
-            ]
-        return np.array(rows)
+            pairs.append((a_top, a_bot, refl))
+        if out is None:
+            coefs = (t_bar, t_cross, 0.0 if refl is None else refl)
+            out = np.empty((2 * len(pairs),) + np.broadcast_shapes(np.shape(a_top), *map(np.shape, coefs)))
+        for k, (a, b, r) in enumerate(pairs):
+            first, second = out[2 * k, ...], out[2 * k + 1, ...]  # views, also of one sample
+            np.multiply(t_bar, a, out=first)
+            first += t_cross * b
+            np.multiply(t_cross, a, out=second)
+            second += t_bar * b
+            if r is not None:
+                first += r * a_la
+                second += r * a_lb
+        return out
 
     def step(self, incident: np.ndarray, g: np.ndarray | float = 1.0) -> np.ndarray:
         t_bar, t_cross, refl = self.coefficients(g)
@@ -769,18 +785,6 @@ def lsection_sparams(spec: MatchSpec, frequency: np.ndarray | float) -> np.ndarr
     s = 2j * math.pi * np.asarray(frequency, dtype=np.float64)
     s11, s21, s22, den = (np.polyval(p, s) for p in _lsection_polys(spec))
     return np.stack([np.stack([s11, s21], -1), np.stack([s21, s22], -1)], -2) / den[..., None, None]
-
-
-def input_impedance(spec: MatchSpec, z_term: complex, frequency: float) -> complex:
-    """Impedance looking into port 1 with z_term on port 2 (oracle check)."""
-    w = 2.0 * math.pi * frequency
-    zl = 1j * w * spec.series_l
-    yc = 1j * w * spec.shunt_c
-    if spec.orientation == L_TOWARD_LINE:
-        z = zl + z_term
-        return 1.0 / (yc + 1.0 / z)
-    y = yc + (1.0 / z_term if z_term != 0 else cmath.inf)
-    return zl + 1.0 / y
 
 
 def _bilinear_biquad(num_s: list[float], den_s: list[float], k: float) -> tuple[np.ndarray, np.ndarray]:

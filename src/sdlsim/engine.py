@@ -22,8 +22,10 @@ transitions. A block may start at a sample where a line port reflects but
 holds no other (see _span), so past its first sample the bare network is
 feed-forward, and switch transitions run as one-sample blocks. Every
 block, whatever its length, runs one sequence: the crossbars' line-side
-outputs (at sample 0 with the waves they reflect), the elements behind
-the crossbars on those, and the crossbars' port-side outputs on theirs.
+outputs (the reflected waves added at sample 0 alone, the only sample
+where a line port may reflect), the elements behind the crossbars on
+those, and the crossbars' port-side outputs on theirs. Each crossbar call
+writes its outputs in place, into the block's wave rows.
 Block length is budgeted in lane-samples (elements.block_limit): 2,048
 samples on one lane, down to a floor of 64 from 32 lanes up, so a
 single-lane run takes each settled span (about a quarter period) in one
@@ -359,12 +361,10 @@ class CirculatorNetwork:
         inc[self._ext_slots] = ext
         inc[self._link_dst, :, 0] = self._carry
         # Past the first sample no line port reflects (see _span), so the
-        # crossbars' line-side outputs need only the port-side stimulus and
-        # the line waves they would reflect stay zero. The elements behind
-        # the crossbars then run on those outputs, and the crossbars'
-        # port-side outputs on theirs.
-        for _, d in self._feed_xbar:
-            inc[d, :, 1:] = 0.0
+        # crossbars' line-side outputs need only the port-side stimulus and,
+        # at sample 0, the line waves they reflect. The elements behind the
+        # crossbars then run on those outputs, and the crossbars' port-side
+        # outputs on theirs.
         self._crossbars(inc, wave, coef, "line")
         if b > 1 and len(self._loop_src):
             # A trial pass with the match-line loops cut gives the waves f
@@ -393,13 +393,21 @@ class CirculatorNetwork:
         return wave[self._ext_slots]
 
     def _crossbars(self, inc: np.ndarray, wave: np.ndarray, coef: np.ndarray, side: str) -> None:
-        """Both crossbars' outputs on one side ("port" or "line") into wave,
-        in one call: their slots are the first 2 x 4 rows, viewed as (2, 4,
-        lanes, b), and coef is _LaneControl.block's (3, 2, rows, b)."""
+        """Both crossbars' outputs on one side ("port" or "line"), written in
+        one call into their rows of wave: their slots are the first 2 x 4
+        rows, viewed as (4, 2, lanes, b), and coef is _LaneControl.block's
+        (3, 2, rows, b). A line port may reflect only at sample 0 (see
+        _span), so the reflected waves are added there alone, and the line
+        ports' incident rows past it, left from the previous block, are
+        never read."""
         shape = (2, 4) + inc.shape[1:]
-        rows = slice(0, LINE_A) if side == "port" else slice(LINE_A, LINE_B + 1)
-        out = CrossbarElement.step_with(inc[:8].reshape(shape).swapaxes(0, 1), *coef, side=side)
-        wave[:8].reshape(shape)[:, rows] = out.swapaxes(0, 1)
+        x = inc[:8].reshape(shape).swapaxes(0, 1)
+        y = wave[:8].reshape(shape).swapaxes(0, 1)
+        if side == "port":
+            CrossbarElement.step_with(x, *coef, side="port", out=y[:LINE_A])
+        else:
+            CrossbarElement.step_with(x, coef[0], coef[1], None, side="line", out=y[LINE_A:])
+            y[LINE_A:, :, :, 0] += coef[2, :, :, 0] * x[LINE_A:, :, :, 0]
 
 
 @dataclass

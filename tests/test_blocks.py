@@ -19,6 +19,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from sdlsim.analysis import sparams_sweep
 from sdlsim.cli import load_config
 from sdlsim.elements import (
     MAX_BLOCK,
@@ -32,7 +33,7 @@ from sdlsim.elements import (
     TouchstoneLineRef,
     block_limit,
 )
-from sdlsim.engine import build_circulator
+from sdlsim.engine import CirculatorNetwork, build_circulator
 from sdlsim.schedule import build_schedule, trace_for
 from sdlsim.touchstone import TouchstoneData
 
@@ -207,6 +208,38 @@ def test_floor_blocks_end_at_frame_edges():
     assert sizes.count(MAX_BLOCK) >= N_SAMPLES // MAX_BLOCK - 10
 
 
+def test_sweep_chunks_keep_the_frame_grid(monkeypatch):
+    # The 204-lane paper sweep hands the engine chunks cut on the same
+    # 64-sample grid as its frames (and at period edges and stops), so a
+    # block starts only at a frame edge, at a sample where a line port
+    # reflects or at a period edge: no frame is cut in two for a chunk.
+    # Chunks counted from each period edge instead (P = 4,560 = 71 * 64 +
+    # 16) fail this: 731 blocks where at most 522 are allowed (518 run).
+    cfg = load_config(CONFIG_DIR / "paper.yaml")
+    blocks = []
+    block = CirculatorNetwork._block
+
+    def counted(self, ext):
+        blocks.append((self.sample_index, ext.shape[2]))
+        return block(self, ext)
+
+    monkeypatch.setattr(CirculatorNetwork, "_block", counted)
+    grid = sparams_sweep(cfg, np.linspace(*cfg.band))
+    assert grid.s.shape[0] * 4 >= 32
+    period = cfg.schedule.period_samples
+    stop = (cfg.settle_periods + cfg.measure_periods) * period
+    stepped = sum(b for _, b in blocks)
+    reflects = np.zeros(stepped + 1, dtype=bool)
+    xbar = CrossbarElement(cfg.switch)
+    for side in ("left", "right"):
+        reflects |= xbar.coefficients(trace_for(cfg.schedule, side, stepped + 1))[2] != 0.0
+    for n, b in blocks:
+        end = n + b
+        assert end % MAX_BLOCK == 0 or reflects[end] or end % period == 0 or end == stop
+    frames = -(-stepped // MAX_BLOCK)
+    assert len(blocks) <= frames + reflects[:stepped].sum() + stepped // period
+
+
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's dynamic mmap threshold")
 def test_settled_blocks_fault_in_no_fresh_memory():
     # In a fresh interpreter (without scipy, whose import happens to raise
@@ -348,6 +381,32 @@ def test_crossbar_block_equals_sample_steps():
     ports = CrossbarElement.step_with(x, *coef, side="port")
     lines = CrossbarElement.step_with(x, *coef, side="line")
     assert np.array_equal(np.concatenate([ports, lines]), block)
+    # Written in place, into a strided view as the engine passes its wave
+    # rows: the same bits, on both sides, for a block and for one sample.
+    for inc, c in ((x, coef), (x[:, :, 7], coef[:, :, 7])):
+        whole = CrossbarElement.step_with(inc, *c)
+        for side, rows in ((None, slice(0, 4)), ("port", slice(0, 2)), ("line", slice(2, 4))):
+            buf = np.full((inc.shape[-1], rows.stop - rows.start) + inc.shape[1:-1], np.nan)
+            out = np.moveaxis(buf, 0, -1)
+            assert CrossbarElement.step_with(inc, *c, side=side, out=out) is out
+            assert np.array_equal(out, whole[rows])
+    # Without a reflection the line side does not read the line ports.
+    blind = x.copy()
+    blind[2:] = np.nan
+    lines = CrossbarElement.step_with(blind, coef[0], coef[1], None, side="line")
+    assert np.array_equal(lines, CrossbarElement.step_with(x, coef[0], coef[1], 0.0 * coef[2], side="line"))
+    # step keeps its behaviour: each output is the sum over the inputs of
+    # the bar, cross and reflection paths.
+    g = 0.3
+    t_bar, t_cross, refl = xbar.coefficients(g)
+    a = x[:, :, 0]
+    expected = [
+        t_bar * a[2] + t_cross * a[3],
+        t_cross * a[2] + t_bar * a[3],
+        t_bar * a[0] + t_cross * a[1] + refl * a[2],
+        t_cross * a[0] + t_bar * a[1] + refl * a[3],
+    ]
+    assert np.array_equal(xbar.step(a, g), np.array(expected))
 
 
 @pytest.mark.parametrize("label,element", list(elements()), ids=lambda v: v if isinstance(v, str) else "")

@@ -6,10 +6,10 @@ import pytest
 from conftest import phasor
 
 from sdlsim.elements import (
+    L_TOWARD_LINE,
     L_TOWARD_PORT,
     MatchingElement,
     MatchSpec,
-    input_impedance,
     lsection_sparams,
 )
 
@@ -19,6 +19,19 @@ W0 = 2 * math.pi * F0
 # L-sections matching a 10 ohm and a 250 ohm load to 50 ohm at F0.
 MATCH_10 = MatchSpec(20 / W0, 0.04 / W0)
 MATCH_250 = MatchSpec(100 / W0, 0.008 / W0, L_TOWARD_PORT)
+
+
+def input_impedance(spec: MatchSpec, z_term: complex, frequency: float) -> complex:
+    """Impedance looking into port 1 with z_term on port 2: the circuit
+    oracle the analytic section is checked against."""
+    w = 2.0 * math.pi * frequency
+    zl = 1j * w * spec.series_l
+    yc = 1j * w * spec.shunt_c
+    if spec.orientation == L_TOWARD_LINE:
+        z = zl + z_term
+        return 1.0 / (yc + 1.0 / z)
+    y = yc + (1.0 / z_term if z_term != 0 else cmath.inf)
+    return zl + 1.0 / y
 
 
 def element_sparams(element, freqs, settle=4000, measure=4096):

@@ -23,7 +23,9 @@ stderr and the summary on stdout, and returns the paths. Files contain
 nothing time- or host-dependent: rerunning a command on the same config
 and flags yields byte-identical files. SVG output is hand-assembled plain
 text (no plotting dependency) and is presentation-only; all numbers live
-in the CSVs.
+in the CSVs. Both are formatted from arrays: CSV rows ("%.12g" floats) a
+chunk of rows at a time, and each SVG polyline (2-decimal points) in one
+step.
 
 Exit codes: 0 success, 1 configuration error (including bad command-line
 usage), 2 runtime failure.
@@ -359,6 +361,24 @@ def _fmt(x) -> str:
     return f"{float(x):.12g}"
 
 
+# Rows formatted at a time: a chunk's Python values stay small next to the
+# arrays they come from, so formatting a long record adds little memory.
+_CHUNK = 512
+
+
+def _rows(columns, fmt: str | None = None) -> list[str]:
+    """fmt % (one value of each column) for every row of the equal-length
+    columns, formatted a chunk of rows at a time. fmt defaults to one
+    "%.12g" field per column, _fmt's text of a float; "%d" formats an
+    integer and "%s" a string."""
+    columns = [np.asarray(c) for c in columns]
+    fmt = fmt or ",".join(["%.12g"] * len(columns))
+    rows = []
+    for i in range(0, len(columns[0]) if columns else 0, _CHUNK):
+        rows += [fmt % row for row in zip(*(c[i : i + _CHUNK].tolist() for c in columns))]
+    return rows
+
+
 def _header(config: CirculatorConfig, command: str, overrides: dict, form: str) -> list[str]:
     """The three lines every artifact begins with, each put in the comment
     form ("# {}" for CSV, "<!-- {} -->" for SVG). The third names the
@@ -378,15 +398,12 @@ def _grid_rows(grid, delays=None) -> list[str]:
     cols = ["frequency_hz"] + [
         f"s{j}{i}_{part}" for j in ports for i in ports for part in ("re", "im")
     ]
+    s = grid.s.reshape(len(grid.frequencies), -1)
+    values = [grid.frequencies] + [part for col in s.T for part in (col.real, col.imag)]
     if delays is not None:
         cols.append("group_delay_s")
-    rows = [",".join(cols)]
-    for k, f in enumerate(grid.frequencies):
-        row = [_fmt(f)] + [_fmt(v) for s in grid.s[k].flat for v in (s.real, s.imag)]
-        if delays is not None:
-            row.append(_fmt(delays[k]))
-        rows.append(",".join(row))
-    return rows
+        values.append(delays)
+    return [",".join(cols)] + _rows(values)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -396,34 +413,24 @@ class Chart:
     title: str
     xlabel: str
     ylabel: str
-    series: list[tuple[str, list[float], list[float]]]
-
-
-def _segments(xs, ys):
-    """Split a trace at non-finite samples so polylines stay well formed."""
-    seg, out = [], []
-    for x, y in zip(xs, ys):
-        if math.isfinite(x) and math.isfinite(y):
-            seg.append((x, y))
-        elif seg:
-            out.append(seg)
-            seg = []
-    if seg:
-        out.append(seg)
-    return out
+    series: list[tuple[str, np.typing.ArrayLike, np.typing.ArrayLike]]
 
 
 def render_svg(chart: Chart) -> list[str]:
     """Minimal deterministic line chart, as lines of SVG. Data of record
-    lives in the CSVs."""
-    series = chart.series
+    lives in the CSVs. A trace is split at non-finite samples so polylines
+    stay well formed; each polyline's points are formatted in one step."""
     width, height = _SVG_SIZE
     left, right, top, bottom = 72, 18, 30, 46
     pw, ph = width - left - right, height - top - bottom
-    finite_x = [x for _, xs, ys in series for x, y in zip(xs, ys) if math.isfinite(x) and math.isfinite(y)]
-    finite_y = [y for _, xs, ys in series for x, y in zip(xs, ys) if math.isfinite(x) and math.isfinite(y)]
-    x_lo, x_hi = (min(finite_x), max(finite_x)) if finite_x else (0.0, 1.0)
-    y_lo, y_hi = (min(finite_y), max(finite_y)) if finite_y else (0.0, 1.0)
+    traces = []
+    for label, xs, ys in chart.series:
+        x, y = np.asarray(xs, dtype=np.float64), np.asarray(ys, dtype=np.float64)
+        traces.append((label, x, y, np.isfinite(x) & np.isfinite(y)))
+    finite_x = np.concatenate([x[ok] for _, x, _, ok in traces] + [[]])
+    finite_y = np.concatenate([y[ok] for _, _, y, ok in traces] + [[]])
+    x_lo, x_hi = (float(finite_x.min()), float(finite_x.max())) if finite_x.size else (0.0, 1.0)
+    y_lo, y_hi = (float(finite_y.min()), float(finite_y.max())) if finite_y.size else (0.0, 1.0)
     if x_hi == x_lo:
         x_lo, x_hi = x_lo - 0.5, x_hi + 0.5
     if y_hi == y_lo:
@@ -451,10 +458,12 @@ def render_svg(chart: Chart) -> list[str]:
             f'<text x="{px:.2f}" y="{top + ph + 16}" text-anchor="middle">{fx:.6g}</text>',
             f'<text x="{left - 6}" y="{py + 4:.2f}" text-anchor="end">{fy:.6g}</text>',
         ]
-    for k, (label, xs, ys) in enumerate(series):
+    for k, (label, x, y, ok) in enumerate(traces):
         color = _PALETTE[k % len(_PALETTE)]
-        for seg in _segments(xs, ys):
-            pts = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in seg)
+        points = np.stack([sx(x), sy(y)], axis=1)
+        # Each finite run [start, stop) begins and ends where the mask flips.
+        for start, stop in np.flatnonzero(np.diff(ok, prepend=False, append=False)).reshape(-1, 2):
+            pts = " ".join(["%.2f,%.2f"] * (stop - start)) % tuple(points[start:stop].ravel().tolist())
             out.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>')
         out.append(
             f'<text x="{left + pw - 6}" y="{top + 16 + 14 * k}" text-anchor="end"'
@@ -498,9 +507,9 @@ def _cmd_sweep(config: CirculatorConfig, overrides: dict):
         ("il_", m.il_db), ("iso_", m.iso_db), ("directivity_", m.directivity_db), ("rl_port", m.rl_db)
     ):
         table += [(f"{prefix}{key}_db", values[key]) for key in sorted(values)]
-    rows = ["key,value"] + [f"{key},{_fmt(v)}" for key, v in table] + [f"flag,{f}" for f in m.flags]
+    rows = ["key,value"] + _rows(zip(*table), "%s,%.12g") + [f"flag,{f}" for f in m.flags]
 
-    fmhz = [f / 1e6 for f in grid.frequencies]
+    fmhz = np.asarray(grid.frequencies) / 1e6
     series = [
         (f"S{key} {tag}", fmhz, [-loss_db(s) for s in grid.s[:, j, i]])
         for paths, tag in ((FORWARD_PATHS, "fwd"), (REVERSE_PATHS, "rev"))
@@ -527,11 +536,9 @@ def _cmd_spectrum(config: CirculatorConfig, overrides: dict):
         ("f0_hz", rep.f0), ("f_mod_hz", rep.f_mod), ("input_main_dbm", rep.input_main_dbm),
         ("il_db", rep.il_db), ("iso3_db", rep.iso3_db), ("iso4_db", rep.iso4_db),
     )
-    rows = [f"# {key} {_fmt(v)}" for key, v in table] + ["port,order,frequency_hz,power_dbm"]
-    rows += [
-        f"{port.port},{line.order},{_fmt(line.frequency)},{_fmt(line.power_dbm)}"
-        for port in rep.ports for line in port.lines
-    ]
+    lines = [(port.port, ln.order, ln.frequency, ln.power_dbm) for port in rep.ports for ln in port.lines]
+    rows = _rows(zip(*table), "# %s %.12g") + ["port,order,frequency_hz,power_dbm"]
+    rows += _rows(zip(*lines), "%d,%d,%.12g,%.12g")
     chart = Chart(
         f"output spectra around {f0 / 1e6:.3f} MHz drive",
         "sideband order k (f0 + k fmod)", "power / dBm",
@@ -571,10 +578,9 @@ def _cmd_modsweep(config: CirculatorConfig, overrides: dict):
     freqs = _band_frequencies(config, overrides)
     f0 = 0.5 * (freqs[0] + freqs[-1])
     points = modfreq_sweep(config, values, f0)
-    rows = ["f_mod_hz,f_mod_achieved_hz,il_db,iso_db"] + [
-        ",".join([_fmt(pt.f_mod), _fmt(pt.f_mod_achieved), _fmt(pt.il_db), _fmt(pt.iso_db)])
-        for pt in points
-    ]
+    rows = ["f_mod_hz,f_mod_achieved_hz,il_db,iso_db"] + _rows(
+        zip(*((pt.f_mod, pt.f_mod_achieved, pt.il_db, pt.iso_db) for pt in points))
+    )
     notes = [f"f_mod {pt.f_mod:.6g} Hz skipped: {pt.note}" for pt in points if pt.note]
     # Every point carries the shared network's element warnings.
     notes += dict.fromkeys(note for pt in points for note in pt.warnings)
@@ -610,12 +616,12 @@ def _cmd_linecheck(config: CirculatorConfig, overrides: dict):
         grid = line_sweep(line, config.sample_rate, freqs, f"line_{tag}")
         with _warnings.catch_warnings(record=True) as caught:
             _warnings.simplefilter("always", AnalysisWarning)
-            delays = [d for _, d in group_delay(grid, path=(2, 1))]
+            _, delays = np.array(group_delay(grid, path=(2, 1))).T
         notes += [f"line_{tag}: {note}" for note in [*grid.warnings, *(w.message for w in caught)]]
         artifacts[f"linecheck_{tag}.csv"] = _grid_rows(grid, delays)
-        fmhz = [f / 1e6 for f in grid.frequencies]
+        fmhz = np.asarray(grid.frequencies) / 1e6
         svg_series.append((f"line {tag} S21", fmhz, [-loss_db(s) for s in grid.s[:, 1, 0]]))
-        delay_series.append((f"line {tag}", fmhz, [d * 1e9 for d in delays]))
+        delay_series.append((f"line {tag}", fmhz, delays * 1e9))
         mid = len(delays) // 2
         summary.append(f"line_{tag}: group delay {delays[mid] * 1e9:.2f} ns at {fmhz[mid]:.3f} MHz")
     artifacts["linecheck.svg"] = Chart(
@@ -635,14 +641,11 @@ def _cmd_schedule(config: CirculatorConfig, overrides: dict):
         f"# f_mod_hz {_fmt(config.sample_rate / n)}",
         "time_s,left_bar,left_cross,right_bar,right_cross",
     ]
-    rows += [",".join([_fmt(t[k])] + [_fmt(controls[k, c]) for c in range(4)]) for k in range(n)]
+    rows += _rows([t, *controls.T])
 
-    tus = [tk * 1e9 for tk in t]
     names = ("left bar", "left cross", "right bar", "right cross")
     # Stack traces with a 1.5 offset so the four square waves stay readable.
-    series = [
-        (names[c], tus, [controls[k, c] + 1.5 * (3 - c) for k in range(n)]) for c in range(4)
-    ]
+    series = [(names[c], t * 1e9, controls[:, c] + 1.5 * (3 - c)) for c in range(4)]
     chart = Chart("crossbar control waveforms, one period", "time / ns", "control (offset)", series)
     summary = f"one period = {n} samples ({n / config.sample_rate * 1e6:.4f} us)"
     return {"schedule.csv": rows, "schedule.svg": chart}, (), [summary]
@@ -658,16 +661,11 @@ def _cmd_run(config: CirculatorConfig, overrides: dict):
     network = build_circulator(config)
     record = run_network(network, [stim, None, None, None], n)
 
-    header = ["sample", "time_s"]
-    for p in range(1, 5):
-        header += [f"p{p}_in", f"p{p}_out"]
+    header = ["sample", "time_s"] + [f"p{p}_{way}" for p in range(1, 5) for way in ("in", "out")]
     rows = [f"# burst_center_hz {_fmt(f0)}", ",".join(header)]
-    dt = 1.0 / config.sample_rate
-    for k in range(n):
-        row = [str(k), _fmt(k * dt)]
-        for p in range(4):
-            row += [_fmt(record.port_in[p].samples[k]), _fmt(record.port_out[p].samples[k])]
-        rows.append(",".join(row))
+    k = np.arange(n)
+    waves = [buf.samples for pair in zip(record.port_in, record.port_out) for buf in pair]
+    rows += _rows([k, k * (1.0 / config.sample_rate), *waves], "%d" + ",%.12g" * 9)
     summary = (
         f"burst energy in {record.input_energy():.6g}, out {record.output_energy():.6g}"
         f" over {n} samples"

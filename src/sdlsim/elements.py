@@ -780,13 +780,6 @@ def _lsection_polys(spec: MatchSpec) -> tuple[list[float], ...]:
     return cap_side, [0.0, 0.0, 2.0], ind_side, [lc, k_sum, 2.0]
 
 
-def lsection_sparams(spec: MatchSpec, frequency: np.ndarray | float) -> np.ndarray:
-    """Analytic two-port scattering response, shape (..., 2, 2)."""
-    s = 2j * math.pi * np.asarray(frequency, dtype=np.float64)
-    s11, s21, s22, den = (np.polyval(p, s) for p in _lsection_polys(spec))
-    return np.stack([np.stack([s11, s21], -1), np.stack([s21, s22], -1)], -2) / den[..., None, None]
-
-
 def _bilinear_biquad(num_s: list[float], den_s: list[float], k: float) -> tuple[np.ndarray, np.ndarray]:
     """Bilinear transform s = k*(1 - z^-1)/(1 + z^-1) of num_s/den_s (s
     polynomials, highest power first) to (b, a) in z^-1, normalised to

@@ -5,9 +5,11 @@ from __future__ import annotations
 import copy
 import dataclasses
 import math
+import re
 import tempfile
 import warnings
 from pathlib import Path
+from xml.sax.saxutils import escape
 
 import numpy as np
 import pytest
@@ -865,3 +867,149 @@ class TestWriter:
             execute("linecheck", load_config(write_config(tmp_path)), out)
         assert len(calls) == 2
         assert not list(out.glob("*"))
+
+
+# The per-value rendering that the array formatters replace, kept as their
+# oracle: every value on its own, floats as f"{float(v):.12g}", every
+# polyline point as f"{x:.2f},{y:.2f}".
+_FIELD = re.compile(r"%(\.12g|d|s)")
+_TEXT = {".12g": lambda v: f"{float(v):.12g}", "d": lambda v: str(int(v)), "s": str}
+
+
+def per_value_rows(columns, fmt=None):
+    columns = [list(c) for c in columns]
+    fmt = fmt or ",".join(["%.12g"] * len(columns))
+    kinds, template = _FIELD.findall(fmt), _FIELD.sub("{}", fmt)
+    return [template.format(*(_TEXT[k](v) for k, v in zip(kinds, row))) for row in zip(*columns)]
+
+
+def per_value_grid_rows(grid, delays=None):
+    ports = range(1, grid.n_ports + 1)
+    cols = ["frequency_hz"] + [f"s{j}{i}_{part}" for j in ports for i in ports for part in ("re", "im")]
+    if delays is not None:
+        cols.append("group_delay_s")
+    rows = [",".join(cols)]
+    for k, f in enumerate(grid.frequencies):
+        row = [cli._fmt(f)] + [cli._fmt(v) for s in grid.s[k].flat for v in (s.real, s.imag)]
+        if delays is not None:
+            row.append(cli._fmt(delays[k]))
+        rows.append(",".join(row))
+    return rows
+
+
+def per_point_svg(chart):
+    width, height = cli._SVG_SIZE
+    left, right, top, bottom = 72, 18, 30, 46
+    pw, ph = width - left - right, height - top - bottom
+    pairs = [list(zip(xs, ys)) for _, xs, ys in chart.series]
+    finite = [(x, y) for trace in pairs for x, y in trace if math.isfinite(x) and math.isfinite(y)]
+    x_lo, x_hi = (min(x for x, _ in finite), max(x for x, _ in finite)) if finite else (0.0, 1.0)
+    y_lo, y_hi = (min(y for _, y in finite), max(y for _, y in finite)) if finite else (0.0, 1.0)
+    if x_hi == x_lo:
+        x_lo, x_hi = x_lo - 0.5, x_hi + 0.5
+    if y_hi == y_lo:
+        y_lo, y_hi = y_lo - 0.5, y_hi + 0.5
+
+    def sx(x):
+        return left + (x - x_lo) / (x_hi - x_lo) * pw
+
+    def sy(y):
+        return top + ph - (y - y_lo) / (y_hi - y_lo) * ph
+
+    out = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}"'
+        f' viewBox="0 0 {width} {height}" font-family="monospace" font-size="11">',
+        f'<rect width="{width}" height="{height}" fill="#ffffff"/>',
+        f'<rect x="{left}" y="{top}" width="{pw}" height="{ph}" fill="none" stroke="#444444"/>',
+    ]
+    for i in range(5):
+        fx, fy = x_lo + i * (x_hi - x_lo) / 4, y_lo + i * (y_hi - y_lo) / 4
+        px, py = sx(fx), sy(fy)
+        out += [
+            f'<line x1="{px:.2f}" y1="{top}" x2="{px:.2f}" y2="{top + ph}" stroke="#dddddd"/>',
+            f'<line x1="{left}" y1="{py:.2f}" x2="{left + pw}" y2="{py:.2f}" stroke="#dddddd"/>',
+            f'<text x="{px:.2f}" y="{top + ph + 16}" text-anchor="middle">{fx:.6g}</text>',
+            f'<text x="{left - 6}" y="{py + 4:.2f}" text-anchor="end">{fy:.6g}</text>',
+        ]
+    for k, ((label, _, _), trace) in enumerate(zip(chart.series, pairs)):
+        color = cli._PALETTE[k % len(cli._PALETTE)]
+        segments, seg = [], []
+        for x, y in trace + [(math.nan, math.nan)]:
+            if math.isfinite(x) and math.isfinite(y):
+                seg.append((x, y))
+            elif seg:
+                segments.append(seg)
+                seg = []
+        for seg in segments:
+            pts = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in seg)
+            out.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>')
+        out.append(
+            f'<text x="{left + pw - 6}" y="{top + 16 + 14 * k}" text-anchor="end"'
+            f' fill="{color}">{escape(str(label))}</text>'
+        )
+    mid_x, mid_y = (left + width - right) / 2, (top + height - bottom) / 2
+    return out + [
+        f'<text x="{mid_x:.1f}" y="{top - 10}" text-anchor="middle">{escape(chart.title)}</text>',
+        f'<text x="{mid_x:.1f}" y="{height - 8}" text-anchor="middle">{escape(chart.xlabel)}</text>',
+        f'<text x="14" y="{mid_y:.1f}" text-anchor="middle"'
+        f' transform="rotate(-90 14 {mid_y:.1f})">{escape(chart.ylabel)}</text>',
+        "</svg>",
+    ]
+
+
+class TestArtifactText:
+    """CSV rows and SVG polylines are formatted from arrays, a chunk of rows
+    or a whole polyline at a time; the text equals the per-value rendering."""
+
+    EDGES = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 1.8e308, 1e16, 3, -7, 2**53, 0.1, 1 / 3]
+
+    @pytest.mark.parametrize("command", sorted(TestWriter.FILES))
+    @pytest.mark.parametrize("banded", [False, True], ids=["ideal", "banded"])
+    def test_every_artifact_equals_per_value_rendering(self, tmp_path, monkeypatch, capsys, command, banded):
+        cfg = load_config(write_config(tmp_path) if banded else CONFIG_DIR / "ideal.yaml")
+        overrides = {"fmod": [877193.0]} if command == "modsweep" else {}
+        written = execute(command, cfg, tmp_path / "arrays", **overrides)
+        monkeypatch.setattr(cli, "_rows", per_value_rows)
+        monkeypatch.setattr(cli, "_grid_rows", per_value_grid_rows)
+        monkeypatch.setattr(cli, "render_svg", per_point_svg)
+        oracle = execute(command, cfg, tmp_path / "per_value", **overrides)
+        assert [p.name for p in written] == [p.name for p in oracle] == TestWriter.FILES[command]
+        for new, old in zip(written, oracle):
+            assert new.read_bytes() == old.read_bytes(), new.name
+
+    def test_run_time_column_is_sample_times_dt(self, tmp_path, capsys):
+        # The time column is one array product, the same IEEE product per
+        # sample as k * dt.
+        cfg = load_config(CONFIG_DIR / "ideal.yaml")
+        (path,) = execute("run", cfg, tmp_path)
+        rows = data_rows(path)[1:]
+        dt = 1.0 / cfg.sample_rate
+        assert [r[:2] for r in rows] == [[str(k), cli._fmt(k * dt)] for k in range(len(rows))]
+
+    def test_edge_values_format_as_fmt(self):
+        assert cli._rows([self.EDGES]) == [cli._fmt(v) for v in self.EDGES]
+        assert cli._rows([[7, -7, 0]], "%d") == ["7", "-7", "0"]
+        assert cli._rows([["a", "b"], [math.nan, -0.0]], "%s,%.12g") == ["a,nan", "b,-0"]
+        assert cli._rows([], "%d") == []
+
+    def test_rows_span_chunks_in_order(self):
+        n = 2 * cli._CHUNK + 3
+        values = np.arange(n) * 0.1
+        assert cli._rows([np.arange(n), values], "%d,%.12g") == per_value_rows([range(n), values], "%d,%.12g")
+
+    def test_polylines_split_at_non_finite_points(self):
+        nan, inf = math.nan, math.inf
+        chart = cli.Chart("t", "x", "y", [
+            ("gaps", [nan, 1, 2, inf, 4, 5, 6, nan], [0.5, 1.0, -2.0, 3.0, nan, 4.0, 1e-9, 2.0]),
+            ("ints", [0, 1, 2], [3, 3, 3]),
+            ("none", [nan, nan], [1.0, 2.0]),
+            ("empty", [], []),
+        ])
+        lines = cli.render_svg(chart)
+        assert lines == per_point_svg(chart)
+        assert sum(line.startswith("<polyline") for line in lines) == 3
+
+    def test_constant_and_empty_charts(self):
+        for series in ([("flat", [2.0, 2.0], [5.0, 5.0])], [], [("nan", [math.nan], [math.nan])]):
+            chart = cli.Chart("t", "x", "y", series)
+            assert cli.render_svg(chart) == per_point_svg(chart)

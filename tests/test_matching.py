@@ -10,7 +10,7 @@ from sdlsim.elements import (
     L_TOWARD_PORT,
     MatchingElement,
     MatchSpec,
-    lsection_sparams,
+    _lsection_polys,
 )
 
 FS = 4e9
@@ -32,6 +32,14 @@ def input_impedance(spec: MatchSpec, z_term: complex, frequency: float) -> compl
         return 1.0 / (yc + 1.0 / z)
     y = yc + (1.0 / z_term if z_term != 0 else cmath.inf)
     return zl + 1.0 / y
+
+
+def lsection_sparams(spec: MatchSpec, frequency) -> np.ndarray:
+    """Analytic two-port scattering response, shape (..., 2, 2), from the
+    section's s-domain polynomials."""
+    s = 2j * math.pi * np.asarray(frequency, dtype=np.float64)
+    s11, s21, s22, den = (np.polyval(p, s) for p in _lsection_polys(spec))
+    return np.stack([np.stack([s11, s21], -1), np.stack([s21, s22], -1)], -2) / den[..., None, None]
 
 
 def element_sparams(element, freqs, settle=4000, measure=4096):

@@ -25,12 +25,17 @@ stop, so the engine divides a chunk only where a line port reflects. Each
 period's sums count phase from the period's start, with weights tabled
 once per detection row and period; the window's total turns each period
 back to n = 0. Lanes (one per frequency, drive port and schedule) are
-independent runs sharing each chunk. Under the cosine drive a steady lane's
-period-relative sums follow one exact two-term recurrence, c_(t+1) =
-2 cos(omega P) c_t - c_(t-1), so stepping stops once every lane is steady
-(after 5 periods on configs/paper.yaml, of a sweep's 14 and a spectrum's
-26) and the rest of each window is extrapolated; a lane that never
-settles, or whose window is 3 periods or fewer, steps all of it. In
+independent runs sharing each chunk. sweep and modsweep drive ports 1 and
+2 only when the network is mirror-symmetric (CirculatorNetwork.mirror: its
+two lines are one design, and so are match positions 1 and 2 and positions
+3 and 4); ports 3 and 4 then answer as 1 and 2 do with ports 1 <-> 3 and
+2 <-> 4 swapped, so half the lanes give the full S-matrix. Under the
+cosine drive a steady lane's period-relative sums follow one exact
+two-term recurrence, c_(t+1) = 2 cos(omega P) c_t - c_(t-1), so stepping
+stops once every lane is steady (after 5 periods on configs/paper.yaml,
+of a sweep's 14 and a spectrum's 26) and the rest of each window is
+extrapolated; a lane that never settles, or whose window is 3 periods or
+fewer, steps all of it. In
 the harmonic-transfer view of a periodically switched network the
 same-frequency S-parameter is the k = 0 term of the projection onto the
 commutation lattice f0 + k*f_mod and the spectrum's sidebands are the
@@ -59,6 +64,8 @@ FORWARD_PATHS = {"21": (1, 0), "32": (2, 1), "43": (3, 2), "14": (0, 3)}
 REVERSE_PATHS = {"12": (0, 1), "23": (1, 2), "34": (2, 3), "41": (3, 0)}
 # Pair key -> (forward path, reverse path) sharing those two ports.
 PORT_PAIRS = {"12": ("21", "12"), "23": ("32", "23"), "34": ("43", "34"), "41": ("14", "41")}
+# The mirror of a mirror-symmetric network, 0-based: ports 1 <-> 3, 2 <-> 4.
+MIRROR = [2, 3, 0, 1]
 
 # Highest commutation sideband order spectrum_probe reports.
 SIDEBAND_ORDERS = 5
@@ -321,29 +328,44 @@ def _element_notes(net) -> list[str]:
 
 def _four_port(config: CirculatorConfig, points):
     """Same-frequency S-matrices of the circulator at each point
-    (frequency, schedule), one lane per point and drive port, all stepped
+    (frequency, schedule), one lane per point and driven port, all stepped
     together; lanes get their own schedules only when a point's schedule
     is not the network's. Each lane settles for config.settle_periods and
-    measures over config.measure_periods of its own schedule. Returns s
-    (points, 4, 4), the lanes' measured energy per period (periods,
-    4 * points) and the network's element warnings; lane 4k + i drives port
-    i + 1 at point k.
+    measures over config.measure_periods of its own schedule.
+
+    A mirror-symmetric network (CirculatorNetwork.mirror) is driven on
+    ports 1 and 2 only. The engine steps it alike, sample by sample, under
+    the mirror (each crossbar under PortTop <-> PortBot with LineA <->
+    LineB, each line and match swapped for its twin; schedules are
+    untouched), so S[:, j, 2] = S[:, MIRROR[j], 0] and S[:, j, 3] =
+    S[:, MIRROR[j], 1], unsettled or not, and the energies of drive ports 3
+    and 4 (summed over all four outputs) are those of ports 1 and 2. Any
+    other network drives all four ports.
+
+    Returns s (points, 4, 4), the lanes' measured energy per period
+    (periods, 4 * points) and the network's element warnings; column
+    4k + i of the energies is drive port i + 1 at point k.
     """
     net = build_circulator(config)
-    schedules = [sched for _, sched in points for _ in range(4)]
+    drives = 2 if net.mirror else 4
+    schedules = [sched for _, sched in points for _ in range(drives)]
     if any(sched != net.schedule for sched in schedules):
         net.set_lane_schedules(schedules)
     net.reset(lanes=len(schedules))
     period = np.array([sched.period_samples for sched in schedules])
-    omega = 2.0 * math.pi * np.repeat([f for f, _ in points], 4) / net.sample_rate
+    omega = 2.0 * math.pi * np.repeat([f for f, _ in points], drives) / net.sample_rate
     a0 = dbm_to_amplitude(config.drive_dbm)
     settle, measure = config.settle_periods, config.measure_periods
     acc_out, acc_in, energy = _measure(
-        net.advance, np.tile(np.arange(4), len(points)), omega, a0,
+        net.advance, np.tile(np.arange(drives), len(points)), omega, a0,
         omega[:, None], settle * period, (settle + measure) * period, period,
     )
-    s = (acc_out[:, :, 0] / acc_in[:, 0]).reshape(4, len(points), 4).transpose(1, 0, 2)
-    return s, energy, _element_notes(net)
+    s = (acc_out[:, :, 0] / acc_in[:, 0]).reshape(4, len(points), drives).transpose(1, 0, 2)
+    energy = energy.reshape(len(energy), len(points), drives)
+    if net.mirror:
+        s = np.concatenate([s, s[:, MIRROR]], axis=2)
+        energy = np.concatenate([energy, energy], axis=2)
+    return s, energy.reshape(len(energy), 4 * len(points)), _element_notes(net)
 
 
 def _check_frequencies(frequencies, sample_rate: float) -> list[float]:
@@ -370,7 +392,10 @@ def sparams_sweep(config: CirculatorConfig, frequencies) -> SParamGrid:
     Drives every port in turn at every frequency (one simulation lane per
     combination, all stepped together) at config.drive_dbm, discards
     config.settle_periods schedule periods, and accumulates same-frequency
-    phasors over config.measure_periods.
+    phasors over config.measure_periods. A mirror-symmetric network (two
+    lines of one design, matched alike at positions 1 and 2 and at 3 and
+    4) is driven on ports 1 and 2 only; columns 3 and 4 are their mirror
+    images (see _four_port).
     """
     freqs = _check_frequencies(frequencies, config.sample_rate)
     s, energy, notes = _four_port(config, [(f, config.schedule) for f in freqs])
@@ -526,7 +551,9 @@ def modfreq_sweep(config: CirculatorConfig, f_mod_values, f0: float) -> list[Mod
     Each requested f_mod is re-quantized onto the sample grid with the
     configured duty and transition time; points that fail quantization are
     reported with a note instead of aborting the sweep. All valid points
-    run as parallel lanes of one simulation with per-lane schedules.
+    run as parallel lanes of one simulation with per-lane schedules, four
+    drive ports per point, or two on a mirror-symmetric network (see
+    _four_port).
     """
     _check_frequencies([f0], config.sample_rate)
     base = config.schedule

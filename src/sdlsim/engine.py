@@ -206,6 +206,10 @@ class CirculatorNetwork:
         self._loop_dst = np.array([d for _, d in loops], dtype=np.int64)
 
         self._ctl = _LaneControl(self.left, [schedule])
+        # Set by build_circulator when swapping ports 1 <-> 3 and 2 <-> 4
+        # with line_a <-> line_b, match_1 <-> match_2 and match_3 <-> match_4
+        # leaves the network as it is; a network built by hand claims nothing.
+        self.mirror = False
         self.lanes = 1
         self.track_link_energy = False
         self.reset()
@@ -555,16 +559,21 @@ def _twin(element: ScatteringElement) -> ScatteringElement:
 
 def build_circulator(config: CirculatorConfig) -> CirculatorNetwork:
     """Assemble the canonical network from a circulator configuration.
-    A line description used for both lines (a YAML alias) and a matching
-    spec repeated over positions are designed once and shared."""
+    Equal line descriptions (a YAML alias, or a repeated block) and a
+    matching spec repeated over positions are designed once and shared.
+    The network is marked mirror-symmetric (CirculatorNetwork.mirror) when
+    the two lines are one design, and match positions 1 and 2, and 3 and 4,
+    are one design each."""
     fs = config.sample_rate
     line_a = _line_element(config.line_a, fs, "line_a")
-    if config.line_b is config.line_a:
+    twin_lines = config.line_b == config.line_a
+    if twin_lines:
         line_b = _twin(line_a)
     else:
         line_b = _line_element(config.line_b, fs, "line_b")
     matching = config.matching
     matches = None
+    specs = [None] * 4
     if matching is not None:
         specs = list(matching) if isinstance(matching, (list, tuple)) else [matching] * 4
         if len(specs) != 4:
@@ -577,5 +586,7 @@ def build_circulator(config: CirculatorConfig) -> CirculatorNetwork:
             else:
                 designs[spec] = _design(f"matching[{i}]", MatchingElement, spec, fs)
                 matches.append(designs[spec])
-    return CirculatorNetwork(config.switch, line_a, line_b, config.schedule, fs, matches=matches)
+    net = CirculatorNetwork(config.switch, line_a, line_b, config.schedule, fs, matches=matches)
+    net.mirror = twin_lines and specs[0] == specs[1] and specs[2] == specs[3]
+    return net
 

@@ -48,6 +48,17 @@ class TouchstoneData:
         if not (np.all(np.isfinite(self.frequencies)) and np.all(np.isfinite(self.s))):
             raise ValueError("non-finite values")
 
+    def __eq__(self, other: object) -> bool:
+        """Equal data: the same frequencies, S values and reference
+        impedance. Comments do not count: they describe no element."""
+        if not isinstance(other, TouchstoneData):
+            return NotImplemented
+        return (
+            self.reference_impedance == other.reference_impedance
+            and np.array_equal(self.frequencies, other.frequencies)
+            and np.array_equal(self.s, other.s)
+        )
+
 
 def _parse_option_line(line_no: int, tokens: list[str]) -> tuple[str, str, float]:
     unit, fmt, z0 = "GHZ", "MA", 50.0

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from sdlsim import analysis
 from sdlsim.analysis import (
@@ -17,11 +18,12 @@ from sdlsim.analysis import (
     spectrum_probe,
 )
 from sdlsim.cli import load_config
-from sdlsim.elements import DelayLineSpec, SwitchSpec
+from sdlsim.elements import L_TOWARD_PORT, DelayLineSpec, MatchSpec, SwitchSpec, TouchstoneLineRef
 from sdlsim.engine import MAX_PERIODS, CirculatorConfig, build_circulator
 from sdlsim.errors import ConfigError
 from sdlsim.schedule import build_schedule
 from sdlsim.signals import dbm_to_amplitude
+from sdlsim.touchstone import TouchstoneData, write_touchstone
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 FS = 4e9
@@ -552,3 +554,120 @@ class TestSteadyStop:
         analysis._measure(step, [0, 1], omega, 0.5, omega[:, None], 2 * period, stop, period)
         assert edges[-1] == stop.max()
         assert set(stop.tolist()) <= set(edges)
+
+
+def built_networks(monkeypatch):
+    """Record every network the analyses build; returns the list."""
+    nets = []
+    build = analysis.build_circulator
+    monkeypatch.setattr(analysis, "build_circulator", lambda cfg: nets.append(build(cfg)) or nets[-1])
+    return nets
+
+
+def every_port_driven(cfg, points):
+    """S (points, 4, 4) and lane energies (periods, 4 * points) with all four
+    ports driven, lane 4k + i on port i + 1, as _four_port drives a network
+    that is not mirror-symmetric."""
+    net = build_circulator(cfg)
+    schedules = [sched for _, sched in points for _ in range(4)]
+    if any(sched != net.schedule for sched in schedules):
+        net.set_lane_schedules(schedules)
+    net.reset(lanes=len(schedules))
+    period = np.array([sched.period_samples for sched in schedules])
+    omega = 2.0 * math.pi * np.repeat([f for f, _ in points], 4) / FS
+    acc_out, acc_in, energy = analysis._measure(
+        net.advance, np.tile(np.arange(4), len(points)), omega, dbm_to_amplitude(cfg.drive_dbm),
+        omega[:, None], cfg.settle_periods * period, (cfg.settle_periods + cfg.measure_periods) * period, period,
+    )
+    s = (acc_out[:, :, 0] / acc_in[:, 0]).reshape(4, len(points), 4).transpose(1, 0, 2)
+    return s, energy
+
+
+def asymmetric_line() -> TouchstoneData:
+    """A lossy line whose two ports reflect differently, so a line flipped
+    end for end would show."""
+    freqs = np.linspace(100e6, 210e6, 111)
+    s = np.zeros((len(freqs), 2, 2), dtype=complex)
+    s[:, 1, 0] = s[:, 0, 1] = 0.6 * np.exp(-2j * math.pi * freqs * 150e-9)
+    s[:, 0, 0] = -0.15 * np.exp(-2j * math.pi * freqs * 10e-9)
+    s[:, 1, 1] = 0.05 * np.exp(-2j * math.pi * freqs * 4e-9)
+    return TouchstoneData(freqs, s)
+
+
+class TestMirror:
+    """A network whose lines are one design, matched alike at positions 1
+    and 2 and at 3 and 4, is driven on ports 1 and 2; ports 3 and 4 are
+    their mirror images, and must equal a drive of those ports."""
+
+    paper = load_config(CONFIG_DIR / "paper.yaml")
+
+    def matched_touchstone(self):
+        ref = TouchstoneLineRef(asymmetric_line(), ir_len=256)
+        one, other = MatchSpec(33e-9, 18e-12), MatchSpec(20e-9, 10e-12, orientation=L_TOWARD_PORT)
+        return dataclasses.replace(
+            self.paper, line_a=ref, line_b=ref, matching=(one, one, other, other),
+            settle_periods=2, measure_periods=1,
+        )
+
+    @pytest.mark.parametrize("name", ["paper", "ideal", "matched-touchstone", "paper-unsettled"])
+    def test_mirrored_columns_equal_the_drive(self, monkeypatch, name):
+        if name == "matched-touchstone":
+            # Per-lane schedules and a 2 + 1-period window, stepped whole:
+            # the benchmark's modsweep path.
+            cfg = self.matched_touchstone()
+            points = [(155e6, build_schedule(p / FS, 2e-9, 0.5, FS)) for p in (4480, 4496, 4560)]
+        else:
+            cfg = load_config(CONFIG_DIR / f"{name.removesuffix('-unsettled')}.yaml")
+            if name == "paper-unsettled":
+                # No settling: the transient, not only the steady state, is
+                # mirrored, and so are the drift notes it raises.
+                cfg = dataclasses.replace(cfg, settle_periods=0, measure_periods=2)
+            points = [(f, cfg.schedule) for f in (150e6, 153.1e6, 160e6)]
+        nets = built_networks(monkeypatch)
+        s, energy, _ = analysis._four_port(cfg, points)
+        assert nets[0].mirror and nets[0].lanes == 2 * len(points)
+        s_ref, energy_ref = every_port_driven(cfg, points)
+        assert np.abs(s - s_ref).max() <= 1e-12
+        assert np.array_equal(np.isnan(energy), np.isnan(energy_ref))
+        a0, period = dbm_to_amplitude(cfg.drive_dbm), max(sched.period_samples for _, sched in points)
+        assert np.abs(np.nan_to_num(energy - energy_ref)).max() <= 1e-12 * a0**2 * period
+        where = [str(k) for k in range(energy.shape[1])]
+        notes = analysis._drift_notes(energy, where)
+        assert notes == analysis._drift_notes(energy_ref, where)
+        assert bool(notes) == (name == "paper-unsettled")
+        # Columns 3 and 4 are the mirror images of columns 1 and 2.
+        assert np.array_equal(s[:, :, 2:], s[:, analysis.MIRROR, :2])
+
+    @pytest.mark.parametrize("kind", ["delay", "touchstone"])
+    def test_equal_separate_line_blocks_are_one_design(self, tmp_path, monkeypatch, kind):
+        raw = yaml.safe_load((CONFIG_DIR / "paper.yaml").read_text())
+        if kind == "touchstone":
+            (tmp_path / "line.s2p").write_text(write_touchstone(asymmetric_line()))
+            raw["line_a"] = {"touchstone": "line.s2p", "ir_len": 256}
+        raw["line_b"] = dict(raw["line_a"])
+        raw["analysis"] |= {"settle_periods": 1, "measure_periods": 1}
+        path = tmp_path / "cfg.yaml"
+        path.write_text(yaml.safe_dump(raw))
+        cfg = load_config(path)
+        assert cfg.line_b is not cfg.line_a
+        nets = built_networks(monkeypatch)
+        sparams_sweep(cfg, [155e6])
+        net = nets[0]
+        design = "_taps" if kind == "touchstone" else "taps"
+        assert getattr(net.line_b, design) is getattr(net.line_a, design)
+        assert net.mirror and net.lanes == 2
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda cfg: dataclasses.replace(cfg, line_b=dataclasses.replace(cfg.line_b, il_db=4.5)),
+            lambda cfg: dataclasses.replace(cfg, matching=(MatchSpec(33e-9, 18e-12), MatchSpec(20e-9, 10e-12)) * 2),
+        ],
+        ids=["line_b-il_db", "match-1-vs-2"],
+    )
+    def test_asymmetric_network_drives_four_ports(self, monkeypatch, edit):
+        cfg = edit(dataclasses.replace(self.paper, settle_periods=1, measure_periods=1))
+        nets = built_networks(monkeypatch)
+        sparams_sweep(cfg, [150e6, 155e6])
+        modfreq_sweep(cfg, [FS / 4480, FS / 4560], 155e6)
+        assert [(net.mirror, net.lanes) for net in nets] == [(False, 8), (False, 8)]

@@ -375,6 +375,24 @@ class TestLoadConfig:
         assert len(cfg.line_a.data.frequencies) == 31
         assert isinstance(cfg.line_b, DelayLineSpec)
 
+    def test_measured_configs_compare_by_value(self, tmp_path):
+        # Two loads of one measured config hold equal parsed data in
+        # separate arrays: == compares them by value, not by truth of arrays.
+        freqs = np.linspace(140e6, 170e6, 31)
+        s = np.zeros((31, 2, 2), dtype=complex)
+        s[:, 0, 1] = s[:, 1, 0] = 0.6 * np.exp(-2j * np.pi * freqs * 280e-9)
+        (tmp_path / "line.s2p").write_text(write_touchstone(TouchstoneData(freqs, s)))
+        line = {"touchstone": "line.s2p", "ir_len": 1536}
+        path = write_config(
+            tmp_path, line_a=line, line_b=dict(line),
+            matching=[{"series_l": 33e-9, "shunt_c": 18e-12} for _ in range(4)],
+        )
+        first, second = load_config(path), load_config(path)
+        assert first.line_a.data is not second.line_a.data
+        assert first == second
+        assert first.line_a == first.line_b and first.line_a is not first.line_b
+        assert first.line_a != dataclasses.replace(first.line_a, ir_len=1024)
+
     def test_digest_tracks_content(self, tmp_path):
         a = load_config(write_config(tmp_path, name="a.yaml"))
         b = load_config(write_config(tmp_path, name="b.yaml"))

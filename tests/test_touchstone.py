@@ -167,3 +167,28 @@ class TestDataValidation:
         s[0, 0, 0] = np.inf
         with pytest.raises(ValueError, match="finite"):
             TouchstoneData(np.array([1e8, 2e8]), s)
+
+
+class TestEquality:
+    """Two TouchstoneData are equal when they describe the same element:
+    frequencies, S values and reference impedance; comments do not count."""
+
+    def test_equal_values_in_separate_arrays(self):
+        a = synthetic_delay_line()
+        b = TouchstoneData(a.frequencies.copy(), a.s.copy(), comments=["another file"])
+        assert a == b and not a != b
+        assert a != "not touchstone data"
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda d: TouchstoneData(d.frequencies, d.s * (1 + 1e-15)),
+            lambda d: TouchstoneData(d.frequencies * (1 + 1e-15), d.s),
+            lambda d: TouchstoneData(d.frequencies[:-1], d.s[:-1]),
+            lambda d: TouchstoneData(d.frequencies, d.s, reference_impedance=75.0),
+        ],
+        ids=["s", "frequencies", "length", "impedance"],
+    )
+    def test_any_value_differing_differs(self, edit):
+        data = synthetic_delay_line()
+        assert data != edit(data)

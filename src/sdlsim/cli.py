@@ -63,11 +63,10 @@ from .analysis import (
 from .elements import DelayLineSpec, MatchSpec, SwitchSpec, TouchstoneLineRef
 from .engine import (
     DEFAULT_BAND,
-    K_LINK_BARE,
-    K_LINK_MATCHED,
     CirculatorConfig,
     analysis_problems,
     build_circulator,
+    k_link,
     run as run_network,
 )
 from .errors import ConfigError
@@ -230,12 +229,6 @@ def _line(raw, name: str, base_dir: Path, problems: list[str]):
     return _spec(DelayLineSpec, _LINE, raw, name, problems)
 
 
-def _crossbar_latency(matching, fs: float) -> float:
-    """Seconds a through traversal adds to the line delay: k_link samples,
-    2 bare and 4 with matching sections."""
-    return (K_LINK_BARE if matching is None else K_LINK_MATCHED) / fs
-
-
 def _s21_delay(line: TouchstoneLineRef, f: float) -> float:
     """Delay (s) of a measured line at f: the slope of its S21 phase over
     the measured interval nearest f. A single point has no slope: nan,
@@ -351,7 +344,7 @@ def load_config(path) -> CirculatorConfig:
         # Physics warnings, not errors: commutation offset vs actual link delay.
         warnings=tuple(grouped_notes(
             (name, msg) for name, tau in delays
-            for msg in validate_schedule(schedule, tau, _crossbar_latency(matching, fs)).messages
+            for msg in validate_schedule(schedule, tau, k_link(matching is not None) / fs).messages
         )),
         **analysis,
     )
@@ -566,7 +559,7 @@ def _quarter_wave_rule(config: CirculatorConfig) -> float | None:
     A has an analytic delay."""
     if not isinstance(config.line_a, DelayLineSpec):
         return None
-    return 1.0 / (4.0 * (config.line_a.tau + _crossbar_latency(config.matching, config.sample_rate)))
+    return 1.0 / (4.0 * (config.line_a.tau + k_link(config.matching is not None) / config.sample_rate))
 
 
 def _cmd_modsweep(config: CirculatorConfig, overrides: dict):

@@ -472,6 +472,10 @@ class CrossbarElement(ScatteringElement):
     drive is energy-consistent, but coherent simultaneous drive on both
     line ports can transiently emit more energy than arrives mid
     transition. Network-level passivity relies on line losses.
+
+    step builds the four-port from two step_with mixes plus the line
+    ports' reflection; the engine makes the same two calls per block and
+    adds the reflection itself (see engine).
     """
 
     n_ports = 4
@@ -501,39 +505,30 @@ class CrossbarElement(ScatteringElement):
         return t_bar, t_cross, refl
 
     @staticmethod
-    def step_with(
-        incident: np.ndarray, t_bar, t_cross, refl, side: str | None = None, out: np.ndarray | None = None
-    ) -> np.ndarray:
-        """Outputs for incident waves (4, ...) under the given coefficients,
-        which broadcast over the trailing axes. side "port" or "line" gives
-        only that side's two outputs; refl None means the line ports do not
-        reflect (and their incident waves are not read for the line side).
-        The outputs are written into out, if given (a view will do), and
-        returned."""
-        a_top, a_bot, a_la, a_lb = incident
-        # Each side's two outputs mix the other side's two inputs.
-        pairs = []
-        if side != "line":
-            pairs.append((a_la, a_lb, None))
-        if side != "port":
-            pairs.append((a_top, a_bot, refl))
-        if out is None:
-            coefs = (t_bar, t_cross, 0.0 if refl is None else refl)
-            out = np.empty((2 * len(pairs),) + np.broadcast_shapes(np.shape(a_top), *map(np.shape, coefs)))
-        for k, (a, b, r) in enumerate(pairs):
-            first, second = out[2 * k, ...], out[2 * k + 1, ...]  # views, also of one sample
-            np.multiply(t_bar, a, out=first)
-            first += t_cross * b
-            np.multiply(t_cross, a, out=second)
-            second += t_bar * b
-            if r is not None:
-                first += r * a_la
-                second += r * a_lb
+    def step_with(a: np.ndarray, b: np.ndarray, t_bar, t_cross, out: np.ndarray) -> np.ndarray:
+        """One side's two outputs from the other side's two incident waves
+        (a, b: PortTop and PortBot, or LineA and LineB), written into out
+        (shape (2, ...), a view will do) and returned: out[0] = t_bar*a +
+        t_cross*b, out[1] = t_cross*a + t_bar*b. The coefficients broadcast
+        over the trailing axes."""
+        first, second = out[0, ...], out[1, ...]  # views, also of one sample
+        np.multiply(t_bar, a, out=first)
+        first += t_cross * b
+        np.multiply(t_cross, a, out=second)
+        second += t_bar * b
         return out
 
     def step(self, incident: np.ndarray, g: np.ndarray | float = 1.0) -> np.ndarray:
+        """Outputs (4, ...) for incident waves (4, ...) at bar fraction g:
+        the two mixes of step_with plus the line ports' reflection."""
         t_bar, t_cross, refl = self.coefficients(g)
-        return self.step_with(incident, t_bar, t_cross, refl)
+        top, bot, la, lb = incident
+        out = np.empty((4,) + np.broadcast_shapes(np.shape(top), np.shape(t_bar)))
+        self.step_with(la, lb, t_bar, t_cross, out[:LINE_A])
+        self.step_with(top, bot, t_bar, t_cross, out[LINE_A:])
+        out[LINE_A] += refl * la
+        out[LINE_B] += refl * lb
+        return out
 
 
 def _interp_onto_grid(
@@ -748,20 +743,19 @@ class MatchSpec:
     (load). orientation says which side the series inductor sits on:
     L_TOWARD_LINE puts the inductor at port 2 with the capacitor shunting
     port 1, L_TOWARD_PORT mirrors that. The discrete realization is
-    pre-warped to be exact at f0; f0 = 0 turns pre-warping off.
+    pre-warped to be exact at f0; f0 = 0 turns pre-warping off. The
+    section's S-matrix is referenced to signals.Z0, as are the network's
+    waves.
     """
 
     series_l: float
     shunt_c: float
     orientation: str = L_TOWARD_LINE
-    z0: float = 50.0
     f0: float = 155e6
 
     def __post_init__(self) -> None:
         if self.series_l < 0 or self.shunt_c < 0:
             raise ValueError("component values must be >= 0")
-        if self.z0 <= 0:
-            raise ValueError("z0 must be positive")
         if not self.f0 >= 0:
             raise ValueError("f0 must be >= 0 (0: no pre-warping)")
         if self.orientation not in (L_TOWARD_LINE, L_TOWARD_PORT):
@@ -772,8 +766,8 @@ def _lsection_polys(spec: MatchSpec) -> tuple[list[float], ...]:
     """The section's S11, S21 = S12 and S22 as s-domain numerators over one
     common denominator, returned last; coefficients highest power first."""
     lc = spec.series_l * spec.shunt_c
-    k_sum = spec.series_l / spec.z0 + spec.shunt_c * spec.z0
-    k_diff = spec.series_l / spec.z0 - spec.shunt_c * spec.z0
+    k_sum = spec.series_l / Z0 + spec.shunt_c * Z0
+    k_diff = spec.series_l / Z0 - spec.shunt_c * Z0
     cap_side, ind_side = [-lc, k_diff, 0.0], [lc, k_diff, 0.0]
     if spec.orientation == L_TOWARD_PORT:
         cap_side, ind_side = ind_side, cap_side
@@ -835,11 +829,11 @@ class MatchingElement(ScatteringElement):
         # S11, S21 = S12, S22.
         *nums, den = _lsection_polys(spec)
         self._biquads = [_bilinear_biquad(num, den, k) for num in nums]
-        # Coefficients per filter state (S11, S21, S12, S22), normalised by
-        # a0 as lfilter does, for the one-sample update.
+        # Coefficients per filter state (S11, S21, S12, S22), already with
+        # a0 = 1 (_bilinear_biquad), for the one-sample update.
         b, a = (np.array([self._biquads[i][n] for i in (0, 1, 1, 2)]) for n in (0, 1))
-        self._b = (b / a[:, :1]).T[:, :, None]
-        self._a = (a / a[:, :1]).T[:, :, None]
+        self._b = b.T[:, :, None]
+        self._a = a.T[:, :, None]
         self.reset()
 
     def reset(self, lanes: int = 1) -> None:

@@ -14,7 +14,8 @@ into each of the four line-side connections.
 Every link carries exactly one sample of latency; external bindings carry
 none. A through traversal therefore takes the line delay plus k_link
 samples, where k_link = 2 bare and 4 with matching inserted. This constant
-is exposed as CirculatorNetwork.k_link and every timing oracle adds it.
+is k_link(matched), exposed as CirculatorNetwork.k_link, and every timing
+oracle adds it.
 
 Time advances in blocks. External ports never reflect, and a crossbar's
 line ports reflect (gamma_off*min(w, 1-w)) only inside its switch
@@ -29,8 +30,8 @@ writes its outputs in place, into the block's wave rows.
 Block length is budgeted in lane-samples (elements.block_limit): 2,048
 samples on one lane, down to a floor of 64 from 32 lanes up, so a
 single-lane run takes each settled span (about a quarter period) in one
-block. From 32 lanes up, blocks also end at multiples of 64 samples,
-where the elements' fixed frames start (see elements).
+block. From 32 lanes up the analysis kernel, not the engine, cuts on the
+elements' 64-sample frame grid (analysis._measure).
 
 A matched network keeps one loop inside every block: a match's line-side
 output reaches its line a sample later, and the line's reflection comes
@@ -58,7 +59,8 @@ import numpy as np
 from .elements import (
     LINE_A,
     LINE_B,
-    MAX_BLOCK,
+    PORT_BOT,
+    PORT_TOP,
     CrossbarElement,
     DelayLineElement,
     DelayLineSpec,
@@ -76,6 +78,12 @@ from .signals import SampleBuffer
 
 K_LINK_BARE = 2
 K_LINK_MATCHED = 4
+
+
+def k_link(matched: bool) -> int:
+    """Samples a through traversal adds to the line delay: one per link,
+    2 bare and 4 with matching sections."""
+    return K_LINK_MATCHED if matched else K_LINK_BARE
 
 
 # External port number (1-based) -> (side, crossbar port row).
@@ -160,7 +168,7 @@ class CirculatorNetwork:
         self.line_a = line_a
         self.line_b = line_b
         self.matches = list(matches) if matches else None
-        self.k_link = K_LINK_MATCHED if matches else K_LINK_BARE
+        self.k_link = k_link(self.matches is not None)
 
         self.elements: dict[str, ScatteringElement] = {
             "left_crossbar": self.left,
@@ -282,14 +290,9 @@ class CirculatorNetwork:
 
     def _span(self, limit: int) -> int:
         """Length of the next block: up to block_limit(lanes) samples whose
-        line ports do not reflect after the first. Blocks at the MAX_BLOCK
-        floor (32 lanes and more) also end at the next multiple of
-        MAX_BLOCK, where the elements' fixed frames start, so each such
-        block costs the band filter one frame product, not two."""
-        b = min(limit, self._limit, 1 + self._ctl.quiet_from(self._n + 1))
-        if self._limit == MAX_BLOCK:
-            b = min(b, MAX_BLOCK - self._n % MAX_BLOCK)
-        return b
+        line ports do not reflect after the first. The analysis kernel, not
+        the engine, cuts on the elements' frame grid (analysis._measure)."""
+        return min(limit, self._limit, 1 + self._ctl.quiet_from(self._n + 1))
 
     def _prepare(self) -> None:
         """The incident and emitted waves of every slot over one block of
@@ -397,20 +400,21 @@ class CirculatorNetwork:
         return wave[self._ext_slots]
 
     def _crossbars(self, inc: np.ndarray, wave: np.ndarray, coef: np.ndarray, side: str) -> None:
-        """Both crossbars' outputs on one side ("port" or "line"), written in
-        one call into their rows of wave: their slots are the first 2 x 4
-        rows, viewed as (4, 2, lanes, b), and coef is _LaneControl.block's
-        (3, 2, rows, b). A line port may reflect only at sample 0 (see
-        _span), so the reflected waves are added there alone, and the line
-        ports' incident rows past it, left from the previous block, are
-        never read."""
+        """Both crossbars' outputs on one side ("port" or "line"), written by
+        one step_with call into their rows of wave: their slots are the
+        first 2 x 4 rows, viewed as (4, 2, lanes, b), and coef is
+        _LaneControl.block's (3, 2, rows, b). The port side mixes the line
+        ports' incident waves; the line side mixes the port side's and adds
+        the reflected waves at sample 0 alone, the only sample where a line
+        port may reflect (see _span), so the line ports' incident rows past
+        it, left from the previous block, are never read."""
         shape = (2, 4) + inc.shape[1:]
         x = inc[:8].reshape(shape).swapaxes(0, 1)
         y = wave[:8].reshape(shape).swapaxes(0, 1)
         if side == "port":
-            CrossbarElement.step_with(x, *coef, side="port", out=y[:LINE_A])
+            CrossbarElement.step_with(x[LINE_A], x[LINE_B], coef[0], coef[1], y[:LINE_A])
         else:
-            CrossbarElement.step_with(x, coef[0], coef[1], None, side="line", out=y[LINE_A:])
+            CrossbarElement.step_with(x[PORT_TOP], x[PORT_BOT], coef[0], coef[1], y[LINE_A:])
             y[LINE_A:, :, :, 0] += coef[2, :, :, 0] * x[LINE_A:, :, :, 0]
 
 

@@ -189,11 +189,11 @@ def test_many_lanes_keep_the_block_floor():
     assert sizes == [64, 64, 64, 64, 44]
 
 
-def test_floor_blocks_end_at_frame_edges():
-    # From 32 lanes up a block stays within one MAX_BLOCK frame of the
-    # elements, ending at its edge, at the run's end or before a sample
-    # where a line port reflects: the band filter then makes one frame
-    # product per block.
+def test_floor_blocks_end_at_the_budget():
+    # At 204 lanes a block is block_limit's 64-sample floor, cut short only
+    # at the run's end or before a sample where a line port reflects. The
+    # engine does not cut on the elements' frame grid: the analysis kernel's
+    # chunks keep to it (test_sweep_chunks_keep_the_frame_grid).
     net = network("paper")
     net.reset(204)
     reflects = np.zeros(N_SAMPLES + 1, dtype=bool)
@@ -201,10 +201,11 @@ def test_floor_blocks_end_at_frame_edges():
         reflects |= net.left.coefficients(trace_for(net.schedule, side, N_SAMPLES + 1))[2] != 0.0
     sizes = count_blocks(net)
     net.advance(np.zeros((4, 204, N_SAMPLES)))
+    assert sum(sizes) == N_SAMPLES
     starts = np.cumsum([0] + sizes[:-1])
     for n, b in zip(starts.tolist(), sizes):
-        assert n // MAX_BLOCK == (n + b - 1) // MAX_BLOCK
-        assert (n + b) % MAX_BLOCK == 0 or n + b == N_SAMPLES or reflects[n + b]
+        assert not reflects[n + 1 : n + b].any()
+        assert b == MAX_BLOCK or n + b == N_SAMPLES or reflects[n + b]
     assert sizes.count(MAX_BLOCK) >= N_SAMPLES // MAX_BLOCK - 10
 
 
@@ -299,18 +300,27 @@ def test_matched_settled_spans_run_as_blocks(name):
 @pytest.mark.parametrize("name", ("paper", "matched"))
 def test_crossbars_step_in_two_calls_per_block(name, monkeypatch):
     # One-sample and longer blocks run the same sequence: one crossbar call
-    # gives both crossbars' line-side outputs, one their port-side outputs.
+    # mixes both crossbars' port rows (slots 0, 1 and 4, 5) into their line
+    # rows (2, 3 and 6, 7), then one mixes the line rows into the port rows.
+    # The line side reads no line-port row: their reflection at sample 0 is
+    # added by the engine.
     ext, _ = whole_run(name)
+    net = network(name)
+    net.reset(ext.shape[1])
     calls = []
     step_with = CrossbarElement.step_with
 
-    def counted_step_with(*args, **kwargs):
-        calls.append(kwargs.get("side"))
-        return step_with(*args, **kwargs)
+    def rows(view, buf):
+        shape = (net._n_slots,) + view.shape[-2:]
+        block = buf[: math.prod(shape)].reshape(shape)
+        return tuple(r for r in range(net._n_slots) if np.shares_memory(view, block[r]))
+
+    def counted_step_with(a, b, t_bar, t_cross, out):
+        inc, wave = net._buffers
+        calls.append((rows(a, inc) + rows(b, inc), rows(out, wave)))
+        return step_with(a, b, t_bar, t_cross, out)
 
     monkeypatch.setattr(CrossbarElement, "step_with", staticmethod(counted_step_with))
-    net = network(name)
-    net.reset(ext.shape[1])
     per_block: dict[bool, set] = {}
     block = net._block
 
@@ -322,7 +332,9 @@ def test_crossbars_step_in_two_calls_per_block(name, monkeypatch):
 
     net._block = counted
     net.advance(ext)
-    assert per_block == {False: {("line", "port")}, True: {("line", "port")}}
+    ports, lines = (0, 4, 1, 5), (2, 6, 3, 7)
+    sequence = {((ports, tuple(sorted(lines))), (lines, tuple(sorted(ports))))}
+    assert per_block == {False: sequence, True: sequence}
 
 
 def test_link_energy_independent_of_split():
@@ -372,29 +384,28 @@ def test_crossbar_block_equals_sample_steps():
     xbar = CrossbarElement(SwitchSpec())
     lanes, n = 3, 50
     x = np.random.default_rng(4).standard_normal((4, lanes, n))
-    coef = np.stack(xbar.coefficients(np.linspace(0.0, 1.0, n)))[:, None, :]
-    block = CrossbarElement.step_with(x, *coef)
-    per_sample = np.stack(
-        [CrossbarElement.step_with(x[:, :, i], *coef[:, :, i]) for i in range(n)], axis=2
-    )
+    g = np.linspace(0.0, 1.0, n)
+    t_bar, t_cross, refl = xbar.coefficients(g)
+    block = xbar.step(x, g)
+    per_sample = np.stack([xbar.step(x[:, :, i], g[i]) for i in range(n)], axis=2)
     assert np.array_equal(block, per_sample)
-    ports = CrossbarElement.step_with(x, *coef, side="port")
-    lines = CrossbarElement.step_with(x, *coef, side="line")
-    assert np.array_equal(np.concatenate([ports, lines]), block)
-    # Written in place, into a strided view as the engine passes its wave
-    # rows: the same bits, on both sides, for a block and for one sample.
-    for inc, c in ((x, coef), (x[:, :, 7], coef[:, :, 7])):
-        whole = CrossbarElement.step_with(inc, *c)
-        for side, rows in ((None, slice(0, 4)), ("port", slice(0, 2)), ("line", slice(2, 4))):
-            buf = np.full((inc.shape[-1], rows.stop - rows.start) + inc.shape[1:-1], np.nan)
-            out = np.moveaxis(buf, 0, -1)
-            assert CrossbarElement.step_with(inc, *c, side=side, out=out) is out
-            assert np.array_equal(out, whole[rows])
-    # Without a reflection the line side does not read the line ports.
+    # step is the two one-side mixes plus the line ports' reflection, bit
+    # for bit; the line-side mix reads no line-port row.
     blind = x.copy()
     blind[2:] = np.nan
-    lines = CrossbarElement.step_with(blind, coef[0], coef[1], None, side="line")
-    assert np.array_equal(lines, CrossbarElement.step_with(x, coef[0], coef[1], 0.0 * coef[2], side="line"))
+    mixed = np.empty_like(x)
+    CrossbarElement.step_with(x[2], x[3], t_bar, t_cross, mixed[:2])
+    CrossbarElement.step_with(blind[0], blind[1], t_bar, t_cross, mixed[2:])
+    # Written in place, into a strided view as the engine passes its wave
+    # rows: the same bits, on both sides, for a block and for one sample.
+    for i in (slice(None), 7):
+        for src, dst in ((slice(2, 4), slice(0, 2)), (slice(0, 2), slice(2, 4))):
+            inc = x[src, :, i]
+            out = np.moveaxis(np.full((inc.shape[-1], 2) + inc.shape[1:-1], np.nan), 0, -1)
+            assert CrossbarElement.step_with(*inc, t_bar[i], t_cross[i], out) is out
+            assert np.array_equal(out, mixed[dst, :, i])
+    mixed[2:] += refl * x[2:]
+    assert np.array_equal(mixed, block)
     # step keeps its behaviour: each output is the sum over the inputs of
     # the bar, cross and reflection paths.
     g = 0.3

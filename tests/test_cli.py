@@ -269,6 +269,13 @@ class TestLoadConfig:
             ([(("line_a", "band_order"), -3)], "line_a: band_order must be from 0 to 64"),
             ([(("matching",), {"series_l": 33e-9, "shunt_c": 18e-12, "f0": -5.0})],
              "matching: f0 must be >= 0"),
+            # A matching section is referenced to signals.Z0, as the
+            # network's waves are: z0 is no key of a mapping or list entry.
+            ([(("matching",), {"series_l": 33e-9, "shunt_c": 18e-12, "z0": 50.0})],
+             "matching: unknown keys ['z0']"),
+            ([(("matching",), [{"series_l": 33e-9, "shunt_c": 18e-12}] * 3
+               + [{"series_l": 33e-9, "shunt_c": 18e-12, "z0": 75.0}])],
+             "matching[3]: unknown keys ['z0']"),
         ],
     )
     def test_malformed_input_exits_1(self, tmp_path, capsys, edits, message):

@@ -282,7 +282,7 @@ def _measure(step, ports, omega, amplitude, detect, start, stop, period):
             steady_at[due[ok]] = t[ok]
         if np.all((steady_at >= 0) | (end >= stop)):
             break
-    for t0 in np.unique(steady_at[steady_at >= 0]):
+    for t0 in set(steady_at[steady_at >= 0].tolist()):
         ix = np.flatnonzero(steady_at == t0)
         for t in range(t0 + 1, sums.shape[0]):
             sums[t, ix] = coef[ix, None, None] * sums[t - 1, ix] - sums[t - 2, ix]

@@ -48,10 +48,11 @@ from .touchstone import TouchstoneData
 # Block length budget: one pass processes at most BLOCK_LANE_SAMPLES
 # lane-samples, but never fewer than MAX_BLOCK samples. Element history
 # buffers hold block_limit(lanes) samples beyond the longest delay, and
-# longer blocks are split. The floor of 64 samples keeps a 204-lane block's
-# working set near 1 MB; one lane gets 2,048-sample blocks, so each settled
-# span of a single-lane run is one call. MAX_BLOCK is also the frame length
-# of the delay line's band filter.
+# longer blocks are split; a design the network shares over positions holds
+# all their lanes on the budget of the network's lanes. The floor of 64
+# samples keeps a 204-lane block's working set near 1 MB; one lane gets
+# 2,048-sample blocks, so each settled span of a single-lane run is one
+# call. MAX_BLOCK is also the frame length of the delay line's band filter.
 MAX_BLOCK = 64
 BLOCK_LANE_SAMPLES = 2048
 
@@ -75,10 +76,9 @@ def _as_block(incident) -> tuple[np.ndarray, tuple[int, ...]]:
     return x.reshape(x.shape[0], -1, 1), x.shape
 
 
-def _in_blocks(process, x: np.ndarray) -> np.ndarray:
+def _in_blocks(process, x: np.ndarray, limit: int) -> np.ndarray:
     """Apply a block processor to an (n_ports, lanes, B) block in pieces of
-    at most block_limit(lanes) samples."""
-    limit = block_limit(x.shape[1])
+    at most limit samples."""
     if x.shape[-1] <= limit:
         return process(x)
     return np.concatenate(
@@ -102,16 +102,20 @@ class ScatteringElement:
 
     n_ports: int = 2
     # Attributes that step rebinds or updates in place; mark copies them.
-    # History rings need no copy: they keep block_limit(lanes) rows beyond
-    # the longest delay, so one block overwrites no row a rewound step reads.
+    # History rings need no copy: they keep limit rows beyond the longest
+    # delay, so one block overwrites no row a rewound step reads.
     _state: tuple[str, ...] = ()
 
     def __init__(self) -> None:
         self.warnings: list[str] = []
         self.lanes = 1
 
-    def reset(self, lanes: int = 1) -> None:
+    def reset(self, lanes: int = 1, limit: int | None = None) -> None:
+        """Zero the state on lanes lanes, stepped in passes of at most limit
+        samples: block_limit(lanes) unless given (a network stepping one
+        design over several positions keeps its own lanes' budget)."""
         self.lanes = lanes
+        self.limit = block_limit(lanes) if limit is None else limit
 
     def step(self, incident: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -121,16 +125,16 @@ class ScatteringElement:
         return {name: copy.copy(getattr(self, name)) for name in self._state}
 
     def rewind(self, mark: dict) -> None:
-        """Return to a mark taken at most one block of at most
-        block_limit(lanes) samples ago."""
+        """Return to a mark taken at most one block of at most limit
+        samples ago."""
         self.__dict__.update(mark)
 
-    def zeroed(self, lanes: int) -> ScatteringElement:
+    def zeroed(self, lanes: int, limit: int | None = None) -> ScatteringElement:
         """A copy sharing this element's design, reset to zero state on
-        lanes lanes (reset rebinds every state array, so this element's
-        state is untouched)."""
+        lanes lanes and limit (reset rebinds every state array, so this
+        element's state is untouched)."""
         probe = copy.copy(self)
-        probe.reset(lanes)
+        probe.reset(lanes, limit)
         return probe
 
 
@@ -375,10 +379,10 @@ class DelayLineElement(ScatteringElement):
             raise ValueError(f"echo taps reach {self.buf_len} samples back, beyond {MAX_SPAN}")
         self.reset()
 
-    def reset(self, lanes: int = 1) -> None:
-        super().reset(lanes)
+    def reset(self, lanes: int = 1, limit: int | None = None) -> None:
+        super().reset(lanes, limit)
         # Time-major ring of filtered samples: row t % len holds sample t.
-        self._ring = np.zeros((self.buf_len - 1 + block_limit(lanes), 2, lanes))
+        self._ring = np.zeros((self.buf_len - 1 + self.limit, 2, lanes))
         self._t = 0
         # The band filter's frame: the inputs of the frame under way, zero
         # from the next sample on, over the state at its start.
@@ -440,7 +444,7 @@ class DelayLineElement(ScatteringElement):
 
     def step(self, incident: np.ndarray) -> np.ndarray:
         x, shape = _as_block(incident)
-        return _in_blocks(self._process, x).reshape(shape)
+        return _in_blocks(self._process, x, self.limit).reshape(shape)
 
     def response(self, frequencies) -> np.ndarray:
         """Exact scattering response (n, 2, 2) at frequencies (Hz): the band
@@ -567,7 +571,7 @@ class TouchstoneElement(ScatteringElement):
     reference impedances are rejected, not renormalised.
 
     The FIR runs in fixed frames of L samples, the largest power of two
-    within block_limit(lanes); frame m covers samples [m*L, (m+1)*L).
+    within its block limit; frame m covers samples [m*L, (m+1)*L).
     Taps at lags below L (near) are a matmul per output sample over its
     history window. Taps at lags of L and beyond (far) read, for every
     output of frame m, only samples before m*L, so each frame's far part
@@ -627,12 +631,12 @@ class TouchstoneElement(ScatteringElement):
         self._partitions: dict[int, np.ndarray] = {}
         self.reset()
 
-    def reset(self, lanes: int = 1) -> None:
-        super().reset(lanes)
+    def reset(self, lanes: int = 1, limit: int | None = None) -> None:
+        super().reset(lanes, limit)
         # Frames of the largest power of two samples within a block: on 12
         # lanes 128, whose 256-point transforms take a third of the time of
         # the 340-point ones of 170-sample frames.
-        frame = 1 << (block_limit(lanes).bit_length() - 1)
+        frame = 1 << (self.limit.bit_length() - 1)
         self._frame = frame
         self._near = min(frame, self.ir_len)
         self._h_far = self._far_partitions(frame)
@@ -641,7 +645,7 @@ class TouchstoneElement(ScatteringElement):
         # slice. It holds a block beyond the near window and, with far
         # taps, beyond the two frames of the newest chunk.
         reach = self._near - 1 if self._h_far is None else 2 * frame
-        self._size = reach + block_limit(lanes)
+        self._size = reach + self.limit
         self._hist = np.zeros((2 * self._size, 2, lanes))
         self._t = 0
         # Chunk spectra S_j by chunk index, the last P - 1 of them, and far
@@ -720,7 +724,7 @@ class TouchstoneElement(ScatteringElement):
 
     def step(self, incident: np.ndarray) -> np.ndarray:
         x, shape = _as_block(incident)
-        return _in_blocks(self._process, x).reshape(shape)
+        return _in_blocks(self._process, x, self.limit).reshape(shape)
 
     def response(self, frequencies) -> np.ndarray:
         """Exact scattering response (n, 2, 2) at frequencies (Hz) of the
@@ -836,8 +840,8 @@ class MatchingElement(ScatteringElement):
         self._a = a.T[:, :, None]
         self.reset()
 
-    def reset(self, lanes: int = 1) -> None:
-        super().reset(lanes)
+    def reset(self, lanes: int = 1, limit: int | None = None) -> None:
+        super().reset(lanes, limit)
         # Filter states of S11, S21, S12, S22, which read incident ports 1, 1, 2, 2.
         self._z = np.zeros((4, lanes, 2))
 

@@ -26,7 +26,11 @@ block, whatever its length, runs one sequence: the crossbars' line-side
 outputs (the reflected waves added at sample 0 alone, the only sample
 where a line port may reflect), the elements behind the crossbars on
 those, and the crossbars' port-side outputs on theirs. Each crossbar call
-writes its outputs in place, into the block's wave rows.
+writes its outputs in place, into the block's wave rows. An element design
+is one object serving every position it fills (see build_circulator): it
+steps in one call over all their lanes, once per pass over a block (a
+longer matched block takes two, below), on the block budget of the
+network's lane count. Identity decides, so distinct objects step separately.
 Block length is budgeted in lane-samples (elements.block_limit): 2,048
 samples on one lane, down to a floor of 64 from 32 lanes up, so a
 single-lane run takes each settled span (about a quarter period) in one
@@ -181,35 +185,47 @@ class CirculatorNetwork:
                 self.elements[f"match_{i}"] = m
 
         # Every element port is one row ("slot") of the per-block wave arrays.
-        self._slots: dict[str, slice] = {}
-        first = 0
+        # One element object may fill several positions (one design, shared):
+        # its rows run port-major over those positions, so its incident rows
+        # are one (n_ports, positions * lanes, b) view, stepped in one call.
+        filled: dict[int, tuple[ScatteringElement, list[str]]] = {}
         for name, el in self.elements.items():
-            self._slots[name] = slice(first, first + el.n_ports)
-            first += el.n_ports
+            filled.setdefault(id(el), (el, []))[1].append(name)
+        self._designs: list[tuple[ScatteringElement, slice, int]] = []
+        self._rows: dict[str, list[int]] = {}
+        order, first = {}, 0
+        for el, names in filled.values():
+            count = len(names)
+            for i, name in enumerate(names):
+                self._rows[name] = [first + p * count + i for p in range(el.n_ports)]
+                order[name] = len(self._designs)
+            self._designs.append((el, slice(first, first + el.n_ports * count), count))
+            first += el.n_ports * count
         self._n_slots = first
         self.links = self._link_table()
-        self._link_src = np.array([self._slots[s].start + sp for s, sp, _, _ in self.links])
-        self._link_dst = np.array([self._slots[d].start + dp for _, _, d, dp in self.links])
+        self._link_src = np.array([self._rows[s][sp] for s, sp, _, _ in self.links])
+        self._link_dst = np.array([self._rows[d][dp] for _, _, d, dp in self.links])
         # External port p (0-based) binds to this crossbar slot.
         self._ext_slots = np.array(
-            [self._slots[f"{side}_crossbar"].start + row for side, row in _PORT_MAP.values()]
+            [self._rows[f"{side}_crossbar"][row] for side, row in _PORT_MAP.values()]
         )
-        # The elements behind the crossbars step in this order (lines, then
-        # matches), each fed the waves its sources emitted earlier in the
-        # block. Links feeding the crossbars' line ports, and links feeding
-        # an element from one stepped after it (a match's line-side output
-        # into its line), are kept apart, as (source slot, destination slot):
-        # the latter close the match-line loops that _block solves.
-        self._others = [n for n in self.elements if not n.endswith("_crossbar")]
-        order = {name: i for i, name in enumerate(self._others)}
-        self._feed_xbar, self._feeds, loops = [], {n: [] for n in self._others}, []
+        # The designs behind the crossbars (the two crossbars come first)
+        # step in order, lines then matches, each fed the waves its sources
+        # emitted earlier in the block. Links feeding the crossbars' line
+        # ports, and links feeding a design from one stepped after it (a
+        # match's line-side output into its line), are kept apart, as
+        # (source slot, destination slot): the latter close the match-line
+        # loops that _block solves.
+        self._feed_xbar, feeds, loops = [], [[] for _ in self._designs], []
         for (s, _, d, _), src, dst in zip(self.links, self._link_src.tolist(), self._link_dst.tolist()):
-            if d not in order:
+            if d.endswith("_crossbar"):
                 self._feed_xbar.append((src, dst))
-            elif order.get(s, -1) >= order[d]:
+            elif order[s] >= order[d]:
                 loops.append((src, dst))
             else:
-                self._feeds[d].append((src, dst))
+                feeds[order[d]].append((src, dst))
+        self._others = self._designs[2:]
+        self._feeds = feeds[2:]
         self._loop_src = np.array([s for s, _ in loops], dtype=np.int64)
         self._loop_dst = np.array([d for _, d in loops], dtype=np.int64)
 
@@ -252,13 +268,15 @@ class CirculatorNetwork:
         if self._ctl.rows > 1 and lanes != self._ctl.rows:
             raise ConfigError("lane count must match the per-lane schedule table")
         self.lanes = lanes
-        for el in self.elements.values():
-            el.reset(lanes)
-        # Wave on each link emitted at the previous sample, arriving now.
-        self._carry = np.zeros((len(self.links), lanes))
         # Longest block _span returns. The block buffers and the loop
         # response for such blocks are made by the first block (_prepare).
+        # A design filling several positions holds all their lanes on the
+        # network's budget, so its blocks are never split.
         self._limit = block_limit(lanes)
+        for el, _, count in self._designs:
+            el.reset(count * lanes, self._limit)
+        # Wave on each link emitted at the previous sample, arriving now.
+        self._carry = np.zeros((len(self.links), lanes))
         self._buffers = None
         self._n = 0
         self.link_energy: dict[str, float] = {}
@@ -321,7 +339,7 @@ class CirculatorNetwork:
         g = (I - a)^-1 as a power series in the delay: g[0] = I and
         g[t] = sum_{m=1..t} a[m] g[t - m] (a[0] = 0, the link latency)."""
         k = len(self._loop_src)
-        probes = {name: self.elements[name].zeroed(k) for name in self._others}
+        probes = [el.zeroed(count * k, block_limit(k)) for el, _, count in self._others]
         inc = np.zeros((self._n_slots, k, n))
         wave = np.zeros_like(inc)
         inc[self._loop_dst, np.arange(k), 1] = 1.0
@@ -348,15 +366,16 @@ class CirculatorNetwork:
         u[:, :, :stop] = np.fft.irfft(spec.transpose(1, 2, 0), n_fft, axis=-1)[:, :, :stop]
         return u
 
-    def _forward(self, elements: dict, inc: np.ndarray, wave: np.ndarray) -> None:
-        """Step the elements behind the crossbars over one block, in order,
-        each on the waves its sources emitted earlier in the block; inputs
-        on loop-closing links are left as they are."""
-        for name in self._others:
-            for s, d in self._feeds[name]:
+    def _forward(self, elements: list, inc: np.ndarray, wave: np.ndarray) -> None:
+        """Step the designs behind the crossbars (elements, one per entry of
+        _others) over one block, in order, each once over all its positions
+        and on the waves its sources emitted earlier in the block; inputs on
+        loop-closing links are left as they are."""
+        for el, (_, rows, _), feeds in zip(elements, self._others, self._feeds):
+            for s, d in feeds:
                 inc[d, :, 1:] = wave[s, :, :-1]
-            slots = self._slots[name]
-            wave[slots] = elements[name].step(inc[slots])
+            shape = (el.n_ports, -1, inc.shape[2])
+            wave[rows].reshape(shape)[...] = el.step(inc[rows].reshape(shape))
 
     def _block(self, ext: np.ndarray) -> np.ndarray:
         b = ext.shape[2]
@@ -373,19 +392,20 @@ class CirculatorNetwork:
         # crossbars then run on those outputs, and the crossbars' port-side
         # outputs on theirs.
         self._crossbars(inc, wave, coef, "line")
+        elements = [el for el, _, _ in self._others]
         if b > 1 and len(self._loop_src):
             # A trial pass with the match-line loops cut gives the waves f
             # on the cut links; the loops closed give u = g * f there. The
             # elements then step the block again with u fed in. In a single
             # sample the closed loops are the identity (g[0] = I).
-            marks = [self.elements[name].mark() for name in self._others]
+            marks = [el.mark() for el in elements]
             inc[self._loop_dst, :, 1:] = 0.0
-            self._forward(self.elements, inc, wave)
+            self._forward(elements, inc, wave)
             u = self._close_loops(wave[self._loop_src])
             inc[self._loop_dst, :, 1:] = u[:, :, :-1]
-            for name, mark in zip(self._others, marks):
-                self.elements[name].rewind(mark)
-        self._forward(self.elements, inc, wave)
+            for el, mark in zip(elements, marks):
+                el.rewind(mark)
+        self._forward(elements, inc, wave)
         for s, d in self._feed_xbar:
             inc[d, :, 1:] = wave[s, :, :-1]
         self._crossbars(inc, wave, coef, "port")
@@ -553,28 +573,19 @@ class CirculatorConfig:
             raise ConfigError("; ".join(problems))
 
 
-def _twin(element: ScatteringElement) -> ScatteringElement:
-    """A second element on the same design, which is read-only: only the
-    state differs, and reset gives the twin its own."""
-    twin = element.zeroed(element.lanes)
-    twin.warnings = list(element.warnings)
-    return twin
-
-
 def build_circulator(config: CirculatorConfig) -> CirculatorNetwork:
     """Assemble the canonical network from a circulator configuration.
     Equal line descriptions (a YAML alias, or a repeated block) and a
-    matching spec repeated over positions are designed once and shared.
-    The network is marked mirror-symmetric (CirculatorNetwork.mirror) when
-    the two lines are one design, and match positions 1 and 2, and 3 and 4,
-    are one design each."""
+    matching spec repeated over positions are designed once: one element
+    object serves every position of its design, and the network steps it
+    once per pass over a block on all their lanes, on the block budget of
+    the network's lane count. The network is marked mirror-symmetric
+    (CirculatorNetwork.mirror) when the two lines are one design, and match
+    positions 1 and 2, and 3 and 4, are one design each."""
     fs = config.sample_rate
     line_a = _line_element(config.line_a, fs, "line_a")
     twin_lines = config.line_b == config.line_a
-    if twin_lines:
-        line_b = _twin(line_a)
-    else:
-        line_b = _line_element(config.line_b, fs, "line_b")
+    line_b = line_a if twin_lines else _line_element(config.line_b, fs, "line_b")
     matching = config.matching
     matches = None
     specs = [None] * 4
@@ -583,14 +594,10 @@ def build_circulator(config: CirculatorConfig) -> CirculatorNetwork:
         if len(specs) != 4:
             raise ConfigError("matching must give one spec or exactly four")
         designs: dict[MatchSpec, MatchingElement] = {}
-        matches = []
         for i, spec in enumerate(specs):
-            if spec in designs:
-                matches.append(_twin(designs[spec]))
-            else:
+            if spec not in designs:
                 designs[spec] = _design(f"matching[{i}]", MatchingElement, spec, fs)
-                matches.append(designs[spec])
+        matches = [designs[spec] for spec in specs]
     net = CirculatorNetwork(config.switch, line_a, line_b, config.schedule, fs, matches=matches)
     net.mirror = twin_lines and specs[0] == specs[1] and specs[2] == specs[3]
     return net
-

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from sdlsim import __version__, cli
 from sdlsim.analysis import modfreq_sweep
 from sdlsim.cli import MAX_POINTS, execute, load_config, main
-from sdlsim.elements import DelayLineSpec, MatchSpec, SwitchSpec, TouchstoneLineRef
+from sdlsim.elements import DelayLineElement, DelayLineSpec, MatchSpec, SwitchSpec, TouchstoneLineRef
 from sdlsim.engine import MAX_PERIODS, build_circulator
 from sdlsim.errors import ConfigError
 from sdlsim.touchstone import TouchstoneData, write_touchstone
@@ -347,11 +347,20 @@ class TestLoadConfig:
         cfg = load_config(CONFIG_DIR / "paper.yaml")
         assert cfg.line_b is cfg.line_a
         net = build_circulator(cfg)
-        assert net.line_b is not net.line_a
-        x = np.ones((2, 1, 5))
-        # line_b's state is its own: stepping line_a first leaves it at rest.
-        first = net.line_a.step(x)
-        assert np.array_equal(net.line_b.step(x), first)
+        # One object serves both positions: lane 0 is line_a's, lane 1 line_b's.
+        assert net.line_b is net.line_a
+        net.reset(1)
+        line = net.line_a
+        assert line.lanes == 2
+        x = np.zeros((2, 2, 5))
+        x[:, 0] = 1.0
+        # line_b's lane keeps its own state: driving line_a's leaves it at
+        # rest, bit for bit, and line_a's lane steps as a line of its own.
+        first = line.step(x)
+        assert not np.any(first[:, 1]) and not np.any(line._ring[:, :, 1])
+        assert not np.any(line._frame.reshape(len(line._frame), 2, 2)[:, :, 1])
+        alone = DelayLineElement(cfg.line_a, cfg.sample_rate)
+        assert np.array_equal(first[:, :1], alone.step(x[:, :1]))
 
     def test_matching_single_spec_applied(self, tmp_path):
         path = write_config(

@@ -345,8 +345,8 @@ class DirectFIR(TouchstoneElement):
     """The element's FIR summed directly over its input history: the
     reference for the framed near/far computation."""
 
-    def reset(self, lanes: int = 1) -> None:
-        super().reset(lanes)
+    def reset(self, lanes: int = 1, limit: int | None = None) -> None:
+        super().reset(lanes, limit)
         self._x = np.zeros((2, lanes, self.ir_len - 1))
 
     def step(self, incident: np.ndarray) -> np.ndarray:

@@ -78,8 +78,9 @@ class TestStructure:
         assert net.k_link == K_LINK_MATCHED == 4
 
     def test_repeated_match_spec_designed_once(self, monkeypatch):
-        # Four positions, two distinct specs: two designs, each shared by
-        # the positions that repeat it, every match with its own state.
+        # Four positions, two distinct specs: two designs, each one object
+        # serving the positions that repeat it, every position with its own
+        # lanes of state.
         designed = []
         monkeypatch.setattr(
             engine, "MatchingElement", lambda *args: designed.append(args) or MatchingElement(*args)
@@ -88,15 +89,15 @@ class TestStructure:
         net = build_circulator(make_config(matching=(one, other, one, one)))
         assert [spec for spec, _ in designed] == [one, other]
         m = net.matches
-        assert m[0]._biquads is m[2]._biquads is m[3]._biquads
-        assert m[1]._biquads is not m[0]._biquads
-        assert len({id(x._z) for x in m}) == 4
-        x = np.random.default_rng(2).standard_normal((2, 1, 50))
-        expected = MatchingElement(one, FS).step(x)
-        assert np.array_equal(m[0].step(x), expected)
-        # Stepping one position leaves the others at zero state.
-        assert not np.any(m[2]._z) and not np.any(m[3]._z)
-        assert np.array_equal(m[2].step(x), expected)
+        assert m[0] is m[2] is m[3] and m[1] is not m[0]
+        assert (m[0].lanes, m[1].lanes) == (3, 1)
+        # Lanes 0, 1 and 2 of the shared design are positions 1, 3 and 4.
+        x = np.zeros((2, 3, 50))
+        x[:, 0] = np.random.default_rng(2).standard_normal((2, 50))
+        out = m[0].step(x)
+        assert np.array_equal(out[:, :1], MatchingElement(one, FS).step(x[:, :1]))
+        # Stepping one position leaves the others at rest, bit for bit.
+        assert not np.any(out[:, 1:]) and not np.any(m[0]._z[:, 1:])
 
     def test_touchstone_line_accepted(self):
         freqs = np.linspace(100e6, 210e6, 23)

@@ -1,6 +1,7 @@
 """scipy is loaded only where a matching section is built: networks without
 matching run on numpy alone, and a matched network imports scipy while it
-is built, never while it steps."""
+is built, never while it steps. No command imports a module once its
+config is loaded and its network built."""
 
 import json
 import os
@@ -11,6 +12,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PAPER = ROOT / "configs" / "paper.yaml"
+IDEAL = ROOT / "configs" / "ideal.yaml"
 
 
 def run_python(code: str) -> dict:
@@ -24,16 +26,28 @@ def run_python(code: str) -> dict:
 
 
 def test_spectrum_without_matching_never_imports_scipy(tmp_path):
+    # Neither does any command import a module once the configs are loaded
+    # and built: numpy.ma, say, costs a single-lane spectrum about 9 ms.
     loaded = run_python(
         f"""
         import json, sys
         import sdlsim
-        from sdlsim.cli import main
+        from sdlsim.cli import execute, load_config, main
+        from sdlsim.engine import build_circulator
+
+        paper, ideal = load_config({str(PAPER)!r}), load_config({str(IDEAL)!r})
+        build_circulator(paper), build_circulator(ideal)
+        before = set(sys.modules)
+        execute("sweep", paper, {str(tmp_path)!r}, freq_points=3)
+        execute("spectrum", paper, {str(tmp_path)!r})
+        execute("modsweep", paper, {str(tmp_path)!r}, fmod=[877193.0, 891266.0])
+        execute("run", ideal, {str(tmp_path)!r})
+        added = sorted(set(sys.modules) - before)
         assert main(["spectrum", "--config", {str(PAPER)!r}, "--out", {str(tmp_path)!r}]) == 0
-        print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+        print(json.dumps([added, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]))
         """
     )
-    assert loaded == []
+    assert loaded == [[], []]
 
 
 def test_matched_network_imports_scipy_in_build_not_in_advance():

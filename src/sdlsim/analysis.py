@@ -19,10 +19,10 @@ drive-and-measure kernel (_measure): the stimulus of each chunk is built in
 closed form, the network advances the whole chunk (see engine: settled
 spans run as blocks, switch transitions sample by sample), and each lane's
 outputs and drive are projected, per period, onto its detection
-frequencies. Chunks are cut on the engine's block grid from n = 0 (the
-elements' 64-sample frames from 32 lanes up) and at every lane's period
-edges and stop, so the engine divides a chunk only where a line port
-reflects. Each period's sums count phase from the period's start, with
+frequencies. Chunks are cut on the engine's block grid from n = 0 (64
+samples from 32 lanes up, whole band-filter frames) and at every lane's
+period edges and stop, so the engine divides a chunk only where a line
+port reflects. Each period's sums count phase from the period's start, with
 weights tabled once per detection row and period; the window's total
 turns each period back to n = 0. Lanes (one per frequency, drive port
 and schedule) are independent runs sharing each chunk. sweep and
@@ -189,10 +189,11 @@ def _measure(step, ports, omega, amplitude, detect, start, stop, period):
     Lane k is driven on port ports[k] with amplitude*cos(omega[k]*n), built
     here for each chunk, the cosine once per distinct frequency: the drive
     the recurrence below assumes. step is CirculatorNetwork.advance. Chunks
-    end at multiples of block_limit(lanes) from n = 0 (the elements' 64-sample
-    frames from 32 lanes up: the engine does not cut blocks on that grid, so
-    this keeps each block within one frame) and at every lane's period edges
-    and stop. Its window, start[k] <= n < stop[k], is whole periods.
+    end at multiples of block_limit(lanes) from n = 0 (64 samples from 32
+    lanes up, whole frames of the delay line's band filter: the engine does
+    not cut blocks on that grid, so this cuts no frame in two for a chunk)
+    and at every lane's period edges and stop. Its window, start[k] <= n <
+    stop[k], is whole periods.
 
     In each period t of P = period[k] samples from n = 0 that lane k steps,
     its outputs and drive are projected onto exp(-j*detect[k, m]*i) (detect

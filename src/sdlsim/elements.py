@@ -14,18 +14,19 @@ take back a trial block (mark/rewind) and hand out a zeroed copy of itself
 
 The delay line's band filter (DelayLineElement) is a Butterworth
 band-pass designed in numpy and run in Burrus's block (lifted) form, in
-fixed frames of MAX_BLOCK samples at fixed sample positions: one matrix
-product per frame a block touches maps [frame inputs; state at the frame
-start] to [frame outputs; state after the frame]. The slots of samples not
-yet stepped hold zeros and the matrix reads no later input, so outputs are
-the same however the stream is split into blocks.
+fixed frames at fixed sample positions whose length follows the element's
+lanes (16 samples from BAND_FRAME_LANES lanes up, MAX_BLOCK below): one
+matrix product per frame a block touches maps [frame inputs; state at the
+frame start] to [frame outputs; state after the frame]. The slots of
+samples not yet stepped hold zeros and the matrix reads no later input, so
+outputs are the same however the stream is split into blocks.
 
 The measured-data FIR (TouchstoneElement) splits its taps at a fixed frame
-length L: near taps (lags below L) are summed per output sample, far taps
-(lags of L and beyond) once per frame of L samples by partitioned FFT
-convolution. Frames sit at fixed sample positions, which keeps its outputs
-independent of the block split; rewind takes back the spectra a trial
-block completed.
+length L, set by its lanes and block limit: near taps (lags below L) are
+summed per output sample, far taps (lags of L and beyond) once per frame
+of L samples by partitioned FFT convolution. Frames sit at fixed sample
+positions, which keeps its outputs independent of the block split; rewind
+takes back the spectra a trial block completed.
 
 The L-section matching element (MatchingElement) filters blocks with
 scipy.signal.lfilter, imported when one is built: the only use of scipy,
@@ -49,10 +50,12 @@ from .touchstone import TouchstoneData
 # lane-samples, but never fewer than MAX_BLOCK samples. Element history
 # buffers hold block_limit(lanes) samples beyond the longest delay, and
 # longer blocks are split; a design the network shares over positions holds
-# all their lanes on the budget of the network's lanes. The floor of 64
-# samples keeps a 204-lane block's working set near 1 MB; one lane gets
+# all their lanes on the budget of the network's lanes, while its frames
+# (BAND_FRAME_LANES, TouchstoneElement.reset) follow its own lanes. The floor of
+# 64 samples keeps a 204-lane block's working set near 1 MB; one lane gets
 # 2,048-sample blocks, so each settled span of a single-lane run is one
-# call. MAX_BLOCK is also the frame length of the delay line's band filter.
+# call. Below BAND_FRAME_LANES lanes, MAX_BLOCK is also the frame length of
+# the delay line's band filter.
 MAX_BLOCK = 64
 BLOCK_LANE_SAMPLES = 2048
 
@@ -60,6 +63,20 @@ BLOCK_LANE_SAMPLES = 2048
 def block_limit(lanes: int) -> int:
     """Longest block (samples) processed in one pass at this lane count."""
     return max(MAX_BLOCK, BLOCK_LANE_SAMPLES // lanes)
+
+
+# The delay line's band filter (DelayLineElement._filter) runs in frames of
+# 16 samples from BAND_FRAME_LANES lanes up and of MAX_BLOCK below. A
+# frame's lifted matrix is (frame + 2 * sections) square and half zero, so
+# a 16-sample frame needs about a third of the multiply-adds per sample of
+# a 64-sample one, in four products instead of one. Measured per
+# lane-sample with one BLAS thread on full 64-sample blocks (2-vCPU x86),
+# the 16-sample frame is 13-26% slower from 32 to 40 lanes, within 8% of
+# the longer one from 48 to 60, and no slower from 64 up: 17% faster at
+# 64, 11% at 80, 26% at 204 (the paper sweep's shared line) and 39% at
+# 408. On one-sample blocks it is faster at every lane count: 24% at 2
+# lanes, 73% at 204.
+BAND_FRAME_LANES = 64
 
 # Longest line delay, impulse response or commutation period (samples) and
 # highest band-filter order a design accepts: 2^20 samples is 262 us at
@@ -348,11 +365,12 @@ class DelayLineElement(ScatteringElement):
             sos[0, :3] /= abs(_sos_response(sos, w_center))  # exact unit gain at center
             self.sos = sos
             self.filter_delay_samples = round(float(np.sum(_section_group_delays(sos, w_center))))
-            self._lifted = _lifted(sos, MAX_BLOCK)
         else:
             self.sos = None
-            self._lifted = None
             self.filter_delay_samples = 0
+        # Lifted matrices by frame length, made at the first step that needs
+        # them and shared with copies (zeroed).
+        self._lifted: dict[int, np.ndarray] = {}
 
         self.compensated_delay_samples = self.delay_samples - self.filter_delay_samples
         if self.compensated_delay_samples < 1:
@@ -384,9 +402,10 @@ class DelayLineElement(ScatteringElement):
         # Time-major ring of filtered samples: row t % len holds sample t.
         self._ring = np.zeros((self.buf_len - 1 + self.limit, 2, lanes))
         self._t = 0
+        self.band_frame = 16 if lanes >= BAND_FRAME_LANES else MAX_BLOCK
         # The band filter's frame: the inputs of the frame under way, zero
         # from the next sample on, over the state at its start.
-        self._frame = None if self.sos is None else np.zeros((len(self._lifted), 2 * lanes))
+        self._frame = None if self.sos is None else np.zeros((self.band_frame + 2 * len(self.sos), 2 * lanes))
 
     def _ring_rows(self, start: int, b: int) -> np.ndarray:
         """Rows of samples start..start+b-1, read in at most two slices."""
@@ -399,10 +418,14 @@ class DelayLineElement(ScatteringElement):
     def _filter(self, u: np.ndarray) -> np.ndarray:
         """Band-filter time-major samples u, shape (b, 2 * lanes), from
         sample _t on: one lifted product per frame the block touches.
-        Frames start at multiples of MAX_BLOCK; the slots of samples not yet
-        stepped are zero, and the lifted matrix is zero above its diagonal,
-        so each output is the same product however the stream is split."""
-        frame, v, t, n = MAX_BLOCK, self._frame, self._t, len(u)
+        Frames start at multiples of band_frame; the slots of samples not
+        yet stepped are zero, and the lifted matrix is zero above its
+        diagonal, so each output is the same product however the stream is
+        split."""
+        frame, v, t, n = self.band_frame, self._frame, self._t, len(u)
+        lifted = self._lifted.get(frame)
+        if lifted is None:
+            lifted = self._lifted[frame] = _lifted(self.sos, frame)
         # Cut at frame edges, and at each column's first non-finite sample:
         # in a product with the samples before it, 0 * nan would reach their
         # outputs. From that sample on the column is non-finite anyway.
@@ -415,7 +438,7 @@ class DelayLineElement(ScatteringElement):
         for lo, hi in zip(cuts, cuts[1:]):
             pos = (t + lo) % frame
             v[pos : pos + hi - lo] = u[lo:hi]
-            y = self._lifted @ v
+            y = lifted @ v
             out[lo:hi] = y[pos : pos + hi - lo]
             if (t + hi) % frame == 0:
                 v[:frame] = 0.0
@@ -432,13 +455,18 @@ class DelayLineElement(ScatteringElement):
         k = min(b, len(ring) - i)
         ring[i : i + k] = rows[:k]
         ring[: b - k] = rows[k:]
-        # Time-major sums; a tap reading port 2's stream for port 1's output
+        # Time-major sums into one output, each later tap through one
+        # scratch array; a tap reading port 2's stream for port 1's output
         # reads both channels swapped.
-        out = None
+        out = term = None
         for delay, ch, gain in self.taps:
             src = self._ring_rows(self._t - delay, b)
-            term = gain * (src[:, ::-1] if ch else src)
-            out = term if out is None else np.add(out, term, out=out)
+            src = src[:, ::-1] if ch else src
+            if out is None:
+                out = gain * src
+            else:
+                term = np.multiply(gain, src, out=term)
+                out += term
         self._t += b
         return out.transpose(1, 2, 0)
 
@@ -571,7 +599,8 @@ class TouchstoneElement(ScatteringElement):
     reference impedances are rejected, not renormalised.
 
     The FIR runs in fixed frames of L samples, the largest power of two
-    within its block limit; frame m covers samples [m*L, (m+1)*L).
+    within both its block limit and block_limit of its own lanes; frame m
+    covers samples [m*L, (m+1)*L).
     Taps at lags below L (near) are a matmul per output sample over its
     history window. Taps at lags of L and beyond (far) read, for every
     output of frame m, only samples before m*L, so each frame's far part
@@ -626,25 +655,26 @@ class TouchstoneElement(ScatteringElement):
         # one matmul with an oldest-to-newest (n, 2) history window gives
         # both outputs; its last 2 * near columns are the near taps.
         self._taps = self.h[:, :, ::-1].transpose(0, 2, 1).reshape(2, 2 * ir_len).copy()
-        # Far partition spectra by frame length, made at the first reset
-        # that needs them and shared with copies (zeroed, a line alias).
+        # Far partition spectra by frame length, made at the first step that
+        # needs them and shared with copies (zeroed, a line alias).
         self._partitions: dict[int, np.ndarray] = {}
         self.reset()
 
     def reset(self, lanes: int = 1, limit: int | None = None) -> None:
         super().reset(lanes, limit)
-        # Frames of the largest power of two samples within a block: on 12
-        # lanes 128, whose 256-point transforms take a third of the time of
-        # the 340-point ones of 170-sample frames.
-        frame = 1 << (self.limit.bit_length() - 1)
+        # Frames of the largest power of two samples within a block of the
+        # element's own lanes: on 12 lanes 128, whose 256-point transforms
+        # take a third of the time of the 340-point ones of 170-sample
+        # frames. A design shared over positions holds more lanes than its
+        # network's budget, and its frames follow its lanes, not that budget.
+        frame = 1 << (min(self.limit, block_limit(lanes)).bit_length() - 1)
         self._frame = frame
         self._near = min(frame, self.ir_len)
-        self._h_far = self._far_partitions(frame)
         # Doubled time-major ring: sample t sits in rows t % size and
         # t % size + size, so every window or chunk a block needs is one
         # slice. It holds a block beyond the near window and, with far
         # taps, beyond the two frames of the newest chunk.
-        reach = self._near - 1 if self._h_far is None else 2 * frame
+        reach = self._near - 1 if self._near == self.ir_len else 2 * frame
         self._size = reach + self.limit
         self._hist = np.zeros((2 * self._size, 2, lanes))
         self._t = 0
@@ -653,12 +683,10 @@ class TouchstoneElement(ScatteringElement):
         self._chunks: dict[int, np.ndarray] = {}
         self._frames: dict[int, np.ndarray] = {}
 
-    def _far_partitions(self, frame: int) -> np.ndarray | None:
-        """Spectra of the far partitions p = 1 .. P-1 for this frame length,
-        shape (frame + 1, 2, 2 * (P - 1)) with columns (p, i) for S_ji; None
-        if every tap is near."""
-        if self.ir_len <= frame:
-            return None
+    def _far_partitions(self) -> np.ndarray:
+        """Spectra of the far partitions p = 1 .. P-1 for the frame length in
+        use, shape (frame + 1, 2, 2 * (P - 1)) with columns (p, i) for S_ji."""
+        frame = self._frame
         if frame not in self._partitions:
             count = -(-self.ir_len // frame) - 1
             h = np.zeros((2, 2, (count + 1) * frame))
@@ -675,8 +703,8 @@ class TouchstoneElement(ScatteringElement):
         far = self._frames.get(m)
         if far is not None:
             return far
-        frame = self._frame
-        count = min(m, self._h_far.shape[2] // 2)
+        frame, h_far = self._frame, self._far_partitions()
+        count = min(m, h_far.shape[2] // 2)
         if count == 0:
             return np.zeros((frame, 2, self.lanes))
         i = ((m - 2) * frame) % self._size
@@ -684,7 +712,7 @@ class TouchstoneElement(ScatteringElement):
         chunks[m - 1] = np.fft.rfft(self._hist[i : i + 2 * frame], axis=0)
         self._chunks = chunks
         stacked = np.concatenate([chunks[m - p] for p in range(1, count + 1)], axis=1)
-        return np.fft.irfft(self._h_far[:, :, : 2 * count] @ stacked, 2 * frame, axis=0)[frame:]
+        return np.fft.irfft(h_far[:, :, : 2 * count] @ stacked, 2 * frame, axis=0)[frame:]
 
     def _process(self, x: np.ndarray) -> np.ndarray:
         lanes, b = x.shape[1:]
@@ -710,7 +738,7 @@ class TouchstoneElement(ScatteringElement):
             strides=(row,) + hist.strides,
         )
         out = self._taps[:, -2 * near :] @ window.reshape(b, 2 * near, lanes)
-        if self._h_far is not None:
+        if near < self.ir_len:
             # Add each frame's far part over the samples of the block in it.
             frame, frames, s = self._frame, {}, t
             while s < t + b:

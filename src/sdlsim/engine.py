@@ -34,8 +34,12 @@ network's lane count. Identity decides, so distinct objects step separately.
 Block length is budgeted in lane-samples (elements.block_limit): 2,048
 samples on one lane, down to a floor of 64 from 32 lanes up, so a
 single-lane run takes each settled span (about a quarter period) in one
-block. From 32 lanes up the analysis kernel, not the engine, cuts on the
-elements' 64-sample frame grid (analysis._measure).
+block. From 32 lanes up the analysis kernel, not the engine, cuts on a
+64-sample grid (analysis._measure), which holds whole frames of the delay
+line's band filter (64 or 16 samples, elements.BAND_FRAME_LANES). The
+crossbars mix with one coefficient column per sample of a block, or with a
+single column broadcast over a block over which no coefficient changes, as
+over every settled block (_LaneControl.block).
 
 A matched network keeps one loop inside every block: a match's line-side
 output reaches its line a sample later, and the line's reflection comes
@@ -99,7 +103,10 @@ class _LaneControl:
     every lane shares, or one row per lane (modulation-frequency sweeps).
 
     coef[k, side, row, i] is (t_bar, t_cross, refl)[k] of the left (side 0)
-    or right (side 1) crossbar at sample i of the row's period.
+    or right (side 1) crossbar at sample i of the row's period. Per-phase
+    run lengths, computed once per table, make each block's checks
+    lookups: how long the line ports stay quiet (quiet) and how long no
+    coefficient changes (still).
     """
 
     def __init__(self, crossbar: CrossbarElement, schedules: list[ControlSchedule]):
@@ -110,29 +117,46 @@ class _LaneControl:
             p = sched.period_samples
             for side, name in enumerate(("left", "right")):
                 self.coef[:, side, r, :p] = crossbar.coefficients(trace_for(sched, name, p))
-        self._row_ix = np.arange(self.rows)[:, None]
+        self._rows = np.arange(self.rows)
+        self._row_ix = self._rows[:, None]
+
+    def _ahead(self, marked) -> np.ndarray:
+        """ahead[row, i]: samples from phase i up to the next phase j, at or
+        after i and wrapping round the row's period, with marked(row's
+        (3, 2, p) coefficients)[j] true; a huge number if none is."""
+        ahead = np.full(self.coef.shape[2:], np.iinfo(np.int64).max // 2)
+        for r, p in enumerate(self.periods.tolist()):
+            marks = np.flatnonzero(marked(self.coef[:, :, r, :p]))
+            if len(marks):
+                phase = np.arange(p)
+                ahead[r, :p] = np.concatenate([marks, marks[:1] + p])[np.searchsorted(marks, phase)] - phase
+        return ahead
 
     @functools.cached_property
     def quiet(self) -> np.ndarray:
         """quiet[row, i]: samples from phase i up to the next one where
         either crossbar's line ports reflect (0 if they reflect at i)."""
-        quiet = np.full(self.coef.shape[2:], np.iinfo(np.int64).max // 2)
-        for r, p in enumerate(self.periods.tolist()):
-            hot = np.flatnonzero((self.coef[2, :, r, :p] != 0.0).any(axis=0))
-            if len(hot):
-                phase = np.arange(p)
-                ahead = np.concatenate([hot, hot[:1] + p])
-                quiet[r, :p] = ahead[np.searchsorted(hot, phase)] - phase
-        return quiet
+        return self._ahead(lambda c: (c[2] != 0.0).any(axis=0))
+
+    @functools.cached_property
+    def still(self) -> np.ndarray:
+        """still[row, i]: samples from phase i on over which no coefficient
+        of either crossbar changes (1 if one changes at i + 1)."""
+        return 1 + self._ahead(lambda c: (c != np.roll(c, -1, axis=-1)).any(axis=(0, 1)))
 
     def block(self, n: int, b: int) -> np.ndarray:
-        """Coefficients for samples n..n+b-1, shape (3, 2, rows, b)."""
+        """Coefficients for samples n..n+b-1, shape (3, 2, rows, b), or
+        (3, 2, rows, 1) when no row's coefficients change over the block
+        (every settled block): the mixes broadcast one column over it."""
+        phase = n % self.periods
+        if b == 1 or b <= min(self.still[self._rows, phase].tolist()):
+            return self.coef[:, :, self._row_ix, phase[:, None]]
         idx = (n + np.arange(b)) % self.periods[:, None]
         return self.coef[:, :, self._row_ix, idx]
 
     def quiet_from(self, n: int) -> int:
         """Samples from n on, over all rows, before a line port reflects."""
-        return int(self.quiet[self._row_ix[:, 0], n % self.periods].min())
+        return min(self.quiet[self._rows, n % self.periods].tolist())
 
 
 class CirculatorNetwork:

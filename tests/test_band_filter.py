@@ -9,6 +9,7 @@ import pytest
 import scipy.signal as sig
 
 from sdlsim.elements import (
+    BAND_FRAME_LANES,
     MAX_BLOCK,
     DelayLineElement,
     DelayLineSpec,
@@ -101,19 +102,42 @@ def through_line(order: int, bandwidth: float) -> DelayLineElement:
     return DelayLineElement(spec, FS)
 
 
+# A lane count on each side of the threshold: 64-sample frames on 3 lanes,
+# 16-sample ones from BAND_FRAME_LANES lanes up.
+LANES = (3, BAND_FRAME_LANES)
+
+
+def test_frame_length_follows_the_lanes():
+    # The lifted matrix is made at the first step, for the frame in use
+    # alone, and copies share it.
+    line = DelayLineElement(DelayLineSpec(), FS)
+    frames = []
+    for lanes in LANES:
+        line.reset(lanes)
+        frames.append(line.band_frame)
+    assert frames == [MAX_BLOCK, 16]
+    assert not line._lifted
+    line.step(np.zeros((2, BAND_FRAME_LANES)))
+    assert list(line._lifted) == [16]
+    probe = line.zeroed(1)
+    probe.step(np.zeros((2, 1)))
+    assert probe._lifted is line._lifted and sorted(line._lifted) == [16, MAX_BLOCK]
+
+
 @pytest.mark.parametrize("order,bandwidth", [(1, 30e6), (2, 30e6), (4, 20e6), (6, 30e6)])
 def test_lifted_filter_matches_sosfilt(order, bandwidth):
     line = through_line(order, bandwidth)
-    d, lanes, n = line.compensated_delay_samples, 3, 1000
-    x = np.zeros((2, lanes, n + d))
-    x[0, :, :n] = np.random.default_rng(order).standard_normal((lanes, n))
-    line.reset(lanes)
-    # Blocks that start and end inside the fixed frames.
-    sizes = [1, 29, MAX_BLOCK, 2 * MAX_BLOCK + 7, 3, n + d]
-    starts = np.cumsum([0] + sizes)
-    out = np.concatenate([line.step(x[:, :, a:b]) for a, b in zip(starts, starts[1:])], axis=2)
-    ref = sig.sosfilt(line.sos, x[0, :, :n])
-    assert np.max(np.abs(out[1, :, d : d + n] - ref)) <= 1e-12 * np.max(np.abs(ref))
+    d, n = line.compensated_delay_samples, 1000
+    for lanes in LANES:
+        x = np.zeros((2, lanes, n + d))
+        x[0, :, :n] = np.random.default_rng(order).standard_normal((lanes, n))
+        line.reset(lanes)
+        # Blocks that start and end inside the fixed frames of either length.
+        sizes = [1, 29, MAX_BLOCK, 2 * MAX_BLOCK + 7, 3, n + d]
+        starts = np.cumsum([0] + sizes)
+        out = np.concatenate([line.step(x[:, :, a:b]) for a, b in zip(starts, starts[1:])], axis=2)
+        ref = sig.sosfilt(line.sos, x[0, :, :n])
+        assert np.max(np.abs(out[1, :, d : d + n] - ref)) <= 1e-12 * np.max(np.abs(ref)), lanes
 
 
 @pytest.mark.parametrize("sizes", [[1], [400], [37, 200, 163]], ids=["samples", "block", "split"])
@@ -122,20 +146,23 @@ def test_nan_mid_frame_faults_at_its_own_sample(sizes):
     # back out of the entry port, so a fault shows there at once. The
     # outputs before it in its lane stay finite, also where they share a
     # frame's product with the NaN: lanes 1 and 2 turn non-finite in the
-    # same frame, lane 0 in a later one.
+    # same frame, lane 0 in a later one; the other lanes stay finite.
     line = DelayLineElement(DelayLineSpec(), FS)
-    lanes, n = 3, 400
-    faults = {1: (0, 3 * MAX_BLOCK + 29), 2: (1, 3 * MAX_BLOCK + 49), 0: (0, 5 * MAX_BLOCK + 3)}
-    x = np.random.default_rng(9).standard_normal((2, lanes, n))
-    for lane, (port, sample) in faults.items():
-        x[port, lane, sample] = np.nan
-    line.reset(lanes)
-    parts, start, k = [], 0, 0
-    while start < n:
-        stop = min(n, start + sizes[k % len(sizes)])
-        parts.append(line.step(x[:, :, start:stop]))
-        start, k = stop, k + 1
-    out = np.concatenate(parts, axis=2)
-    for lane, (port, sample) in faults.items():
-        assert np.isfinite(out[:, lane, :sample]).all()
-        assert np.isnan(out[port, lane, sample])
+    n = 400
+    for lanes in LANES:
+        line.reset(lanes)
+        f = line.band_frame
+        faults = {1: (0, 3 * f + f // 2 - 3), 2: (1, 3 * f + 3 * f // 4 + 1), 0: (0, 5 * f + 3)}
+        x = np.random.default_rng(9).standard_normal((2, lanes, n))
+        for lane, (port, sample) in faults.items():
+            x[port, lane, sample] = np.nan
+        parts, start, k = [], 0, 0
+        while start < n:
+            stop = min(n, start + sizes[k % len(sizes)])
+            parts.append(line.step(x[:, :, start:stop]))
+            start, k = stop, k + 1
+        out = np.concatenate(parts, axis=2)
+        for lane, (port, sample) in faults.items():
+            assert np.isfinite(out[:, lane, :sample]).all(), (lanes, lane)
+            assert np.isnan(out[port, lane, sample]), (lanes, lane)
+        assert np.isfinite(out[:, 3:]).all()

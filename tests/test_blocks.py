@@ -6,6 +6,7 @@ bit-identical waves."""
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import math
 import os
 import platform
@@ -34,7 +35,7 @@ from sdlsim.elements import (
     TouchstoneLineRef,
     block_limit,
 )
-from sdlsim.engine import CirculatorNetwork, build_circulator
+from sdlsim.engine import CirculatorNetwork, _LaneControl, build_circulator
 from sdlsim.schedule import build_schedule, trace_for
 from sdlsim.touchstone import TouchstoneData
 
@@ -240,6 +241,87 @@ def test_sweep_chunks_keep_the_frame_grid(monkeypatch):
         assert end % MAX_BLOCK == 0 or reflects[end] or end % period == 0 or end == stop
     frames = -(-stepped // MAX_BLOCK)
     assert len(blocks) <= frames + reflects[:stepped].sum() + stepped // period
+
+
+def full_table(ctl: _LaneControl, n: int, b: int) -> np.ndarray:
+    """The coefficient table of samples n..n+b-1 with one column per sample."""
+    return ctl.coef[:, :, ctl._row_ix, (n + np.arange(b)) % ctl.periods[:, None]]
+
+
+def test_settled_blocks_mix_one_coefficient_column(monkeypatch):
+    # On the paper sweep every block over which no crossbar coefficient
+    # changes gets a one-column table, (3, 2, rows, 1), which the mixes
+    # broadcast; every other block gets one column per sample. Stepped with
+    # full tables throughout, the network emits the same waves, bit for bit.
+    cfg = load_config(CONFIG_DIR / "paper.yaml")
+    block, tables = _LaneControl.block, []
+
+    def recorded(self, n, b):
+        coef = block(self, n, b)
+        tables.append((n, b, coef.shape))
+        return coef
+
+    advance, digests = CirculatorNetwork.advance, []
+
+    def hashed(self, ext):
+        out = advance(self, ext)
+        digests[-1].update(out.tobytes())
+        return out
+
+    monkeypatch.setattr(CirculatorNetwork, "advance", hashed)
+    grids = []
+    for table in (recorded, full_table):
+        monkeypatch.setattr(_LaneControl, "block", table)
+        digests.append(hashlib.sha256())
+        grids.append(sparams_sweep(cfg, np.linspace(*cfg.band)).s)
+    assert digests[0].digest() == digests[1].digest()
+    assert np.array_equal(grids[0], grids[1])
+    stepped = max(n + b for n, b, _ in tables)
+    xbar = CrossbarElement(cfg.switch)
+    sides = ("left", "right")
+    coefs = np.stack([xbar.coefficients(trace_for(cfg.schedule, side, stepped)) for side in sides])
+    changes = (coefs[..., 1:] != coefs[..., :-1]).any(axis=(0, 1))
+    settled = 0
+    for n, b, shape in tables:
+        still = not changes[n : n + b - 1].any()
+        assert shape == (3, 2, 1, 1 if still else b)
+        settled += still and b > 1
+    assert settled >= len(tables) // 2
+
+
+@pytest.mark.parametrize("name", ["paper", "per-lane"])
+def test_one_column_exactly_where_no_coefficient_changes(name):
+    # Over a period and past its wrap, from every phase: a block gets one
+    # column exactly when no row's coefficients change over it, and that
+    # column holds the coefficients of every sample of the block.
+    net = network(name)
+    ctl = net._ctl
+    end = int(ctl.periods.max()) + 70
+    for b in (1, 2, 3, 64):
+        for n in range(end):
+            coef = ctl.block(n, b)
+            full = full_table(ctl, n, b)
+            still = (full == full[..., :1]).all()
+            assert coef.shape == full.shape[:-1] + (1 if still else b,)
+            assert np.array_equal(np.broadcast_to(coef, full.shape), full)
+
+
+def test_shared_touchstone_frames_follow_its_lanes():
+    # A Touchstone design filling both line positions on 6 network lanes
+    # holds 12 lanes on the network's block budget (341 samples); its FIR
+    # frames follow its own lanes: 128 samples (block_limit(12) = 170),
+    # not the 256 the budget would give. Far partitions are made for the
+    # frame that steps alone, not at construction or reset.
+    net = network("touchstone")
+    net.reset(6)
+    line = net.line_a
+    assert line is net.line_b
+    assert (line.lanes, line.limit, line._frame) == (12, block_limit(6), 128)
+    assert not line._partitions
+    sizes = count_blocks(net)
+    net.advance(np.zeros((4, 6, N_SAMPLES)))
+    assert max(sizes) == block_limit(6)
+    assert list(line._partitions) == [128]
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's dynamic mmap threshold")

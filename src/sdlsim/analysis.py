@@ -17,13 +17,14 @@ also reports the warnings of the network's elements.
 Every analysis of the switched network is a thin parameterisation of one
 drive-and-measure kernel (_measure): the stimulus of each chunk is built in
 closed form, the network advances the whole chunk (see engine: settled
-spans run as blocks, switch transitions sample by sample), and each lane's
+spans run as blocks, transitions as 1- or 2-sample blocks), and each lane's
 outputs and drive are projected, per period, onto its detection
 frequencies. Chunks are cut on the engine's block grid from n = 0 (64
 samples from 32 lanes up, whole band-filter frames) and at every lane's
 period edges and stop, so the engine divides a chunk only where a line
 port reflects. Each period's sums count phase from the period's start, with
-weights tabled once per detection row and period; the window's total
+each chunk projected on weights tabled once per detection row over a
+block's length and turned to its period's start; the window's total
 turns each period back to n = 0. Lanes (one per frequency, drive port
 and schedule) are independent runs sharing each chunk. sweep and
 modsweep drive ports 1 and 2 only when the network is mirror-symmetric
@@ -198,10 +199,12 @@ def _measure(step, ports, omega, amplitude, detect, start, stop, period):
     In each period t of P = period[k] samples from n = 0 that lane k steps,
     its outputs and drive are projected onto exp(-j*detect[k, m]*i) (detect
     in rad/sample, shape (lanes, M)), i counted from the period's start.
-    The real (cos, -sin) weights are tabled once per distinct detection row
-    and period (2 * M * P doubles: 3.7 MB on the paper sweep), so a chunk's
-    projection is one real matmul. The window's total turns period t back
-    by u^-t, u = exp(j*detect*P).
+    The real (cos, -sin) weights of a chunk from its start are tabled once
+    per distinct detection row over block_limit(lanes) samples, whatever P
+    (each lane holds its row's: 104 KB on the paper sweep), so a chunk's
+    projection is one real matmul, turned to its period's start by
+    exp(-j*detect*(n0 mod P)). The window's total turns period t back by
+    u^-t, u = exp(j*detect*P).
 
     Stepping stops once every lane is steady or past its window. In steady
     state the network (periodic in P) answers the cosine drive with
@@ -238,18 +241,14 @@ def _measure(step, ports, omega, amplitude, detect, start, stop, period):
         for n0 in (a, *range(a - a % limit + limit, hi, limit))
     )
     tones, tone_row = np.unique(np.asarray(omega, dtype=float), return_inverse=True)
-    # One weight table per distinct (detection row, period), its columns
-    # (cos, -sin) pairs, so a real projection viewed as complex is the sum
-    # with exp(-j*detect*i). windows[key, :, i, :b] are columns i .. i+b-1.
+    # Per distinct detection row, (cos, -sin) pairs of detect*k, k < limit:
+    # a real projection viewed as complex is the sum with exp(-j*detect*k),
+    # k counted from the chunk's start. Each lane holds its row's table.
     rows, row = np.unique(detect, axis=0, return_inverse=True)
-    keys, key = np.unique(np.stack([row.reshape(-1), period], axis=1), axis=0, return_inverse=True)
-    key = key.reshape(-1)
-    weights = np.zeros((len(keys), 2 * n_det, int(period.max()) + limit - 1))
-    for g, (r, p) in enumerate(keys.tolist()):
-        phase = np.outer(rows[r], np.arange(p))
-        weights[g, 0::2, :p] = np.cos(phase)
-        weights[g, 1::2, :p] = -np.sin(phase)
-    windows = np.lib.stride_tricks.sliding_window_view(weights, limit, axis=-1)
+    phase = rows[:, :, None] * np.arange(limit)
+    table = np.empty((len(rows), 2 * n_det, limit))
+    table[:, 0::2], table[:, 1::2] = np.cos(phase), -np.sin(phase)
+    table = table[row.reshape(-1)]
     # Each lane's projected sums per period (outputs, then drive), its output
     # energy per period, and the recurrence's coefficient.
     sums = np.zeros((int(periods.max()), lanes, 5, n_det), dtype=complex)
@@ -269,7 +268,8 @@ def _measure(step, ports, omega, amplitude, detect, start, stop, period):
         x[:, :4] = out.transpose(1, 0, 2)
         x[:, 4] = d
         t, i = np.divmod(n0, period)
-        proj = (x @ windows[key, :, i, :b].transpose(0, 2, 1)).view(complex)
+        proj = (x @ table[:, :, :b].transpose(0, 2, 1)).view(complex)
+        proj *= np.exp(-1j * detect * i[:, None])[:, None]
         rec = np.flatnonzero((n0 < stop) & (steady_at < 0))
         sums[t[rec], rec] += proj[rec]
         e_sums[t[rec], rec] += np.einsum("plb,plb->l", out, out)[rec]

@@ -19,13 +19,15 @@ oracle adds it.
 
 Time advances in blocks. External ports never reflect, and a crossbar's
 line ports reflect (gamma_off*min(w, 1-w)) only inside its switch
-transitions. A block may start at a sample where a line port reflects but
-holds no other (see _span), so past its first sample the bare network is
-feed-forward, and switch transitions run as one-sample blocks. Every
+transitions. A block may start at a sample where a line port reflects,
+and on a bare network end at one, but holds none inside (see _span), so
+there the bare network is feed-forward; switch transitions run as
+two-sample blocks, or one-sample blocks on a matched network. Every
 block, whatever its length, runs one sequence: the crossbars' line-side
-outputs (the reflected waves added at sample 0 alone, the only sample
-where a line port may reflect), the elements behind the crossbars on
-those, and the crossbars' port-side outputs on theirs. Each crossbar call
+outputs (the reflected waves added at sample 0), the elements behind the
+crossbars on those, and the crossbars' port-side outputs on theirs, with
+the waves reflected at a last sample that reflects, which reach a line
+only in the next block. Each crossbar call
 writes its outputs in place, into the block's wave rows. An element design
 is one object serving every position it fills (see build_circulator): it
 steps in one call over all their lanes, once per pass over a block (a
@@ -252,6 +254,7 @@ class CirculatorNetwork:
         self._feeds = feeds[2:]
         self._loop_src = np.array([s for s, _ in loops], dtype=np.int64)
         self._loop_dst = np.array([d for _, d in loops], dtype=np.int64)
+        self._tail = 0 if loops else 1  # 1: a block may end where a line port reflects
 
         self._ctl = _LaneControl(self.left, [schedule])
         # Set by build_circulator when swapping ports 1 <-> 3 and 2 <-> 4
@@ -332,9 +335,11 @@ class CirculatorNetwork:
 
     def _span(self, limit: int) -> int:
         """Length of the next block: up to block_limit(lanes) samples whose
-        line ports do not reflect after the first. The analysis kernel, not
-        the engine, cuts on the elements' frame grid (analysis._measure)."""
-        return min(limit, self._limit, 1 + self._ctl.quiet_from(self._n + 1))
+        line ports do not reflect after the first, but may at the last on a
+        bare network (a matched block would need a trial pass to close its
+        loops over it). The analysis kernel, not the engine, cuts on the
+        elements' frame grid (analysis._measure)."""
+        return min(limit, self._limit, 1 + self._tail + self._ctl.quiet_from(self._n + 1))
 
     def _prepare(self) -> None:
         """The incident and emitted waves of every slot over one block of
@@ -410,11 +415,11 @@ class CirculatorNetwork:
         inc, wave = (buf[: math.prod(shape)].reshape(shape) for buf in self._buffers)
         inc[self._ext_slots] = ext
         inc[self._link_dst, :, 0] = self._carry
-        # Past the first sample no line port reflects (see _span), so the
+        # Inside the block no line port reflects (see _span), so the
         # crossbars' line-side outputs need only the port-side stimulus and,
         # at sample 0, the line waves they reflect. The elements behind the
         # crossbars then run on those outputs, and the crossbars' port-side
-        # outputs on theirs.
+        # outputs on theirs; a last sample's reflections come last (_crossbars).
         self._crossbars(inc, wave, coef, "line")
         elements = [el for el, _, _ in self._others]
         if b > 1 and len(self._loop_src):
@@ -447,16 +452,21 @@ class CirculatorNetwork:
         """Both crossbars' outputs on one side ("port" or "line"), written by
         one step_with call into their rows of wave: their slots are the
         first 2 x 4 rows, viewed as (4, 2, lanes, b), and coef is
-        _LaneControl.block's (3, 2, rows, b). The port side mixes the line
-        ports' incident waves; the line side mixes the port side's and adds
-        the reflected waves at sample 0 alone, the only sample where a line
-        port may reflect (see _span), so the line ports' incident rows past
-        it, left from the previous block, are never read."""
+        _LaneControl.block's (3, 2, rows, b). The line side mixes the port
+        side's incident waves and adds the reflected waves at sample 0; the
+        line ports' incident rows past it, left from the previous block, are
+        unread. The port side mixes the line ports' and, if a line port
+        reflects at the block's last sample (see _span), adds the reflected
+        waves to the line side's outputs there, summed as a block starting
+        at that sample sums them; adding 0*x would turn -0.0 into 0.0 and
+        inf into NaN."""
         shape = (2, 4) + inc.shape[1:]
         x = inc[:8].reshape(shape).swapaxes(0, 1)
         y = wave[:8].reshape(shape).swapaxes(0, 1)
         if side == "port":
             CrossbarElement.step_with(x[LINE_A], x[LINE_B], coef[0], coef[1], y[:LINE_A])
+            if x.shape[-1] > 1 and coef[2, :, :, -1].any():
+                y[LINE_A:, :, :, -1] += coef[2, :, :, -1] * x[LINE_A:, :, :, -1]
         else:
             CrossbarElement.step_with(x[PORT_TOP], x[PORT_BOT], coef[0], coef[1], y[LINE_A:])
             y[LINE_A:, :, :, 0] += coef[2, :, :, 0] * x[LINE_A:, :, :, 0]

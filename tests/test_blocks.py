@@ -21,9 +21,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sdlsim.analysis import sparams_sweep
+from sdlsim.analysis import modfreq_sweep, sparams_sweep, spectrum_probe
 from sdlsim.cli import load_config
 from sdlsim.elements import (
+    LINE_A,
+    LINE_B,
     MAX_BLOCK,
     CrossbarElement,
     DelayLineElement,
@@ -170,6 +172,16 @@ def count_blocks(net) -> list[int]:
     return sizes
 
 
+def reflecting(xbar: CrossbarElement, schedules, n: int) -> np.ndarray:
+    """Mask of the samples 0..n-1 at which a line port of either crossbar
+    reflects on any of the schedules."""
+    reflects = np.zeros(n, dtype=bool)
+    for sched in schedules:
+        for side in ("left", "right"):
+            reflects |= xbar.coefficients(trace_for(sched, side, n))[2] != 0.0
+    return reflects
+
+
 def test_one_lane_settled_spans_run_as_long_blocks():
     # ideal.yaml never reflects at a line port, so a one-lane run is
     # limited only by the lane-sample budget; 9,056 samples is `run`'s length.
@@ -193,31 +205,31 @@ def test_many_lanes_keep_the_block_floor():
 
 def test_floor_blocks_end_at_the_budget():
     # At 204 lanes a block is block_limit's 64-sample floor, cut short only
-    # at the run's end or before a sample where a line port reflects. The
+    # at the run's end or at a sample where a line port reflects, which on
+    # this bare network ends the block; no block holds one inside. The
     # engine does not cut on the elements' frame grid: the analysis kernel's
     # chunks keep to it (test_sweep_chunks_keep_the_frame_grid).
     net = network("paper")
     net.reset(204)
-    reflects = np.zeros(N_SAMPLES + 1, dtype=bool)
-    for side in ("left", "right"):
-        reflects |= net.left.coefficients(trace_for(net.schedule, side, N_SAMPLES + 1))[2] != 0.0
+    reflects = reflecting(net.left, [net.schedule], N_SAMPLES + 1)
     sizes = count_blocks(net)
     net.advance(np.zeros((4, 204, N_SAMPLES)))
     assert sum(sizes) == N_SAMPLES
     starts = np.cumsum([0] + sizes[:-1])
     for n, b in zip(starts.tolist(), sizes):
-        assert not reflects[n + 1 : n + b].any()
-        assert b == MAX_BLOCK or n + b == N_SAMPLES or reflects[n + b]
+        assert not reflects[n + 1 : n + b - 1].any()
+        assert b == MAX_BLOCK or n + b == N_SAMPLES or reflects[n + b - 1]
     assert sizes.count(MAX_BLOCK) >= N_SAMPLES // MAX_BLOCK - 10
 
 
 def test_sweep_chunks_keep_the_frame_grid(monkeypatch):
     # The 204-lane paper sweep hands the engine chunks cut on the same
     # 64-sample grid as its frames (and at period edges and stops), so a
-    # block starts only at a frame edge, at a sample where a line port
+    # block ends only at a frame edge, at a sample where a line port
     # reflects or at a period edge: no frame is cut in two for a chunk.
     # Chunks counted from each period edge instead (P = 4,560 = 71 * 64 +
-    # 16) fail this: 731 blocks where at most 522 are allowed (518 run).
+    # 16) fail this where period 1's first chunk ends, at sample 4,624,
+    # though they run as many blocks (440).
     cfg = load_config(CONFIG_DIR / "paper.yaml")
     blocks = []
     block = CirculatorNetwork._block
@@ -232,15 +244,120 @@ def test_sweep_chunks_keep_the_frame_grid(monkeypatch):
     period = cfg.schedule.period_samples
     stop = (cfg.settle_periods + cfg.measure_periods) * period
     stepped = sum(b for _, b in blocks)
-    reflects = np.zeros(stepped + 1, dtype=bool)
-    xbar = CrossbarElement(cfg.switch)
-    for side in ("left", "right"):
-        reflects |= xbar.coefficients(trace_for(cfg.schedule, side, stepped + 1))[2] != 0.0
+    reflects = reflecting(CrossbarElement(cfg.switch), [cfg.schedule], stepped + 1)
     for n, b in blocks:
         end = n + b
-        assert end % MAX_BLOCK == 0 or reflects[end] or end % period == 0 or end == stop
+        assert end % MAX_BLOCK == 0 or reflects[end - 1] or end % period == 0 or end == stop
     frames = -(-stepped // MAX_BLOCK)
     assert len(blocks) <= frames + reflects[:stepped].sum() + stepped // period
+    assert len(blocks) == 440
+
+
+@pytest.mark.parametrize("name", ("paper", "per-lane") + MATCHED)
+def test_only_bare_blocks_end_on_a_reflecting_sample(name):
+    # A bare network's block may end on a sample where a line port
+    # reflects, so its switch transitions run as two-sample blocks and a
+    # one-sample block is left only at the run's end. A matched network's
+    # block never ends on one past its first sample (closing its loops over
+    # such a block would take a trial pass): its transitions run as
+    # one-sample blocks.
+    ext, _ = whole_run(name)
+    net = network(name)
+    net.reset(ext.shape[1])
+    schedules = per_lane_schedules() if name.endswith("per-lane") else [net.schedule]
+    reflects = reflecting(net.left, schedules, N_SAMPLES)
+    sizes = count_blocks(net)
+    net.advance(ext)
+    ends = (np.cumsum(sizes) - 1).tolist()
+    ends_hot = sum(b > 1 and reflects[end] for b, end in zip(sizes, ends))
+    if name in MATCHED:
+        assert ends_hot == 0
+        assert sizes.count(1) >= reflects.sum() // 2
+    else:
+        assert ends_hot >= reflects.sum() // 2
+        assert 1 not in sizes[:-1]
+
+
+def one_sample_transitions(self, limit: int) -> int:
+    """CirculatorNetwork._span with every block ending before a sample
+    where a line port reflects, so that one starts a block of its own."""
+    return min(limit, self._limit, 1 + self._ctl.quiet_from(self._n + 1))
+
+
+def test_blocks_ending_on_a_reflecting_sample_are_bit_identical(monkeypatch):
+    # A bare block may end on a sample where a line port reflects, its
+    # reflected wave added once the block has stepped. Stepped instead with
+    # the transitions' reflecting samples each starting a block, paper.yaml's
+    # spectrum (96 blocks against 176) and a 3-point sweep emit the same
+    # waves, bit for bit, and the same lines and S.
+    cfg = load_config(CONFIG_DIR / "paper.yaml")
+    advance, block = CirculatorNetwork.advance, CirculatorNetwork._block
+    digests, blocks = [], []
+
+    def hashed(self, ext):
+        out = advance(self, ext)
+        digests[-1].update(out.tobytes())
+        return out
+
+    def counted(self, ext):
+        blocks[-1] += 1
+        return block(self, ext)
+
+    monkeypatch.setattr(CirculatorNetwork, "advance", hashed)
+    monkeypatch.setattr(CirculatorNetwork, "_block", counted)
+    results, spectrum_blocks = [], []
+    for span in (CirculatorNetwork._span, one_sample_transitions):
+        monkeypatch.setattr(CirculatorNetwork, "_span", span)
+        digests.append(hashlib.sha256())
+        blocks.append(0)
+        report = spectrum_probe(cfg, 155e6)
+        spectrum_blocks.append(blocks[-1])
+        results.append((report, sparams_sweep(cfg, [150e6, 155e6, 160e6]).s))
+    assert spectrum_blocks == [96, 176]
+    assert blocks[0] < blocks[1]
+    assert digests[0].digest() == digests[1].digest()
+    assert results[0][0] == results[1][0]
+    assert np.array_equal(results[0][1], results[1][1])
+
+
+def test_no_wave_added_where_no_line_port_reflects():
+    # The port-side call adds the waves reflected at a block's last sample
+    # only when a line port reflects there: adding refl * x = 0 * x would
+    # turn a line-side output of -0.0 into 0.0, or, with an infinite wave
+    # at the line port, into NaN. ideal.yaml's line ports never reflect.
+    net = network("ideal")
+    net.reset(1)
+    inc = np.full((net._n_slots, 1, 3), np.inf)
+    wave = np.full_like(inc, -0.0)
+    with np.errstate(invalid="ignore"):  # the port-side mixes: 0 * inf
+        net._crossbars(inc, wave, net._ctl.block(0, 3), "port")
+    rows = [net._rows[f"{side}_crossbar"][port] for side in ("left", "right") for port in (LINE_A, LINE_B)]
+    assert np.signbit(wave[rows]).all() and not np.isnan(wave[rows]).any()
+
+
+def test_measured_modsweep_block_count(monkeypatch):
+    # The benchmark's measured modsweep (seed 1) layout: one Touchstone
+    # design at both line positions, one L-section at all four, per-lane
+    # periods of 4480, 4496 and 4560 samples and 2 + 1-period windows, on 6
+    # lanes; its blocks do not depend on the line's data. A matched network
+    # keeps one-sample transition blocks, so it runs the 333 blocks it ran
+    # before bare blocks could end on a reflecting sample.
+    ref = TouchstoneLineRef(measured_line(), ir_len=256)
+    cfg = dataclasses.replace(
+        load_config(CONFIG_DIR / "paper.yaml"), line_a=ref, line_b=ref,
+        matching=MatchSpec(33e-9, 18e-12), settle_periods=2, measure_periods=1,
+    )
+    blocks = []
+    block = CirculatorNetwork._block
+
+    def counted(self, ext):
+        blocks.append(self.lanes)
+        return block(self, ext)
+
+    monkeypatch.setattr(CirculatorNetwork, "_block", counted)
+    points = modfreq_sweep(cfg, [FS / p for p in (4480, 4496, 4560)], 155e6)
+    assert all(pt.note is None for pt in points)
+    assert blocks == [6] * 333
 
 
 def full_table(ctl: _LaneControl, n: int, b: int) -> np.ndarray:
@@ -364,11 +481,8 @@ def test_matched_settled_spans_run_as_blocks(name):
     net = network(name)
     net.reset(lanes)
     limit = block_limit(lanes)
-    reflects = np.zeros(N_SAMPLES + 1, dtype=bool)
-    for sched in per_lane_schedules() if name.endswith("per-lane") else [net.schedule]:
-        for side in ("left", "right"):
-            refl = net.left.coefficients(trace_for(sched, side, N_SAMPLES + 1))[2]
-            reflects |= refl != 0.0
+    schedules = per_lane_schedules() if name.endswith("per-lane") else [net.schedule]
+    reflects = reflecting(net.left, schedules, N_SAMPLES + 1)
     sizes = count_blocks(net)
     net.advance(ext)
     assert sum(sizes) == N_SAMPLES
@@ -385,8 +499,10 @@ def test_crossbars_step_in_two_calls_per_block(name, monkeypatch):
     # One-sample and longer blocks run the same sequence: one crossbar call
     # mixes both crossbars' port rows (slots 0, 1 and 4, 5) into their line
     # rows (2, 3 and 6, 7), then one mixes the line rows into the port rows.
-    # The line side reads no line-port row: their reflection at sample 0 is
-    # added by the engine.
+    # The line side reads no line-port row: their reflection at sample 0,
+    # and at a last sample that reflects, is added by the engine. Only the
+    # matched network runs one-sample blocks: the bare one's transitions
+    # run as two-sample blocks, each ending on a reflecting sample.
     ext, _ = whole_run(name)
     net = network(name)
     net.reset(ext.shape[1])
@@ -417,7 +533,7 @@ def test_crossbars_step_in_two_calls_per_block(name, monkeypatch):
     net.advance(ext)
     ports, lines = (0, 4, 1, 5), (2, 6, 3, 7)
     sequence = {((ports, tuple(sorted(lines))), (lines, tuple(sorted(ports))))}
-    assert per_block == {False: sequence, True: sequence}
+    assert per_block == ({False: sequence, True: sequence} if name == "matched" else {True: sequence})
 
 
 def separate_network(config) -> CirculatorNetwork:

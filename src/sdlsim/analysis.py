@@ -10,9 +10,9 @@ Each analysis reads its settings from the CirculatorConfig it runs:
 drive_dbm, settle_periods, measure_periods and spectrum_window_periods.
 The windows are whole numbers of schedule periods, bounded when the config
 is made, so that every intermodulation line lands on the analysis grid. A
-convergence monitor compares output power between consecutive stepped
-periods inside the window and flags runs that are still settling. Each analysis
-also reports the warnings of the network's elements.
+lane whose window starts before its first period verified steady (the
+kernel's check, below) is noted `not settled`. Each analysis also reports
+the warnings of the network's elements.
 
 Every analysis of the switched network is a thin parameterisation of one
 drive-and-measure kernel (_measure): the stimulus of each chunk is built in
@@ -71,8 +71,6 @@ MIRROR = [2, 3, 0, 1]
 
 # Highest commutation sideband order spectrum_probe reports.
 SIDEBAND_ORDERS = 5
-
-_DRIFT_LIMIT_DB = 0.1
 
 # _measure calls a lane steady once its per-period projections obey the
 # cosine drive's two-term recurrence within this fraction of the drive. The
@@ -216,16 +214,17 @@ def _measure(step, ports, omega, amplitude, detect, start, stop, period):
     _STEADY_TOL of the drive (amplitude*P); its later periods are then
     taken from the recurrence, not stepped. Every result is built from
     these sums, so a transient that keeps them on the recurrence changes
-    none. A window of _CHECK_PERIODS periods or fewer reaches no check
-    before its stop and steps whole. At detect = omega, u's phase is the
-    same double product omega*P the recurrence turns by, so the turn back
-    cancels the recurrence's phase rounding: the error stays near 1e-13 of
-    the drive however many periods are extrapolated.
+    none. The check also runs at a lane's stop: steady_at[k] is the last
+    period lane k stepped once steady, its periods from steady_at[k] -
+    _CHECK_PERIODS + 1 on are verified, and -1 verifies none (a window of
+    fewer than _CHECK_PERIODS periods never is). At detect = omega, u's
+    phase is the same double product omega*P the recurrence turns by, so
+    the turn back cancels the recurrence's phase rounding: the error stays
+    near 1e-13 of the drive however many periods are extrapolated.
 
     Returns the sums over each lane's window of its outputs (4, lanes, M)
-    and drive (lanes, M), and its output energy per measured period
-    (periods, lanes), NaN for a period not stepped. Raises SimulationFault
-    at the first non-finite output sample.
+    and drive (lanes, M), and steady_at. Raises SimulationFault at the
+    first non-finite output sample.
     """
     lanes, n_det = len(ports), detect.shape[1]
     lane_ix = np.arange(lanes)
@@ -249,10 +248,9 @@ def _measure(step, ports, omega, amplitude, detect, start, stop, period):
     table = np.empty((len(rows), 2 * n_det, limit))
     table[:, 0::2], table[:, 1::2] = np.cos(phase), -np.sin(phase)
     table = table[row.reshape(-1)]
-    # Each lane's projected sums per period (outputs, then drive), its output
-    # energy per period, and the recurrence's coefficient.
+    # Each lane's projected sums per period (outputs, then drive) and the
+    # recurrence's coefficient.
     sums = np.zeros((int(periods.max()), lanes, 5, n_det), dtype=complex)
-    e_sums = np.zeros(sums.shape[:2])
     coef = 2.0 * np.cos(omega * period)
     steady_at = np.full(lanes, -1)  # the last period a steady lane stepped
     for n0, b in chunks:
@@ -272,9 +270,8 @@ def _measure(step, ports, omega, amplitude, detect, start, stop, period):
         proj *= np.exp(-1j * detect * i[:, None])[:, None]
         rec = np.flatnonzero((n0 < stop) & (steady_at < 0))
         sums[t[rec], rec] += proj[rec]
-        e_sums[t[rec], rec] += np.einsum("plb,plb->l", out, out)[rec]
         end = n0 + b
-        due = rec[(end % period[rec] == 0) & (end // period[rec] >= _CHECK_PERIODS) & (end < stop[rec])]
+        due = rec[(end % period[rec] == 0) & (end // period[rec] >= _CHECK_PERIODS) & (end <= stop[rec])]
         if len(due):
             t = end // period[due] - 1
             c3 = sums[t[:, None] + np.arange(-2, 1), due[:, None]]
@@ -287,7 +284,6 @@ def _measure(step, ports, omega, amplitude, detect, start, stop, period):
         ix = np.flatnonzero(steady_at == t0)
         for t in range(t0 + 1, sums.shape[0]):
             sums[t, ix] = coef[ix, None, None] * sums[t - 1, ix] - sums[t - 2, ix]
-        e_sums[t0 + 1 :, ix] = np.nan  # not stepped, steady by construction
     # Period t is turned back by u^-t: the running product of 1, 1/u, 1/u, ...
     turn = np.ones((len(sums), lanes, n_det), dtype=complex)
     turn[1:] = 1.0 / np.exp(1j * detect * period[:, None])
@@ -295,21 +291,18 @@ def _measure(step, ports, omega, amplitude, detect, start, stop, period):
     t = np.arange(sums.shape[0])[:, None]
     window = ((t >= first) & (t < periods))[:, :, None, None]
     total = np.where(window, sums * turn[:, :, None], 0.0).sum(axis=0)
-    t = first + np.arange(int((periods - first).max()))[:, None]
-    energy = np.where(t < periods, e_sums[np.minimum(t, sums.shape[0] - 1), lane_ix], 0.0)
-    return total[:, :4].transpose(1, 0, 2), total[:, 4], energy
+    return total[:, :4].transpose(1, 0, 2), total[:, 4], steady_at
 
 
-def _drift_notes(energy: np.ndarray, where: list[str]) -> list[str]:
-    """A note for each lane whose output energy changes by more than
-    _DRIFT_LIMIT_DB between consecutive measured periods; where[k] names
-    lane k."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        drift = 10.0 * np.log10(energy[1:] / energy[:-1])
-    worst = np.nanmax(np.abs(drift), axis=0, initial=0.0)
+def _settling_notes(steady_at, settle: int, measure: int, where: list[str]) -> list[str]:
+    """A note for each lane k (named by where[k]) whose window of measure
+    periods after settle starts before its first period verified steady
+    (_measure's steady_at), stating how many measured periods precede it."""
+    verified = np.where(steady_at >= 0, steady_at - _CHECK_PERIODS + 1, settle + measure)
     return [
-        f"not settled: output power drifts {worst[k]:.3f} dB between periods at {where[k]}"
-        for k in np.flatnonzero(worst > _DRIFT_LIMIT_DB)
+        f"not settled: {verified[k] - settle} of {measure} measured periods precede the first "
+        f"period verified steady at {where[k]}"
+        for k in np.flatnonzero(verified > settle)
     ]
 
 
@@ -340,13 +333,11 @@ def _four_port(config: CirculatorConfig, points):
     the mirror (each crossbar under PortTop <-> PortBot with LineA <->
     LineB, each line and match swapped for its twin; schedules are
     untouched), so S[:, j, 2] = S[:, MIRROR[j], 0] and S[:, j, 3] =
-    S[:, MIRROR[j], 1], unsettled or not, and the energies of drive ports 3
-    and 4 (summed over all four outputs) are those of ports 1 and 2. Any
-    other network drives all four ports.
+    S[:, MIRROR[j], 1], unsettled or not, and drive ports 3 and 4 take the
+    steady_at of ports 1 and 2. Any other network drives all four ports.
 
-    Returns s (points, 4, 4), the lanes' measured energy per period
-    (periods, 4 * points) and the network's element warnings; column
-    4k + i of the energies is drive port i + 1 at point k.
+    Returns s (points, 4, 4), each lane's steady_at (points, 4; column i
+    is drive port i + 1) and the network's element warnings.
     """
     net = build_circulator(config)
     drives = 2 if net.mirror else 4
@@ -358,16 +349,16 @@ def _four_port(config: CirculatorConfig, points):
     omega = 2.0 * math.pi * np.repeat([f for f, _ in points], drives) / net.sample_rate
     a0 = dbm_to_amplitude(config.drive_dbm)
     settle, measure = config.settle_periods, config.measure_periods
-    acc_out, acc_in, energy = _measure(
+    acc_out, acc_in, steady_at = _measure(
         net.advance, np.tile(np.arange(drives), len(points)), omega, a0,
         omega[:, None], settle * period, (settle + measure) * period, period,
     )
     s = (acc_out[:, :, 0] / acc_in[:, 0]).reshape(4, len(points), drives).transpose(1, 0, 2)
-    energy = energy.reshape(len(energy), len(points), drives)
+    steady_at = steady_at.reshape(len(points), drives)
     if net.mirror:
         s = np.concatenate([s, s[:, MIRROR]], axis=2)
-        energy = np.concatenate([energy, energy], axis=2)
-    return s, energy.reshape(len(energy), 4 * len(points)), _element_notes(net)
+        steady_at = np.concatenate([steady_at, steady_at], axis=1)
+    return s, steady_at, _element_notes(net)
 
 
 def _check_frequencies(frequencies, sample_rate: float) -> list[float]:
@@ -400,9 +391,10 @@ def sparams_sweep(config: CirculatorConfig, frequencies) -> SParamGrid:
     images (see _four_port).
     """
     freqs = _check_frequencies(frequencies, config.sample_rate)
-    s, energy, notes = _four_port(config, [(f, config.schedule) for f in freqs])
+    s, steady_at, notes = _four_port(config, [(f, config.schedule) for f in freqs])
     where = [f"{f / 1e6:.4f} MHz, drive port {p}" for f in freqs for p in range(1, 5)]
-    return SParamGrid(frequencies=tuple(freqs), s=s, warnings=tuple(notes + _drift_notes(energy, where)))
+    notes += _settling_notes(steady_at.ravel(), config.settle_periods, config.measure_periods, where)
+    return SParamGrid(frequencies=tuple(freqs), s=s, warnings=tuple(notes))
 
 
 def group_delay(grid: SParamGrid, path: tuple[int, int] = (2, 1)):
@@ -519,7 +511,7 @@ def spectrum_probe(config: CirculatorConfig, f0: float) -> SpectrumReport:
     orders = [k for k in range(-SIDEBAND_ORDERS, SIDEBAND_ORDERS + 1) if 0.0 < f0 + k * f_mod < fs / 2.0]
     line_f = np.array([f0 + k * f_mod for k in orders])
     net.reset(lanes=1)
-    acc_out, acc_in, energy = _measure(
+    acc_out, acc_in, steady_at = _measure(
         net.advance, [0], np.array([2.0 * math.pi * f0 / fs]), a0,
         2.0 * math.pi * line_f[None] / fs, n_settle, n_total, period,
     )
@@ -535,6 +527,8 @@ def spectrum_probe(config: CirculatorConfig, f0: float) -> SpectrumReport:
         )
         ports.append(PortSpectrum(port=p + 1, main_dbm=amplitude_to_dbm(abs(c_ports[p, k0])), lines=lines))
     input_main = amplitude_to_dbm(abs(c_in[k0]))
+    where = [f"{f0 / 1e6:.4f} MHz, drive port 1"]
+    unsettled = _settling_notes(steady_at, config.settle_periods, config.spectrum_window_periods, where)
     return SpectrumReport(
         f0=float(f0),
         f_mod=f_mod,
@@ -543,7 +537,7 @@ def spectrum_probe(config: CirculatorConfig, f0: float) -> SpectrumReport:
         il_db=input_main - ports[1].main_dbm,
         iso3_db=input_main - ports[2].main_dbm,
         iso4_db=input_main - ports[3].main_dbm,
-        warnings=tuple(_element_notes(net) + _drift_notes(energy, [f"{f0 / 1e6:.4f} MHz, drive port 1"])),
+        warnings=tuple(_element_notes(net) + unsettled),
     )
 
 
@@ -575,15 +569,16 @@ def modfreq_sweep(config: CirculatorConfig, f_mod_values, f0: float) -> list[Mod
         valid.append((ix, fm, sched))
 
     if valid:
-        s, energy, notes = _four_port(config, [(f0, sched) for _, _, sched in valid])
+        s, steady_at, notes = _four_port(config, [(f0, sched) for _, _, sched in valid])
         for m, (ix, fm, sched) in enumerate(valid):
             where = [f"f_mod {sched.f_mod / 1e3:.3f} kHz, drive port {p}" for p in range(1, 5)]
+            unsettled = _settling_notes(steady_at[m], config.settle_periods, config.measure_periods, where)
             results[ix] = ModFreqPoint(
                 fm,
                 max(loss_db(s[m, j, i]) for j, i in FORWARD_PATHS.values()),
                 min(loss_db(s[m, j, i]) for j, i in REVERSE_PATHS.values()),
                 f_mod_achieved=sched.f_mod,
-                warnings=tuple(notes + _drift_notes(energy[:, 4 * m : 4 * m + 4], where)),
+                warnings=tuple(notes + unsettled),
             )
 
     return [results[ix] for ix in sorted(results)]

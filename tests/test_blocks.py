@@ -18,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import measured_line
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -39,22 +40,12 @@ from sdlsim.elements import (
 )
 from sdlsim.engine import CirculatorNetwork, _LaneControl, build_circulator
 from sdlsim.schedule import build_schedule, trace_for
-from sdlsim.touchstone import TouchstoneData
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 FS = 4e9
 # Long enough to cross two switch transitions of each crossbar on paper.yaml
 # (period 4560 samples, one transition every 1140).
 N_SAMPLES = 2600
-
-
-def measured_line() -> TouchstoneData:
-    """Delayed, lossy line with a reflection, so the FIR has a direct S11 tap."""
-    freqs = np.linspace(100e6, 210e6, 111)
-    s = np.zeros((len(freqs), 2, 2), dtype=complex)
-    s[:, 1, 0] = s[:, 0, 1] = 0.6 * np.exp(-2j * math.pi * freqs * 150e-9)
-    s[:, 0, 0] = s[:, 1, 1] = -0.15 * np.exp(-2j * math.pi * freqs * 10e-9)
-    return TouchstoneData(freqs, s)
 
 
 def network(name: str):

@@ -38,6 +38,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import re
 import sys
 import warnings as _warnings
 from pathlib import Path
@@ -357,18 +358,36 @@ def _fmt(x) -> str:
 # Rows formatted at a time: a chunk's Python values stay small next to the
 # arrays they come from, so formatting a long record adds little memory.
 _CHUNK = 512
+_FIELD = re.compile(r"(%\.12g|%d|%s)")
 
 
 def _rows(columns, fmt: str | None = None) -> list[str]:
     """fmt % (one value of each column) for every row of the equal-length
-    columns, formatted a chunk of rows at a time. fmt defaults to one
-    "%.12g" field per column, _fmt's text of a float; "%d" formats an
-    integer and "%s" a string."""
+    columns; fmt has one "%.12g" (_fmt's text, the default), "%d" or "%s"
+    per column. A column of one value (one bit pattern, for floats) is
+    formatted once, into the row template; the rest a chunk at a time."""
     columns = [np.asarray(c) for c in columns]
     fmt = fmt or ",".join(["%.12g"] * len(columns))
+    parts = _FIELD.split(fmt)
+    n = len(columns[0]) if columns else 0
+    if columns and (len(parts) != 2 * len(columns) + 1 or "%" in "".join(parts[::2])
+                    or any(len(c) != n for c in columns)):
+        raise ValueError(f"{fmt!r} needs one %.12g, %d or %s for each of {len(columns)} columns of one length")
+    template, varying = parts[0], []
+    for c, field, text in zip(columns, parts[1::2], parts[2::2]):
+        # Integers compare by min and max: `==` on int64 would fault in
+        # about 128 KB more of numpy's code on `run`, which uses no such loop.
+        bits = c.view(f"i{c.itemsize}") if c.dtype.kind == "f" else c
+        if n and (bits.min() == bits.max() if bits.dtype.kind in "iu" else (bits == bits[0]).all()):
+            field = (field % c[0].item()).replace("%", "%%")
+        else:
+            varying.append(c)
+        template += field + text
+    if not varying:
+        return [template % ()] * n
     rows = []
-    for i in range(0, len(columns[0]) if columns else 0, _CHUNK):
-        rows += [fmt % row for row in zip(*(c[i : i + _CHUNK].tolist() for c in columns))]
+    for i in range(0, n, _CHUNK):
+        rows += [template % row for row in zip(*(c[i : i + _CHUNK].tolist() for c in varying))]
     return rows
 
 

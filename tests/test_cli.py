@@ -7,6 +7,7 @@ import dataclasses
 import math
 import re
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 from xml.sax.saxutils import escape
@@ -1032,6 +1033,74 @@ class TestArtifactText:
         n = 2 * cli._CHUNK + 3
         values = np.arange(n) * 0.1
         assert cli._rows([np.arange(n), values], "%d,%.12g") == per_value_rows([range(n), values], "%d,%.12g")
+
+    # A column of one value is formatted once, into the row template; one
+    # value means one bit pattern, so -0.0 never stands for 0.0 and NaNs of
+    # another sign or payload are never merged.
+    NANS = np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001, 0x7FF8000000000123],
+                    dtype=np.uint64).view(np.float64)
+    N = 2 * cli._CHUNK + 3
+
+    @pytest.mark.parametrize("columns, fmt", [
+        ([[-0.0] * 5, [1.0, 2.0, 3.0, 4.0, 5.0]], None),
+        ([[0.0, -0.0, 0.0, -0.0], [2.0] * 4], None),
+        ([[-0.0, 0.0, 0.0], [0.0, 0.0, -0.0]], None),
+        ([NANS, NANS[::-1], [math.inf] * 4, [NANS[1]] * 4, [-math.inf] * 4], None),
+        ([[NANS[2]] * 3, [NANS[3]] * 3, [0.1, 0.2, 0.3]], None),
+        ([[7, 7, 7], [1.5, 2.5, 3.5]], "%d,%.12g"),
+        ([["5%"] * 3, ["%d"] * 3, [3, 4, 5]], "%s,%s,%d"),
+        ([["a", "b"], [1 / 3, 1 / 3]], "# %s %.12g"),
+        ([["key"] * 2, [0.25] * 2], "# %s %.12g"),
+        ([np.zeros(N), np.full(N, -0.0), np.full(N, 7)], "%.12g,%.12g,%d"),
+        ([np.full(N, math.nan), ["5%"] * N], "%.12g,%s"),
+        ([[3], [-0.0], ["x"]], "%d,%.12g,%s"),
+        ([[math.inf]], None),
+    ], ids=["neg-zero", "mixed-zero", "mixed-zero-both", "nans-infs", "nan-payloads", "int", "str-percent",
+            "literal-text", "literal-text-constant", "no-varying-chunks", "no-varying-nan-str", "one-row",
+            "one-row-one-column"])
+    def test_constant_columns_format_as_per_value(self, columns, fmt):
+        assert cli._rows(columns, fmt) == per_value_rows(columns, fmt)
+
+    @pytest.mark.parametrize("columns, fmt", [
+        ([[1.0]], "%f"),
+        ([[1.0]], "%5.12g"),
+        ([[1.0]], "%.12g %%"),
+        ([[1.0], [2.0]], "%.12g"),
+        ([[1.0]], "%.12g,%.12g"),
+        ([[1], ["a"]], "%d %s %s"),
+        ([[1.0]], "%(x)s"),
+    ])
+    def test_rows_reject_fields_other_than_one_per_column(self, columns, fmt):
+        with pytest.raises(ValueError):
+            cli._rows(columns, fmt)
+
+    @pytest.mark.parametrize("columns", [
+        [[1.0, 2.0, 3.0], [4.0, 5.0]],
+        [[1.0, 2.0, 3.0], [0.0]],
+        [[0.0], [1.0, 2.0]],
+        [[0.0, 0.0], [0.0, 0.0], []],
+    ], ids=["varying-short", "constant-short", "constant-first", "empty-last"])
+    def test_rows_reject_columns_of_different_lengths(self, columns):
+        with pytest.raises(ValueError):
+            cli._rows(columns)
+
+    def test_long_record_is_formatted_a_chunk_at_a_time(self):
+        # 2**17 rows shaped as run.csv: the sample index, then nine float
+        # columns of which six hold one value. The memory held only while
+        # formatting stays below 1 MB; whole columns at once need about 22 MB.
+        n = 2**17
+        k = np.arange(n)
+        varying = [k * 1e-9] + [np.sin(k * (0.01 * j)) for j in (1, 2, 3)]
+        columns = [k, *varying[:2], np.zeros(n), np.zeros(n), varying[2], *[np.zeros(n)] * 3, varying[3]]
+        fmt = "%d" + ",%.12g" * 9
+        tracemalloc.start()
+        try:
+            rows = cli._rows(columns, fmt)
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(rows) == n and rows[-1] == per_value_rows([c[-1:] for c in columns], fmt)[0]
+        assert peak - current < 1e6, (peak - current) / 1e6
 
     def test_polylines_split_at_non_finite_points(self):
         nan, inf = math.nan, math.inf

@@ -23,10 +23,10 @@ frequencies. Chunks are cut on the engine's block grid from n = 0 (64
 samples from 32 lanes up, whole band-filter frames) and at every lane's
 period edges and stop, so the engine divides a chunk only where a line
 port reflects. Each period's sums count phase from the period's start, with
-each chunk projected on weights tabled once per detection row over a
-block's length and turned to its period's start; the window's total
-turns each period back to n = 0. Lanes (one per frequency, drive port
-and schedule) are independent runs sharing each chunk. sweep and
+each chunk projected on weights tabled per lane over a block's length
+and turned to its period's start; the window's total turns each period
+back to n = 0. Lanes (one per frequency, drive port and schedule)
+are independent runs sharing each chunk. sweep and
 modsweep drive ports 1 and 2 only when the network is mirror-symmetric
 (CirculatorNetwork.mirror: its two lines are one design, and so are
 match positions 1 and 2 and positions 3 and 4); ports 3 and 4 then
@@ -197,12 +197,11 @@ def _measure(step, ports, omega, amplitude, detect, start, stop, period):
     In each period t of P = period[k] samples from n = 0 that lane k steps,
     its outputs and drive are projected onto exp(-j*detect[k, m]*i) (detect
     in rad/sample, shape (lanes, M)), i counted from the period's start.
-    The real (cos, -sin) weights of a chunk from its start are tabled once
-    per distinct detection row over block_limit(lanes) samples, whatever P
-    (each lane holds its row's: 104 KB on the paper sweep), so a chunk's
-    projection is one real matmul, turned to its period's start by
-    exp(-j*detect*(n0 mod P)). The window's total turns period t back by
-    u^-t, u = exp(j*detect*P).
+    The real (cos, -sin) weights of a chunk from its start are tabled per
+    lane over block_limit(lanes) samples, whatever P (104 KB on the paper
+    sweep), so a chunk's projection is one real matmul, turned to its
+    period's start by exp(-j*detect*(n0 mod P)). The window's total turns
+    period t back by u^-t, u = exp(j*detect*P).
 
     Stepping stops once every lane is steady or past its window. In steady
     state the network (periodic in P) answers the cosine drive with
@@ -240,14 +239,12 @@ def _measure(step, ports, omega, amplitude, detect, start, stop, period):
         for n0 in (a, *range(a - a % limit + limit, hi, limit))
     )
     tones, tone_row = np.unique(np.asarray(omega, dtype=float), return_inverse=True)
-    # Per distinct detection row, (cos, -sin) pairs of detect*k, k < limit:
-    # a real projection viewed as complex is the sum with exp(-j*detect*k),
-    # k counted from the chunk's start. Each lane holds its row's table.
-    rows, row = np.unique(detect, axis=0, return_inverse=True)
-    phase = rows[:, :, None] * np.arange(limit)
-    table = np.empty((len(rows), 2 * n_det, limit))
+    # Per lane, (cos, -sin) pairs of detect*k, k < limit: a real projection
+    # viewed as complex is the sum with exp(-j*detect*k), k counted from the
+    # chunk's start.
+    phase = detect[:, :, None] * np.arange(limit)
+    table = np.empty((lanes, 2 * n_det, limit))
     table[:, 0::2], table[:, 1::2] = np.cos(phase), -np.sin(phase)
-    table = table[row.reshape(-1)]
     # Each lane's projected sums per period (outputs, then drive) and the
     # recurrence's coefficient.
     sums = np.zeros((int(periods.max()), lanes, 5, n_det), dtype=complex)

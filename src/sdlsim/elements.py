@@ -10,7 +10,8 @@ a fixed control trajectory.
 
 For the network's in-block loops (engine.CirculatorNetwork) an element can
 take back a trial block (mark/rewind) and hand out a zeroed copy of itself
-(zeroed), whose steps give its impulse responses.
+(zeroed), whose steps give its impulse responses. Both line elements keep
+their history in one time-major ring (_ring_write, _ring_rows).
 
 The delay line's band filter (DelayLineElement) is a Butterworth
 band-pass designed in numpy and run in Burrus's block (lifted) form, in
@@ -102,6 +103,24 @@ def _in_blocks(process, x: np.ndarray, limit: int) -> np.ndarray:
         [process(x[..., s : s + limit]) for s in range(0, x.shape[-1], limit)],
         axis=-1,
     )
+
+
+def _ring_write(ring: np.ndarray, t: int, rows: np.ndarray) -> None:
+    """Write rows as samples t, t+1, ... of a time-major ring (row t % len
+    holds sample t), in at most two slices."""
+    i = t % len(ring)
+    k = min(len(rows), len(ring) - i)
+    ring[i : i + k] = rows[:k]
+    ring[: len(rows) - k] = rows[k:]
+
+
+def _ring_rows(ring: np.ndarray, start: int, b: int) -> np.ndarray:
+    """Rows of samples start..start+b-1 of a time-major ring: one slice, or
+    a copy where the span wraps."""
+    i = start % len(ring)
+    if i + b <= len(ring):
+        return ring[i : i + b]
+    return np.concatenate([ring[i:], ring[: i + b - len(ring)]])
 
 
 def conduction_weight(g: np.ndarray | float) -> np.ndarray | float:
@@ -407,14 +426,6 @@ class DelayLineElement(ScatteringElement):
         # from the next sample on, over the state at its start.
         self._frame = None if self.sos is None else np.zeros((self.band_frame + 2 * len(self.sos), 2 * lanes))
 
-    def _ring_rows(self, start: int, b: int) -> np.ndarray:
-        """Rows of samples start..start+b-1, read in at most two slices."""
-        ring = self._ring
-        i = start % len(ring)
-        if i + b <= len(ring):
-            return ring[i : i + b]
-        return np.concatenate([ring[i:], ring[: i + b - len(ring)]])
-
     def _filter(self, u: np.ndarray) -> np.ndarray:
         """Band-filter time-major samples u, shape (b, 2 * lanes), from
         sample _t on: one lifted product per frame the block touches.
@@ -450,17 +461,13 @@ class DelayLineElement(ScatteringElement):
         rows = x.transpose(2, 0, 1)
         if self.sos is not None:
             rows = self._filter(rows.reshape(b, 2 * lanes)).reshape(b, 2, lanes)
-        ring = self._ring
-        i = self._t % len(ring)
-        k = min(b, len(ring) - i)
-        ring[i : i + k] = rows[:k]
-        ring[: b - k] = rows[k:]
+        _ring_write(self._ring, self._t, rows)
         # Time-major sums into one output, each later tap through one
         # scratch array; a tap reading port 2's stream for port 1's output
         # reads both channels swapped.
         out = term = None
         for delay, ch, gain in self.taps:
-            src = self._ring_rows(self._t - delay, b)
+            src = _ring_rows(self._ring, self._t - delay, b)
             src = src[:, ::-1] if ch else src
             if out is None:
                 out = gain * src
@@ -670,13 +677,11 @@ class TouchstoneElement(ScatteringElement):
         frame = 1 << (min(self.limit, block_limit(lanes)).bit_length() - 1)
         self._frame = frame
         self._near = min(frame, self.ir_len)
-        # Doubled time-major ring: sample t sits in rows t % size and
-        # t % size + size, so every window or chunk a block needs is one
-        # slice. It holds a block beyond the near window and, with far
-        # taps, beyond the two frames of the newest chunk.
+        # One time-major ring of incident samples, as the delay line's: a
+        # block beyond the near window and, with far taps, beyond the two
+        # frames of the newest chunk.
         reach = self._near - 1 if self._near == self.ir_len else 2 * frame
-        self._size = reach + self.limit
-        self._hist = np.zeros((2 * self._size, 2, lanes))
+        self._ring = np.zeros((reach + self.limit, 2, lanes))
         self._t = 0
         # Chunk spectra S_j by chunk index, the last P - 1 of them, and far
         # parts (frame, 2, lanes) by frame index, those of the last block.
@@ -707,36 +712,20 @@ class TouchstoneElement(ScatteringElement):
         count = min(m, h_far.shape[2] // 2)
         if count == 0:
             return np.zeros((frame, 2, self.lanes))
-        i = ((m - 2) * frame) % self._size
         chunks = {j: s for j, s in self._chunks.items() if j >= m - count}
-        chunks[m - 1] = np.fft.rfft(self._hist[i : i + 2 * frame], axis=0)
+        chunks[m - 1] = np.fft.rfft(_ring_rows(self._ring, (m - 2) * frame, 2 * frame), axis=0)
         self._chunks = chunks
         stacked = np.concatenate([chunks[m - p] for p in range(1, count + 1)], axis=1)
         return np.fft.irfft(h_far[:, :, : 2 * count] @ stacked, 2 * frame, axis=0)[frame:]
 
     def _process(self, x: np.ndarray) -> np.ndarray:
         lanes, b = x.shape[1:]
-        size, hist, t = self._size, self._hist, self._t
-        rows = x.transpose(2, 0, 1)
-        i = t % size
-        if i + b <= size:
-            hist[i : i + b] = rows
-            hist[i + size : i + size + b] = rows
-        else:
-            slots = (i + np.arange(b)) % size
-            hist[slots] = rows
-            hist[slots + size] = rows
+        t, near = self._t, self._near
+        _ring_write(self._ring, t, x.transpose(2, 0, 1))
         # window[j] holds samples t+j-near+1 .. t+j, oldest first: the
         # history output j of the block convolves with the near taps.
-        near = self._near
-        row = hist.strides[0]
-        window = np.ndarray(
-            (b, near, 2, lanes),
-            dtype=hist.dtype,
-            buffer=hist,
-            offset=((t - near + 1) % size) * row,
-            strides=(row,) + hist.strides,
-        )
+        src = _ring_rows(self._ring, t - near + 1, b + near - 1)
+        window = np.ndarray((b, near, 2, lanes), src.dtype, src, strides=(src.strides[0],) + src.strides)
         out = self._taps[:, -2 * near :] @ window.reshape(b, 2 * near, lanes)
         if near < self.ir_len:
             # Add each frame's far part over the samples of the block in it.

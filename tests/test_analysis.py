@@ -20,9 +20,9 @@ from sdlsim.analysis import (
     spectrum_probe,
 )
 from sdlsim.cli import load_config
-from sdlsim.elements import L_TOWARD_PORT, DelayLineSpec, MatchSpec, SwitchSpec, TouchstoneLineRef
+from sdlsim.elements import L_TOWARD_PORT, DelayLineSpec, MatchSpec, SwitchSpec, TouchstoneLineRef, block_limit
 from sdlsim.engine import MAX_PERIODS, CirculatorConfig, build_circulator
-from sdlsim.errors import ConfigError
+from sdlsim.errors import ConfigError, SimulationFault
 from sdlsim.schedule import build_schedule
 from sdlsim.signals import dbm_to_amplitude
 from sdlsim.touchstone import TouchstoneData, write_touchstone
@@ -428,6 +428,31 @@ def test_drive_bit_identical_per_lane():
     analysis._measure(step, [0] * 5, omega, 0.3, omega[:, None], 4096, 4160, 4160)
     drive = np.concatenate(blocks, axis=1)[:, 4096:]
     np.testing.assert_array_equal(drive, expected)
+
+
+@pytest.mark.parametrize("offset", [0, 37])
+def test_nonfinite_output_faults_at_its_sample(offset):
+    # A network returning its drive, except that output sample k on port 3
+    # of lane 1 (of 3) is infinite: the fault names sample k, both where k
+    # is a chunk's first sample (offset 0, on the block_limit(3) grid) and
+    # where it lies inside a chunk.
+    lanes, period = 3, 4560
+    k = 2 * block_limit(lanes) + offset
+    sizes = []
+
+    def step(ext):
+        n0 = sum(sizes)
+        sizes.append(ext.shape[2])
+        out = ext.copy()
+        if n0 <= k < n0 + ext.shape[2]:
+            out[2, 1, k - n0] = np.inf
+        return out
+
+    omega = 2.0 * math.pi * np.full(lanes, 155e6) / FS
+    with pytest.raises(SimulationFault) as fault:
+        analysis._measure(step, [0] * lanes, omega, 0.3, omega[:, None], period, 2 * period, period)
+    assert fault.value.sample_index == k
+    assert (k in np.cumsum(sizes)) == (offset == 0)
 
 
 @pytest.mark.parametrize("settle", [0, 10, 100])

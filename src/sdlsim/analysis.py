@@ -31,13 +31,15 @@ modsweep drive ports 1 and 2 only when the network is mirror-symmetric
 (CirculatorNetwork.mirror: its two lines are one design, and so are
 match positions 1 and 2 and positions 3 and 4); ports 3 and 4 then
 answer as 1 and 2 do with ports 1 <-> 3 and 2 <-> 4 swapped, so half the
-lanes give the full S-matrix. Under the
-cosine drive a steady lane's period-relative sums follow one exact
-two-term recurrence, c_(t+1) = 2 cos(omega P) c_t - c_(t-1), so stepping
-stops once every lane is steady (after 5 periods on configs/paper.yaml,
-of a sweep's 14 and a spectrum's 26) and the rest of each window is
-extrapolated; a lane that never settles, or whose window is 3 periods or
-fewer, steps all of it. In
+lanes give the full S-matrix. Seen from its ports such a network
+repeats every half period when its crossbars are bar for exactly half the
+period (port_period), and every period P otherwise. Under the cosine
+drive a steady lane's sums per port period Q follow one exact two-term
+recurrence, c_(t+1) = 2 cos(omega Q) c_t - c_(t-1), so stepping stops
+once every lane is steady (after 3.5 periods on configs/paper.yaml, of a
+sweep's 14 and a spectrum's 26) and the rest of each window is
+extrapolated; a lane that never settles, or whose window is 3 port
+periods or fewer, steps all of it. In
 the harmonic-transfer view of a periodically switched network the
 same-frequency S-parameter is the k = 0 term of the projection onto the
 commutation lattice f0 + k*f_mod and the spectrum's sidebands are the
@@ -181,6 +183,22 @@ def loss_db(value: complex) -> float:
     return -20.0 * math.log10(mag) if mag > 0 else math.inf
 
 
+def port_period(mirror: bool, schedule: ControlSchedule) -> int:
+    """Samples after which the network, seen from its ports, repeats
+    under schedule: P/2 when the network is mirror-symmetric
+    (CirculatorNetwork.mirror) and its crossbars are bar for exactly half
+    the period, P = schedule.period_samples otherwise.
+
+    At duty 0.5 a shift by P/2 turns each crossbar's bar fraction g into
+    1 - g (schedule._one_period, whatever the side offset), which swaps bar
+    and cross; relabelling line_a <-> line_b, match_1 <-> match_2 and
+    match_3 <-> match_4 swaps them back, and on a mirror-symmetric network
+    that relabelling changes nothing the ports see.
+    """
+    p = schedule.period_samples
+    return p // 2 if mirror and 2 * round(schedule.duty * p) == p else p
+
+
 def _measure(step, ports, omega, amplitude, detect, start, stop, period):
     """The drive-and-measure kernel: drive each lane, project onto its
     detection frequencies over its window.
@@ -192,7 +210,9 @@ def _measure(step, ports, omega, amplitude, detect, start, stop, period):
     lanes up, whole frames of the delay line's band filter: the engine does
     not cut blocks on that grid, so this cuts no frame in two for a chunk)
     and at every lane's period edges and stop. Its window, start[k] <= n <
-    stop[k], is whole periods.
+    stop[k], is whole periods. period[k] is the network's period as seen
+    from its ports (port_period), half the schedule's where the network
+    repeats every half period.
 
     In each period t of P = period[k] samples from n = 0 that lane k steps,
     its outputs and drive are projected onto exp(-j*detect[k, m]*i) (detect
@@ -204,10 +224,10 @@ def _measure(step, ports, omega, amplitude, detect, start, stop, period):
     period t back by u^-t, u = exp(j*detect*P).
 
     Stepping stops once every lane is steady or past its window. In steady
-    state the network (periodic in P) answers the cosine drive with
-    Re(y z^(n/P)), z = exp(j*omega[k]*P), per period, so each output sample
-    obeys x[n + P] = 2 cos(omega P) x[n] - x[n - P] and so do a lane's
-    period-relative sums c_t (outputs and drive):
+    state the network (periodic in P at its ports) answers the cosine
+    drive with Re(y z^(n/P)), z = exp(j*omega[k]*P), per period, so each
+    output sample obeys x[n + P] = 2 cos(omega P) x[n] - x[n - P] and so
+    do a lane's period-relative sums c_t (outputs and drive):
         c_(t+1) = 2 cos(omega P) c_t - c_(t-1).
     A lane is steady once this holds on its last three periods within
     _STEADY_TOL of the drive (amplitude*P); its later periods are then
@@ -291,11 +311,15 @@ def _measure(step, ports, omega, amplitude, detect, start, stop, period):
     return total[:, :4].transpose(1, 0, 2), total[:, 4], steady_at
 
 
-def _settling_notes(steady_at, settle: int, measure: int, where: list[str]) -> list[str]:
+def _settling_notes(steady_at, settle: int, measure: int, where: list[str], parts=1) -> list[str]:
     """A note for each lane k (named by where[k]) whose window of measure
-    periods after settle starts before its first period verified steady
-    (_measure's steady_at), stating how many measured periods precede it."""
-    verified = np.where(steady_at >= 0, steady_at - _CHECK_PERIODS + 1, settle + measure)
+    schedule periods after settle starts before its first period verified
+    steady, stating how many measured periods precede it. steady_at is
+    _measure's, counted in its periods, parts[k] of them to a schedule
+    period (2 at a port period of P/2): a schedule period is verified once
+    all of its parts are."""
+    first = steady_at - _CHECK_PERIODS + 1
+    verified = np.where(steady_at >= 0, -(-first // parts), settle + measure)
     return [
         f"not settled: {verified[k] - settle} of {measure} measured periods precede the first "
         f"period verified steady at {where[k]}"
@@ -332,9 +356,11 @@ def _four_port(config: CirculatorConfig, points):
     untouched), so S[:, j, 2] = S[:, MIRROR[j], 0] and S[:, j, 3] =
     S[:, MIRROR[j], 1], unsettled or not, and drive ports 3 and 4 take the
     steady_at of ports 1 and 2. Any other network drives all four ports.
+    Each lane is measured per port period (port_period).
 
-    Returns s (points, 4, 4), each lane's steady_at (points, 4; column i
-    is drive port i + 1) and the network's element warnings.
+    Returns s (points, 4, 4), each lane's steady_at and its port periods
+    per schedule period (both (points, 4); column i is drive port i + 1),
+    and the network's element warnings.
     """
     net = build_circulator(config)
     drives = 2 if net.mirror else 4
@@ -343,19 +369,22 @@ def _four_port(config: CirculatorConfig, points):
         net.set_lane_schedules(schedules)
     net.reset(lanes=len(schedules))
     period = np.array([sched.period_samples for sched in schedules])
+    repeat = np.array([port_period(net.mirror, sched) for sched in schedules])
     omega = 2.0 * math.pi * np.repeat([f for f, _ in points], drives) / net.sample_rate
     a0 = dbm_to_amplitude(config.drive_dbm)
     settle, measure = config.settle_periods, config.measure_periods
     acc_out, acc_in, steady_at = _measure(
         net.advance, np.tile(np.arange(drives), len(points)), omega, a0,
-        omega[:, None], settle * period, (settle + measure) * period, period,
+        omega[:, None], settle * period, (settle + measure) * period, repeat,
     )
     s = (acc_out[:, :, 0] / acc_in[:, 0]).reshape(4, len(points), drives).transpose(1, 0, 2)
     steady_at = steady_at.reshape(len(points), drives)
+    parts = (period // repeat).reshape(len(points), drives)
     if net.mirror:
         s = np.concatenate([s, s[:, MIRROR]], axis=2)
         steady_at = np.concatenate([steady_at, steady_at], axis=1)
-    return s, steady_at, _element_notes(net)
+        parts = np.concatenate([parts, parts], axis=1)
+    return s, steady_at, parts, _element_notes(net)
 
 
 def _check_frequencies(frequencies, sample_rate: float) -> list[float]:
@@ -388,9 +417,11 @@ def sparams_sweep(config: CirculatorConfig, frequencies) -> SParamGrid:
     images (see _four_port).
     """
     freqs = _check_frequencies(frequencies, config.sample_rate)
-    s, steady_at, notes = _four_port(config, [(f, config.schedule) for f in freqs])
+    s, steady_at, parts, notes = _four_port(config, [(f, config.schedule) for f in freqs])
     where = [f"{f / 1e6:.4f} MHz, drive port {p}" for f in freqs for p in range(1, 5)]
-    notes += _settling_notes(steady_at.ravel(), config.settle_periods, config.measure_periods, where)
+    notes += _settling_notes(
+        steady_at.ravel(), config.settle_periods, config.measure_periods, where, parts.ravel()
+    )
     return SParamGrid(frequencies=tuple(freqs), s=s, warnings=tuple(notes))
 
 
@@ -495,6 +526,7 @@ def spectrum_probe(config: CirculatorConfig, f0: float) -> SpectrumReport:
     net = build_circulator(config)
     fs = net.sample_rate
     period = net.schedule.period_samples
+    repeat = port_period(net.mirror, net.schedule)
     _check_frequencies([f0], fs)
     f_mod = fs / period
 
@@ -510,7 +542,7 @@ def spectrum_probe(config: CirculatorConfig, f0: float) -> SpectrumReport:
     net.reset(lanes=1)
     acc_out, acc_in, steady_at = _measure(
         net.advance, [0], np.array([2.0 * math.pi * f0 / fs]), a0,
-        2.0 * math.pi * line_f[None] / fs, n_settle, n_total, period,
+        2.0 * math.pi * line_f[None] / fs, n_settle, n_total, repeat,
     )
     c_ports = (2.0 / n_window) * acc_out[:, 0]
     c_in = (2.0 / n_window) * acc_in[0]
@@ -525,7 +557,9 @@ def spectrum_probe(config: CirculatorConfig, f0: float) -> SpectrumReport:
         ports.append(PortSpectrum(port=p + 1, main_dbm=amplitude_to_dbm(abs(c_ports[p, k0])), lines=lines))
     input_main = amplitude_to_dbm(abs(c_in[k0]))
     where = [f"{f0 / 1e6:.4f} MHz, drive port 1"]
-    unsettled = _settling_notes(steady_at, config.settle_periods, config.spectrum_window_periods, where)
+    unsettled = _settling_notes(
+        steady_at, config.settle_periods, config.spectrum_window_periods, where, period // repeat
+    )
     return SpectrumReport(
         f0=float(f0),
         f_mod=f_mod,
@@ -566,10 +600,12 @@ def modfreq_sweep(config: CirculatorConfig, f_mod_values, f0: float) -> list[Mod
         valid.append((ix, fm, sched))
 
     if valid:
-        s, steady_at, notes = _four_port(config, [(f0, sched) for _, _, sched in valid])
+        s, steady_at, parts, notes = _four_port(config, [(f0, sched) for _, _, sched in valid])
         for m, (ix, fm, sched) in enumerate(valid):
             where = [f"f_mod {sched.f_mod / 1e3:.3f} kHz, drive port {p}" for p in range(1, 5)]
-            unsettled = _settling_notes(steady_at[m], config.settle_periods, config.measure_periods, where)
+            unsettled = _settling_notes(
+                steady_at[m], config.settle_periods, config.measure_periods, where, parts[m]
+            )
             results[ix] = ModFreqPoint(
                 fm,
                 max(loss_db(s[m, j, i]) for j, i in FORWARD_PATHS.values()),

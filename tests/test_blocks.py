@@ -218,9 +218,11 @@ def test_sweep_chunks_keep_the_frame_grid(monkeypatch):
     # 64-sample grid as its frames (and at period edges and stops), so a
     # block ends only at a frame edge, at a sample where a line port
     # reflects or at a period edge: no frame is cut in two for a chunk.
-    # Chunks counted from each period edge instead (P = 4,560 = 71 * 64 +
-    # 16) fail this where period 1's first chunk ends, at sample 4,624,
-    # though they run as many blocks (440).
+    # (The half-period edges the kernel also cuts at end on a reflecting
+    # sample at duty 0.5.) Chunks counted from each period edge instead
+    # (P = 4,560 = 71 * 64 + 16) fail this where period 1's first chunk
+    # ends, at sample 4,624. The lanes are steady after 3.5 periods, in
+    # 311 blocks; checked per period they stepped 5, in 440.
     cfg = load_config(CONFIG_DIR / "paper.yaml")
     blocks = []
     block = CirculatorNetwork._block
@@ -241,7 +243,7 @@ def test_sweep_chunks_keep_the_frame_grid(monkeypatch):
         assert end % MAX_BLOCK == 0 or reflects[end - 1] or end % period == 0 or end == stop
     frames = -(-stepped // MAX_BLOCK)
     assert len(blocks) <= frames + reflects[:stepped].sum() + stepped // period
-    assert len(blocks) == 440
+    assert len(blocks) == 311
 
 
 @pytest.mark.parametrize("name", ("paper", "per-lane") + MATCHED)
@@ -279,8 +281,9 @@ def test_blocks_ending_on_a_reflecting_sample_are_bit_identical(monkeypatch):
     # A bare block may end on a sample where a line port reflects, its
     # reflected wave added once the block has stepped. Stepped instead with
     # the transitions' reflecting samples each starting a block, paper.yaml's
-    # spectrum (96 blocks against 176) and a 3-point sweep emit the same
-    # waves, bit for bit, and the same lines and S.
+    # spectrum (70 blocks against 126, over its 3.5 stepped periods) and a
+    # 3-point sweep emit the same waves, bit for bit, and the same lines
+    # and S.
     cfg = load_config(CONFIG_DIR / "paper.yaml")
     advance, block = CirculatorNetwork.advance, CirculatorNetwork._block
     digests, blocks = [], []
@@ -304,7 +307,7 @@ def test_blocks_ending_on_a_reflecting_sample_are_bit_identical(monkeypatch):
         report = spectrum_probe(cfg, 155e6)
         spectrum_blocks.append(blocks[-1])
         results.append((report, sparams_sweep(cfg, [150e6, 155e6, 160e6]).s))
-    assert spectrum_blocks == [96, 176]
+    assert spectrum_blocks == [70, 126]
     assert blocks[0] < blocks[1]
     assert digests[0].digest() == digests[1].digest()
     assert results[0][0] == results[1][0]
@@ -330,9 +333,12 @@ def test_measured_modsweep_block_count(monkeypatch):
     # The benchmark's measured modsweep (seed 1) layout: one Touchstone
     # design at both line positions, one L-section at all four, per-lane
     # periods of 4480, 4496 and 4560 samples and 2 + 1-period windows, on 6
-    # lanes; its blocks do not depend on the line's data. A matched network
-    # keeps one-sample transition blocks, so it runs the 333 blocks it ran
-    # before bare blocks could end on a reflecting sample.
+    # lanes. A matched network keeps one-sample transition blocks. This
+    # line's lanes are verified steady at the half-period check at 2
+    # periods, so stepping stops there, after 2 * 4560 samples in 225
+    # blocks. Its whole 3 periods ran 333 blocks; the benchmark's measured
+    # line (seed 1), never steady in its window, steps them all in 341,
+    # also cut at the half-period edges.
     ref = TouchstoneLineRef(measured_line(), ir_len=256)
     cfg = dataclasses.replace(
         load_config(CONFIG_DIR / "paper.yaml"), line_a=ref, line_b=ref,
@@ -348,7 +354,7 @@ def test_measured_modsweep_block_count(monkeypatch):
     monkeypatch.setattr(CirculatorNetwork, "_block", counted)
     points = modfreq_sweep(cfg, [FS / p for p in (4480, 4496, 4560)], 155e6)
     assert all(pt.note is None for pt in points)
-    assert blocks == [6] * 333
+    assert blocks == [6] * 225
 
 
 def full_table(ctl: _LaneControl, n: int, b: int) -> np.ndarray:

@@ -319,6 +319,20 @@ class TestTouchstoneElement:
         el = TouchstoneElement(synthetic_touchstone(s21_flat=1.2), FS, 1024)
         assert any("non-passive" in w for w in el.warnings)
 
+    def test_slightly_non_passive_data_warns(self):
+        # A singular value of 1.001 is past the 1e-6 tolerance; 1.0 is not.
+        for flat, warned in ((1.001, True), (1.0, False)):
+            el = TouchstoneElement(synthetic_touchstone(s21_flat=flat), FS, 1024)
+            assert any("non-passive" in w for w in el.warnings) == warned
+
+    def test_truncation_warning_threshold(self):
+        # The 280 ns line cut at 1200 taps loses 1.39% of its energy, past
+        # the 0.1% mark; at 1400 taps it loses 0.04%, and no warning.
+        for ir_len, warned in ((1200, True), (1400, False)):
+            el = TouchstoneElement(synthetic_touchstone(), FS, ir_len=ir_len)
+            assert (el.energy_loss.max() > 1e-3) == warned
+            assert any("truncation" in w for w in el.warnings) == warned
+
     def test_time_invariance(self):
         el = TouchstoneElement(synthetic_touchstone(), FS, ir_len=2048)
         rng = np.random.default_rng(5)
